@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from .algebra import FiniteAlgebra, parse_term
+from .algebra import CapExceeded, FiniteAlgebra, parse_term
 from .caps import Caps, caps_from_env
 from .fixtures import FIXTURES, resolve
 from .freeclone import (
@@ -426,10 +426,23 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
 
 
 def _replay_congruences(report: dict, alg, caps) -> None:
-    for c in report["result"]["congruences"]:
+    result = report["result"]
+    listed = set()
+    for c in result["congruences"]:
         rel = BinRel.from_pairs(alg.size, [tuple(p) for p in c["pairs"]])
         if not is_congruence(alg, rel):
             raise _ReplayError(f"entry c{c['id']} is not a congruence")
+        listed.add(rel.mask)
+    if result["exhaustive"] is not True:
+        return  # a truncated listing claims soundness only
+    enum = enumerate_relations(alg, "congruence", caps)
+    if not enum.exhaustive:
+        raise _ReplayError("cannot re-derive the complete listing within the caps")
+    if listed != {r.mask for r in enum.relations} or result["count"] != len(enum.relations):
+        raise _ReplayError(
+            f"report lists {len(listed)} congruences (count {result['count']}), "
+            f"the algebra has {len(enum.relations)}"
+        )
 
 
 def _replay_free_algebra(report: dict, alg, caps) -> None:
@@ -551,7 +564,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--f", help="comma-separated values in {1,2} for malA")
     p.add_argument("--classes", help="override classes, e.g. theta=adm,sigma=u2")
-    p.add_argument("--strategy", default="exhaustive", choices=("exhaustive", "generated", "sampled", "principal"))
+    p.add_argument(
+        "--strategy",
+        default="exhaustive",
+        choices=("exhaustive", "generated", "sampled", "principal"),
+        help="exhaustive (default); generated is an alias of exhaustive, kept for"
+        " compatibility; sampled never reports holds; principal reduces to"
+        " point-principal relations",
+    )
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -609,6 +629,9 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         code = args.func(args)
+    except CapExceeded as exc:
+        print(f"relkit: cap exceeded: {exc}", file=sys.stderr)
+        return 2
     except (UnsupportedError, relparser.SpecParseError, KeyError, ValueError, OSError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return 3

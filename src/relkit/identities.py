@@ -395,27 +395,27 @@ def _value_key(value):
     return (0, value.pairs())
 
 
-def candidate_pool(alg, cls: RelClass, caps: Caps, method: str = "auto"):
+def candidate_pool(alg, cls: RelClass, caps: Caps):
     """(candidates, exhaustive) for one variable class."""
     if cls is RelClass.Congruence:
-        res = enumerate_relations(alg, "congruence", caps, method)
+        res = enumerate_relations(alg, "congruence", caps)
         return list(res), res.exhaustive
     if cls is RelClass.Tolerance:
-        res = enumerate_relations(alg, "tolerance", caps, method)
+        res = enumerate_relations(alg, "tolerance", caps)
         return list(res), res.exhaustive
     if cls is RelClass.ReflexiveAdmissible:
-        res = enumerate_relations(alg, "reflexive_admissible", caps, method)
+        res = enumerate_relations(alg, "reflexive_admissible", caps)
         return list(res), res.exhaustive
     if cls is RelClass.UAdmissible:
-        base = enumerate_relations(alg, "reflexive_admissible", caps, method)
+        base = enumerate_relations(alg, "reflexive_admissible", caps)
         res = enumerate_u(base.relations, base.exhaustive, caps)
         return list(res), res.exhaustive
     if cls is RelClass.U2Admissible:
-        base = enumerate_relations(alg, "reflexive_admissible", caps, method)
+        base = enumerate_relations(alg, "reflexive_admissible", caps)
         res = pair_families(base.relations, base.exhaustive)
         return list(res), res.exhaustive
     if cls is RelClass.UnionOfTwoCongruences:
-        base = enumerate_relations(alg, "congruence", caps, method)
+        base = enumerate_relations(alg, "congruence", caps)
         res = pair_families(base.relations, base.exhaustive)
         return list(res), res.exhaustive
     raise ValueError(f"unknown class {cls!r}")
@@ -462,10 +462,12 @@ def check_for_all(
 ) -> Verdict:
     """Quantify every variable over its class and test the identity.
 
-    Strategies: "exhaustive" (filter or provably-complete generation),
-    "generated" (force seed-pair generation), "sampled" (random closures,
-    never reports holds), "principal" (point-principal reduction, exact for
-    star/bar-free inclusion left-hand sides).
+    Strategies: "exhaustive" (complete enumeration of every class, labelled
+    truncated when caps.max_relations or caps.max_components cuts it short),
+    "generated" (an alias of "exhaustive", kept for compatibility),
+    "sampled" (random closures, never reports holds), "principal"
+    (point-principal reduction, exact for star/bar-free inclusion left-hand
+    sides).
     """
     classes = spec.classes(narrow, classes_override)
     if strategy == "principal":
@@ -474,13 +476,12 @@ def check_for_all(
         return _check_sampled(alg, spec, classes, caps, samples, seed)
     if strategy not in ("exhaustive", "generated"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    method = "generated" if strategy == "generated" else "auto"
 
     names = [v for v, _ in spec.variables]
     pools = []
     exhaustive = True
     for v in names:
-        pool, ex = candidate_pool(alg, classes[v], caps, method)
+        pool, ex = candidate_pool(alg, classes[v], caps)
         pools.append(pool)
         exhaustive &= ex
 

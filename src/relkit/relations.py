@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -334,11 +333,6 @@ class EnumResult:
         return len(self.relations)
 
 
-def _canonical_sort(rels):
-    uniq = {r.mask: r for r in rels}
-    return sorted(uniq.values(), key=lambda r: r.pairs())
-
-
 def _kind_closure(alg, kind, caps):
     if kind == "congruence":
         return lambda seed: congruence_gen(alg, seed, caps)
@@ -352,169 +346,52 @@ def enumerate_relations(
 ) -> EnumResult:
     """All congruences / tolerances / reflexive-admissible relations.
 
-    Universes up to caps.exhaustive_threshold filter every candidate of the
-    right shape.  Larger universes take closures of all seed sets of up to
-    caps.seed_pairs pairs, then close the collection under join (closure of
-    the union): every relation of each kind is the join of the principal
-    relations it contains, so the join closure restores completeness unless
-    caps.max_relations truncates it (reported in the result).
+    Every relation R of each kind is the join P1 v ... v Pk of the principal
+    relations Pi = close({(a, b)}) over the pairs (a, b) in R.  So the
+    enumeration closes the empty seed, closes every off-diagonal pair outside
+    it (the generators), and then joins each relation it finds with each
+    generator, close(R | G): that reaches every relation one generator at a
+    time.  Only caps.max_relations can cut it short, and the result then says
+    truncated.
 
-    method="generated" skips the filter path even on small universes.
+    method ("auto" or "generated") is kept for compatibility; both run the
+    one algorithm.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}; expected one of {KINDS}")
     if method not in ("auto", "generated"):
         raise ValueError(f"unknown enumeration method {method!r}")
     n = alg.size
-    if method == "auto" and n <= caps.exhaustive_threshold:
-        if kind == "congruence":
-            rels = [r for r in _all_equivalences(n) if is_admissible(alg, r)]
-        elif kind == "tolerance":
-            rels = [r for r in _all_reflexive_symmetric(n) if is_admissible(alg, r)]
-        else:
-            rels = _filter_reflexive_admissible(alg)
-        return EnumResult(kind, _canonical_sort(rels), exhaustive=True)
-
     close = _kind_closure(alg, kind, caps)
     base = close([])
     found = {base.mask: base}
-    pair_list = [(a, b) for a in range(n) for b in range(n) if a != b]
+    gens = []
     truncated = False
-    for size in range(1, caps.seed_pairs + 1):
-        if truncated:
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and not base.contains(a, b)]
+    for pair in pairs:
+        g = close([pair])
+        if g.mask in found:
+            continue
+        found[g.mask] = g
+        gens.append(g.mask)
+        if len(found) > caps.max_relations:
+            truncated = True
             break
-        for seed in combinations(pair_list, size):
-            r = close(seed)
-            found.setdefault(r.mask, r)
-            if len(found) > caps.max_relations:
-                truncated = True
-                break
-    if not truncated:
-        worklist = list(found.values())
-        tried = set()
-        while worklist and not truncated:
-            cur = worklist.pop()
-            for other in list(found.values()):
-                um = cur.mask | other.mask
-                if um in found or um in tried:
-                    continue
-                tried.add(um)
-                joined = close(BinRel(n, um))
-                if joined.mask not in found:
-                    found[joined.mask] = joined
-                    worklist.append(joined)
-                    if len(found) > caps.max_relations:
-                        truncated = True
-                        break
-    return EnumResult(
-        kind, _canonical_sort(found.values()), exhaustive=not truncated, truncated=truncated
-    )
-
-
-def _all_equivalences(n: int):
-    """Equivalence relations via restricted growth strings."""
-    out = []
-
-    def rec(prefix, used):
-        if len(prefix) == n:
-            mask = 0
-            for a in range(n):
-                for b in range(n):
-                    if prefix[a] == prefix[b]:
-                        mask |= 1 << (a * n + b)
-            out.append(BinRel(n, mask))
-            return
-        for v in range(used + 1):
-            rec(prefix + [v], max(used, v + 1))
-
-    rec([0], 1)
-    return out
-
-
-def _all_reflexive_symmetric(n: int):
-    pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
-    diag = _diag_mask(n)
-    out = []
-    for bits in range(1 << len(pairs)):
-        mask = diag
-        for j, (a, b) in enumerate(pairs):
-            if (bits >> j) & 1:
-                mask |= 1 << (a * n + b)
-                mask |= 1 << (b * n + a)
-        out.append(BinRel(n, mask))
-    return out
-
-
-def _filter_reflexive_admissible(alg: FiniteAlgebra) -> list:
-    """Filter all 2^(n^2-n) reflexive candidates with vectorized numpy passes."""
-    n = alg.size
-    offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
-    k = len(offdiag)
-    total = 1 << k
-    idx = np.arange(total, dtype=np.uint64)
-    cand = np.zeros((total, n, n), dtype=bool)
-    for j, (a, b) in enumerate(offdiag):
-        cand[:, a, b] = (idx >> np.uint64(j)) & np.uint64(1) != 0
-    for a in range(n):
-        cand[:, a, a] = True
-    for op in alg.ops:
-        if cand.shape[0] == 0:
-            break
-        if op.arity == 0:
-            continue  # reflexive candidates already contain (c, c)
-        alive = _op_filter(n, op, cand)
-        cand = cand[alive]
-    rels = []
-    for row in cand:
-        mask = 0
-        for pos in np.nonzero(row.reshape(-1))[0]:
-            mask |= 1 << int(pos)
-        rels.append(BinRel(n, mask))
-    return rels
-
-
-def _op_filter(n: int, op, cand: np.ndarray) -> np.ndarray:
-    """alive[i] = candidate i is compatible with op."""
-    m = cand.shape[0]
-    alive = np.ones(m, dtype=bool)
-    if op.arity == 1:
-        u = np.array(op.table, dtype=np.intp)
-        img = cand[:, u][:, :, u]
-        return (~cand | img).reshape(m, -1).all(axis=1)
-    if op.arity == 2:
-        g = np.array(op.table, dtype=np.intp).reshape(n, n)
-        for c in range(n):
-            for d in range(n):
-                has = cand[:, c, d]
-                if not has.any():
-                    continue
-                img = cand[:, g[:, c]][:, :, g[:, d]]
-                ok = (~cand | img).reshape(m, -1).all(axis=1)
-                alive &= ~has | ok
-        return alive
-    if op.arity == 3:
-        g = np.array(op.table, dtype=np.intp).reshape(n, n, n)
-        for c in range(n):
-            for d in range(n):
-                has_cd = cand[:, c, d]
-                if not has_cd.any():
-                    continue
-                for e in range(n):
-                    for f in range(n):
-                        has = has_cd & cand[:, e, f]
-                        if not has.any():
-                            continue
-                        img = cand[:, g[:, c, e]][:, :, g[:, d, f]]
-                        ok = (~cand | img).reshape(m, -1).all(axis=1)
-                        alive &= ~has | ok
-        return alive
-    # higher arities: direct per-candidate check
-    from .algebra import FiniteAlgebra as _FA
-
-    probe = _FA(n, [op])
-    for i in range(m):
-        mask = 0
-        for pos in np.nonzero(cand[i].reshape(-1))[0]:
-            mask |= 1 << int(pos)
-        alive[i] = is_admissible(probe, BinRel(n, mask))
-    return alive
+    worklist = list(found.values())
+    tried = set()
+    while worklist and not truncated:
+        cur = worklist.pop()
+        for gm in gens:
+            um = cur.mask | gm
+            if um in found or um in tried:
+                continue
+            tried.add(um)
+            joined = close(BinRel(n, um))
+            if joined.mask not in found:
+                found[joined.mask] = joined
+                worklist.append(joined)
+                if len(found) > caps.max_relations:
+                    truncated = True
+                    break
+    rels = sorted(found.values(), key=lambda r: r.pairs())
+    return EnumResult(kind, rels, exhaustive=not truncated, truncated=truncated)

@@ -191,3 +191,41 @@ def test_search_mainp_deterministic(capsys):
     assert a[0] == 0 and a == b
     rows = json.loads(a[1])["result"]["observations"]
     assert rows and all(r["coverage"] == "exhaustive" for r in rows)
+
+
+def test_caps_type_checked_exit3(capsys, monkeypatch):
+    for bad in (
+        '{"max_components": "x"}',
+        '{"max_components": 0}',
+        '{"max_relations": 0}',
+        '{"max_relations": 2.5}',
+        '{"clone_cap_3": true}',
+        '{"max_universe": null}',
+    ):
+        code, _, err = run(capsys, "check", "lattice2", "cdist2", "--caps", bad)
+        assert code == 3 and "must be an integer" in err, bad
+    for removed in ('{"exhaustive_threshold": 5}', '{"seed_pairs": 2}'):
+        code, _, err = run(capsys, "check", "lattice2", "cdist2", "--caps", removed)
+        assert code == 3 and "unknown keys" in err
+    assert run(capsys, "check", "lattice2", "cdist2", "--caps", '{"max_components": null}')[0] == 0
+    monkeypatch.setenv("RELKIT_CAPS", '{"max_components": "x"}')
+    assert run(capsys, "check", "lattice2", "cdist2")[0] == 3
+
+
+def test_cap_exceeded_exit2_without_traceback(capsys):
+    code, _, err = run(capsys, "check", "z2^30", "cdist2", "--h", "2")
+    assert code == 2
+    assert "cap exceeded" in err and "Traceback" not in err
+
+
+def test_verify_congruences_rederives_completeness(tmp_path, capsys):
+    rpt = tmp_path / "congruences.json"
+    assert run(capsys, "congruences", "z2cube", "--out", str(rpt))[0] == 0
+    assert run(capsys, "verify", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    del data["result"]["congruences"][5]
+    data["result"]["count"] -= 1
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(short))
+    assert code == 1 and "16" in err

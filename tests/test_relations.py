@@ -4,6 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relkit.algebra import FiniteAlgebra
 from relkit.caps import Caps
 from relkit.relations import (
     BinRel,
@@ -264,14 +265,38 @@ def test_reflexive_admissible_enumeration_oracle(lattice2, baker4):
     assert len(enumerate_relations(baker4, "reflexive_admissible")) == 16
 
 
-def test_generated_method_matches_filter(baker4, lattice_2x2):
-    # seed-pair generation plus join closure must reach the same collections
-    for alg in (baker4, lattice_2x2):
+def brute_relations(alg, kind):
+    # independent oracle: filter every candidate of the kind's shape
+    n = alg.size
+    diag = [(a, a) for a in range(n)]
+    if kind == "congruence":
+        cands = [partition_to_rel(n, blocks) for blocks in all_partitions(list(range(n)))]
+    else:
+        free = [(a, b) for a in range(n) for b in range(n) if a != b]
+        if kind == "tolerance":
+            free = [(a, b) for a, b in free if a < b]
+        cands = []
+        for bits in range(1 << len(free)):
+            chosen = [p for j, p in enumerate(free) if (bits >> j) & 1]
+            if kind == "tolerance":
+                chosen += [(b, a) for a, b in chosen]
+            cands.append(BinRel.from_pairs(n, chosen + diag))
+    return {r.mask for r in cands if brute_admissible(alg, r)}
+
+
+def test_enumeration_matches_brute_force(baker4, lattice_2x2):
+    # the principal generators joined to a fixpoint reach every relation
+    rng = random.Random(17)
+    algebras = [baker4, lattice_2x2, FiniteAlgebra(4, [("u", 1, (0, 1, 2, 3))], name="id4")]
+    for size in (2, 3, 3, 4, 4):
+        table = [rng.randrange(size) for _ in range(size * size)]
+        algebras.append(FiniteAlgebra(size, [("f", 2, table)]))
+    for alg in algebras:
         for kind in ("congruence", "tolerance", "reflexive_admissible"):
-            auto = enumerate_relations(alg, kind)
-            gen = enumerate_relations(alg, kind, method="generated")
-            assert gen.exhaustive
-            assert [r.mask for r in auto] == [r.mask for r in gen]
+            got = enumerate_relations(alg, kind)
+            assert got.exhaustive and not got.truncated
+            assert {r.mask for r in got} == brute_relations(alg, kind), (alg.name, kind)
+    assert len(enumerate_relations(algebras[2], "reflexive_admissible")) == 1 << 12
 
 
 def test_enumeration_canonical_order(baker4):
@@ -281,7 +306,7 @@ def test_enumeration_canonical_order(baker4):
 
 
 def test_enumeration_truncation_flag(lattice_n5):
-    tight = Caps(exhaustive_threshold=2, max_relations=3)
+    tight = Caps(max_relations=3)
     out = enumerate_relations(lattice_n5, "reflexive_admissible", caps=tight)
     assert out.truncated and not out.exhaustive
     assert len(out.relations) < 25  # the true count; the cap cut generation short
