@@ -127,11 +127,31 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, data: dict, name: str | None = None) -> "FiniteAlgebra":
-        return cls(
-            data["size"],
-            [(o["name"], o["arity"], o["table"]) for o in data["ops"]],
-            name=name,
-        )
+        """Build from {"size": int, "ops": [{"name", "arity", "table"}, ...]};
+        a malformed shape raises ValueError naming the bad field."""
+        if not isinstance(data, dict):
+            raise ValueError("algebra data must be a JSON object")
+        _check_field(data, "size", int, "an integer", "algebra")
+        _check_field(data, "ops", list, "a list", "algebra")
+        for i, o in enumerate(data["ops"]):
+            where = f"ops[{i}]"
+            if not isinstance(o, dict):
+                raise ValueError(f"algebra field {where!r} must be an object")
+            _check_field(o, "name", str, "a string", where)
+            _check_field(o, "arity", int, "an integer", where)
+            _check_field(o, "table", list, "a list", where)
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in o["table"]):
+                raise ValueError(f"algebra field '{where}.table' must hold integers")
+        ops = [(o["name"], o["arity"], o["table"]) for o in data["ops"]]
+        return cls(data["size"], ops, name=name)
+
+
+def _check_field(obj: dict, key: str, typ: type, what: str, where: str) -> None:
+    if key not in obj:
+        raise ValueError(f"{where} field {key!r} is missing")
+    value = obj[key]
+    if not isinstance(value, typ) or isinstance(value, bool):
+        raise ValueError(f"{where} field {key!r} must be {what}, got {value!r}")
 
 
 def load_algebra(path: str) -> FiniteAlgebra:

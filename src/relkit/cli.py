@@ -147,7 +147,7 @@ def _spec_block(spec: IdentitySpec, desc: dict, classes: dict) -> dict:
 def _cmd_check(args) -> int:
     started = time.time()
     caps = _caps(args)
-    alg = resolve(args.algebra)
+    alg = resolve(args.algebra, caps)
     spec, desc = _resolve_spec(args.spec, args)
     override = _parse_classes(args.classes) if args.classes else None
     verdict = check_for_all(
@@ -210,7 +210,7 @@ _SCHEMAS = ("jonsson", "directed-jonsson", "majority", "pixley", "vr", "mal")
 def _cmd_find_terms(args) -> int:
     started = time.time()
     caps = _caps(args)
-    alg = resolve(args.algebra)
+    alg = resolve(args.algebra, caps)
     schema = {"directed": "directed-jonsson"}.get(args.schema, args.schema)
     if schema not in _SCHEMAS:
         raise UnsupportedError(f"unknown schema {args.schema!r}; one of {', '.join(_SCHEMAS)}")
@@ -261,7 +261,7 @@ def _cmd_find_terms(args) -> int:
 def _cmd_free_algebra(args) -> int:
     started = time.time()
     caps = _caps(args)
-    alg = resolve(args.algebra)
+    alg = resolve(args.algebra, caps)
     clone = generate_clone(alg, args.arity, cap=args.cap, caps=caps)
     dump = dump_clone(clone)
     report = {
@@ -316,7 +316,7 @@ def _hasse(rels: list) -> list:
 def _cmd_congruences(args) -> int:
     started = time.time()
     caps = _caps(args)
-    alg = resolve(args.algebra)
+    alg = resolve(args.algebra, caps)
     enum = enumerate_relations(alg, "congruence", caps)
     rels = enum.relations
     edges = _hasse(rels)
@@ -411,7 +411,11 @@ def _replay_check(report: dict, alg, caps) -> None:
     if satisfied:
         raise _ReplayError("recorded counterexample satisfies the identity")
     a, b = cex["pair"]
-    if spec.mode == "inclusion" and not (lhs.contains(a, b) and not rhs.contains(a, b)):
+    if spec.mode == "inclusion":
+        witnessed = lhs.contains(a, b) and not rhs.contains(a, b)
+    else:
+        witnessed = lhs.contains(a, b) != rhs.contains(a, b)
+    if not witnessed:
         raise _ReplayError("recorded violating pair does not witness the failure")
 
 
@@ -447,11 +451,9 @@ def _replay_congruences(report: dict, alg, caps) -> None:
 
 def _replay_free_algebra(report: dict, alg, caps) -> None:
     arity = report["result"]["arity"]
-    for el in report["result"]["elements"][:20]:
-        term = parse_term(el["witness"])
-        table = table_of_term(alg, term, arity)
-        stored = [int(t, 16) for t in el["table"]]
-        if list(table) != stored:
+    for el in report["result"]["elements"]:
+        table = table_of_term(alg, parse_term(el["witness"]), arity)
+        if table.tolist() != el["table"]:
             raise _ReplayError(f"element #{el['id']} table does not match its witness")
 
 
@@ -502,7 +504,8 @@ def _random_algebra(size: int, rng: random.Random, tag: str) -> FiniteAlgebra:
 def _cmd_search_mainp(args) -> int:
     started = time.time()
     caps = _caps(args)
-    algebras = [resolve(n) for n in ("lattice2", "z2", "baker4", "lattice_2x2")]
+    fixtures = ("lattice2", "z2", "baker4", "lattice_2x2")
+    algebras = [resolve(n, caps) for n in fixtures]
     rng = random.Random(args.seed)
     for i in range(args.count):
         size = rng.randrange(2, args.max_size + 1)

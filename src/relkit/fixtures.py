@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 from .algebra import FiniteAlgebra, Operation, load_algebra, power, save_algebra
+from .caps import DEFAULT_CAPS, Caps
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -80,15 +81,16 @@ FIXTURES = {
 ALIASES = {"lattice_2x2sq": "lattice_2x2"}
 
 
-def resolve(name: str) -> FiniteAlgebra:
-    """A bundled name, NAME^k for a power, or a path to an algebra file."""
+def resolve(name: str, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
+    """A bundled name, NAME^k for a power (built within caps), or a path to
+    an algebra file."""
     key = ALIASES.get(name, name)
     if key in FIXTURES:
         return FIXTURES[key]()
     if "^" in key:
         base, _, exp = key.rpartition("^")
         if exp.isdigit() and int(exp) >= 1:
-            alg = power(resolve(base), int(exp))
+            alg = power(resolve(base, caps), int(exp), caps)
             return FiniteAlgebra(alg.size, alg.ops, name=key)
     if os.path.exists(name):
         alg = load_algebra(name)

@@ -1,17 +1,18 @@
 """Relational identities: expression AST, quantified checking, builtin library.
 
-Conventions baked into the builtins: juxtaposition is intersection (so
-`ΘR` reads Θ∩R), exponents bind tighter (`Θσ^∘h` is Θ∩(σ^∘h)), and ∘_m /
-_m∘ are the right/left alternating compositions with m factors.
+Expressions evaluate to plain relations; a variable bound to a U-admissible
+family evaluates to its union view.  The builtins are parse_spec literals.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import product
+from typing import Callable
 
 from .algebra import FiniteAlgebra
 from .caps import DEFAULT_CAPS, Caps
@@ -25,24 +26,13 @@ from .relations import (
     is_congruence,
     is_reflexive_admissible,
     is_tolerance,
+    rel_power,
     congruence_gen,
     tolerance_gen,
     transitive_closure,
     union,
 )
-from .uadmissible import (
-    UAdmRel,
-    as_u,
-    bar_u,
-    compose_u,
-    converse_u,
-    enumerate_u,
-    intersect_tol,
-    intersect_u,
-    pair_families,
-    transitive_closure_u,
-    union_u,
-)
+from .uadmissible import UAdmRel, enumerate_u, pair_families
 
 
 class UnsupportedError(ValueError):
@@ -123,10 +113,6 @@ class Pow:
 RelExpr = RVar | RConst | Conv | Star | BarOp | Inter | UnionOp | Comp | AltR | AltL | Pow
 
 
-def comp_chain(*exprs: RelExpr) -> RelExpr:
-    return reduce(Comp, exprs)
-
-
 def desugar(e: RelExpr) -> RelExpr:
     """Expand Pow/AltR/AltL into explicit composition chains."""
     if isinstance(e, (RVar, RConst)):
@@ -143,12 +129,12 @@ def desugar(e: RelExpr) -> RelExpr:
         if e.h < 1:
             raise ValueError("relation power needs h >= 1")
         a = desugar(e.arg)
-        return comp_chain(*([a] * e.h))
+        return reduce(Comp, [a] * e.h)
     if isinstance(e, AltR):
         if e.m < 1:
             raise ValueError("alternating composition needs m >= 1")
         l, r = desugar(e.left), desugar(e.right)
-        return comp_chain(*(l if i % 2 == 0 else r for i in range(e.m)))
+        return reduce(Comp, [l if i % 2 == 0 else r for i in range(e.m)])
     if isinstance(e, AltL):
         if e.m % 2 == 0:
             return desugar(AltR(e.left, e.right, e.m))
@@ -227,8 +213,6 @@ class IdentitySpec:
     mode: str = "inclusion"  # or "equality"
     narrow: dict = field(default_factory=dict)  # marked equivalent narrower classes
     free_seeds: dict | None = None  # var -> tuple of generator-letter pairs
-    eq_variant: "IdentitySpec | None" = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("inclusion", "equality"):
@@ -277,64 +261,45 @@ def class_member(alg: FiniteAlgebra, cls: RelClass, value, caps: Caps = DEFAULT_
     return all(is_reflexive_admissible(alg, c) for c in comps)
 
 
-def view(value) -> BinRel:
-    return value.union_view if isinstance(value, UAdmRel) else value
+def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict, caps: Caps = DEFAULT_CAPS) -> BinRel:
+    """The value of e as a plain relation.
 
-
-def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict, caps: Caps = DEFAULT_CAPS):
-    """Value is a BinRel or, when families are involved, a UAdmRel."""
+    A variable bound to a family evaluates to its union view: every operator
+    distributes over unions of components, so the union decides the value.
+    """
     if isinstance(e, RVar):
         try:
-            return env[e.name]
+            value = env[e.name]
         except KeyError:
             raise ValueError(f"unassigned variable {e.name!r}") from None
+        return value.union_view if isinstance(value, UAdmRel) else value
     if isinstance(e, RConst):
         return BinRel.diagonal(alg.size) if e.which == "id" else BinRel.full(alg.size)
     if isinstance(e, Conv):
-        v = eval_expr(alg, e.arg, env, caps)
-        return converse_u(v) if isinstance(v, UAdmRel) else converse(v)
+        return converse(eval_expr(alg, e.arg, env, caps))
     if isinstance(e, Star):
-        v = eval_expr(alg, e.arg, env, caps)
-        return transitive_closure_u(v) if isinstance(v, UAdmRel) else transitive_closure(v)
+        return transitive_closure(eval_expr(alg, e.arg, env, caps))
     if isinstance(e, BarOp):
-        v = eval_expr(alg, e.arg, env, caps)
-        if isinstance(v, UAdmRel):
-            return bar_u(alg, v, caps)
-        return admissible_closure(alg, v, caps)
+        return admissible_closure(alg, eval_expr(alg, e.arg, env, caps), caps)
     if isinstance(e, Pow):
-        v = eval_expr(alg, e.arg, env, caps)
-        out = v
-        for _ in range(e.h - 1):
-            out = compose_u(out, v) if isinstance(out, UAdmRel) else compose(out, v)
-        return out
+        return rel_power(eval_expr(alg, e.arg, env, caps), e.h)
     if isinstance(e, (AltR, AltL)):
         return eval_expr(alg, desugar(e), env, caps)
     l = eval_expr(alg, e.left, env, caps)
     r = eval_expr(alg, e.right, env, caps)
-    lu, ru = isinstance(l, UAdmRel), isinstance(r, UAdmRel)
     if isinstance(e, Inter):
-        if lu and ru:
-            return intersect_u(l, r)
-        if lu:
-            return intersect_tol(r, l)
-        if ru:
-            return intersect_tol(l, r)
         return intersect(l, r)
     if isinstance(e, UnionOp):
-        if lu or ru:
-            return union_u(as_u(l), as_u(r))
         return union(l, r)
     if isinstance(e, Comp):
-        if lu or ru:
-            return compose_u(as_u(l), as_u(r))
         return compose(l, r)
     raise TypeError(f"not a relation expression: {e!r}")
 
 
 def evaluate(alg: FiniteAlgebra, spec: IdentitySpec, assignment: dict, caps: Caps = DEFAULT_CAPS):
-    """Returns (lhs view, rhs view, satisfied)."""
-    lhs = view(eval_expr(alg, spec.lhs, assignment, caps))
-    rhs = view(eval_expr(alg, spec.rhs, assignment, caps))
+    """Returns (lhs, rhs, satisfied)."""
+    lhs = eval_expr(alg, spec.lhs, assignment, caps)
+    rhs = eval_expr(alg, spec.rhs, assignment, caps)
     if spec.mode == "inclusion":
         sat = lhs.mask | rhs.mask == rhs.mask
     else:
@@ -389,64 +354,41 @@ def _value_report(value) -> dict:
     return {"kind": "relation", "pairs": value.pairs()}
 
 
-def _value_key(value):
-    if isinstance(value, UAdmRel):
-        return (1, value.union_view.pairs(), len(value.components))
-    return (0, value.pairs())
+_KINDS = {
+    RelClass.Congruence: "congruence",
+    RelClass.Tolerance: "tolerance",
+    RelClass.ReflexiveAdmissible: "reflexive_admissible",
+    RelClass.UAdmissible: "reflexive_admissible",
+    RelClass.U2Admissible: "reflexive_admissible",
+    RelClass.UnionOfTwoCongruences: "congruence",
+}
 
 
 def candidate_pool(alg, cls: RelClass, caps: Caps):
     """(candidates, exhaustive) for one variable class."""
-    if cls is RelClass.Congruence:
-        res = enumerate_relations(alg, "congruence", caps)
-        return list(res), res.exhaustive
-    if cls is RelClass.Tolerance:
-        res = enumerate_relations(alg, "tolerance", caps)
-        return list(res), res.exhaustive
-    if cls is RelClass.ReflexiveAdmissible:
-        res = enumerate_relations(alg, "reflexive_admissible", caps)
-        return list(res), res.exhaustive
+    if cls not in _KINDS:
+        raise ValueError(f"unknown class {cls!r}")
+    res = enumerate_relations(alg, _KINDS[cls], caps)
     if cls is RelClass.UAdmissible:
-        base = enumerate_relations(alg, "reflexive_admissible", caps)
-        res = enumerate_u(base.relations, base.exhaustive, caps)
-        return list(res), res.exhaustive
-    if cls is RelClass.U2Admissible:
-        base = enumerate_relations(alg, "reflexive_admissible", caps)
-        res = pair_families(base.relations, base.exhaustive)
-        return list(res), res.exhaustive
-    if cls is RelClass.UnionOfTwoCongruences:
-        base = enumerate_relations(alg, "congruence", caps)
-        res = pair_families(base.relations, base.exhaustive)
-        return list(res), res.exhaustive
-    raise ValueError(f"unknown class {cls!r}")
+        res = enumerate_u(res.relations, res.exhaustive, caps)
+    elif cls not in _PLAIN:
+        res = pair_families(res.relations, res.exhaustive)
+    return list(res), res.exhaustive
 
 
 def _scan(alg, spec, names, pools, caps, start, stop):
     """Scan assignments with outermost index in [start, stop); first violation."""
-    outer = pools[0][start:stop]
-
-    def rec(i, env):
-        if i == len(names):
-            lhs, rhs, sat = evaluate(alg, spec, env, caps)
-            if not sat:
-                return dict(env), violation_pair(lhs, rhs, spec.mode)
-            return None
-        pool = outer if i == 0 else pools[i]
-        for value in pool:
-            env[names[i]] = value
-            hit = rec(i + 1, env)
-            if hit:
-                return hit
-            del env[names[i]]
-        return None
-
-    return rec(0, {})
+    for values in product(pools[0][start:stop], *pools[1:]):
+        env = dict(zip(names, values))
+        lhs, rhs, sat = evaluate(alg, spec, env, caps)
+        if not sat:
+            return env, violation_pair(lhs, rhs, spec.mode)
+    return None
 
 
 def _scan_job(args):
-    alg, spec, names, pools, caps, start, stop = args
-    hit = _scan(alg, spec, names, pools, caps, start, stop)
-    return (start, hit)
+    """(start, first violation) of one chunk of the outermost pool."""
+    return args[5], _scan(*args)
 
 
 def check_for_all(
@@ -508,16 +450,21 @@ def check_for_all(
     return Verdict(None, "truncated", note="no counterexample found (truncated)")
 
 
+def _least_member(alg, cls, pairs, caps):
+    """The least relation of a plain class containing the pairs."""
+    if cls is RelClass.Congruence:
+        return congruence_gen(alg, pairs, caps)
+    if cls is RelClass.Tolerance:
+        return tolerance_gen(alg, pairs, caps)
+    return admissible_closure(alg, pairs, caps)
+
+
 def _random_value(alg, cls, caps, rng):
     n = alg.size
     def rnd_pairs(k):
         return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-    if cls is RelClass.Congruence:
-        return congruence_gen(alg, rnd_pairs(rng.randint(1, 2)), caps)
-    if cls is RelClass.Tolerance:
-        return tolerance_gen(alg, rnd_pairs(rng.randint(1, 2)), caps)
-    if cls is RelClass.ReflexiveAdmissible:
-        return admissible_closure(alg, rnd_pairs(rng.randint(1, 2)), caps)
+    if cls in _PLAIN:
+        return _least_member(alg, cls, rnd_pairs(rng.randint(1, 2)), caps)
     if cls is RelClass.UnionOfTwoCongruences:
         return UAdmRel([congruence_gen(alg, [p], caps) for p in rnd_pairs(2)])
     k = 2 if cls is RelClass.U2Admissible else (caps.max_components or 3)
@@ -533,15 +480,10 @@ def _check_sampled(alg, spec, classes, caps, samples, seed):
         env = {v: _random_value(alg, classes[v], caps, rng) for v in names}
         lhs, rhs, sat = evaluate(alg, spec, env, caps)
         if not sat:
-            pair = violation_pair(lhs, rhs, spec.mode)
-            return Verdict(
-                False, "truncated", {"assignment": env, "pair": pair},
-                note=f"sampled({samples},{seed})",
-            )
-    return Verdict(
-        None, "truncated",
-        note=f"no counterexample found (truncated); sampled({samples},{seed})",
-    )
+            cex = {"assignment": env, "pair": violation_pair(lhs, rhs, spec.mode)}
+            return Verdict(False, "truncated", cex, note=f"sampled({samples},{seed})")
+    note = f"no counterexample found (truncated); sampled({samples},{seed})"
+    return Verdict(None, "truncated", note=note)
 
 
 # --- principal strategy ----------------------------------------------------
@@ -587,11 +529,8 @@ def _atom_sets(e: RelExpr, a: int, c: int, n: int):
 
 def _two_block_partitions(pairs: tuple):
     """All ways to split the pair list into at most two nonempty blocks."""
-    if len(pairs) <= 1:
-        return [(pairs,)]
     out = [(pairs,)]
-    k = len(pairs)
-    for bits in range(1, 2 ** (k - 1)):
+    for bits in range(1, 2 ** max(len(pairs) - 1, 0)):
         left = tuple(p for i, p in enumerate(pairs) if not (bits >> i) & 1)
         right = tuple(p for i, p in enumerate(pairs) if (bits >> i) & 1)
         out.append((left, right))
@@ -601,19 +540,13 @@ def _two_block_partitions(pairs: tuple):
 def _minimal_members(alg, cls, pairs: tuple, caps):
     """Minimal members of cls containing all given pairs (may be several)."""
     pairs = tuple(dict.fromkeys(pairs))
-    if cls is RelClass.Congruence:
-        return [congruence_gen(alg, pairs, caps)]
-    if cls is RelClass.Tolerance:
-        return [tolerance_gen(alg, pairs, caps)]
-    if cls is RelClass.ReflexiveAdmissible:
-        return [admissible_closure(alg, pairs, caps)]
-    if cls is RelClass.UAdmissible:
-        if not pairs:
-            return [UAdmRel([BinRel.diagonal(alg.size)])]
-        return [UAdmRel([admissible_closure(alg, [p], caps) for p in pairs])]
-    gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
+    if cls in _PLAIN:
+        return [_least_member(alg, cls, pairs, caps)]
     if not pairs:
         return [UAdmRel([BinRel.diagonal(alg.size)])]
+    if cls is RelClass.UAdmissible:
+        return [UAdmRel([admissible_closure(alg, [p], caps) for p in pairs])]
+    gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
     return [
         UAdmRel([gen(alg, list(block), caps) for block in blocks])
         for blocks in _two_block_partitions(pairs)
@@ -641,26 +574,12 @@ def _check_principal(alg, spec, classes, caps):
                 for v, p in atoms:
                     per_var[v].append(p)
                 options = [minimal(v, tuple(per_var[v])) for v in names]
-
-                def sweep(i, env):
-                    if i == len(names):
-                        lv, rv, sat = evaluate(alg, spec, env, caps)
-                        if not sat:
-                            return dict(env)
-                        return None
-                    for val in options[i]:
-                        env[names[i]] = val
-                        bad = sweep(i + 1, env)
-                        if bad:
-                            return bad
-                        del env[names[i]]
-                    return None
-
-                bad = sweep(0, {})
-                if bad:
-                    return Verdict(
-                        False, "exhaustive", {"assignment": bad, "pair": (a, c)}
-                    )
+                for values in product(*options):
+                    env = dict(zip(names, values))
+                    if not evaluate(alg, spec, env, caps)[2]:
+                        return Verdict(
+                            False, "exhaustive", {"assignment": env, "pair": (a, c)}
+                        )
     return Verdict(True, "exhaustive")
 
 
@@ -688,12 +607,7 @@ def free_seed_assignment(
         pts = tuple((letters[p[0]], letters[p[1]]) for p in pairs)
         cls = classes[var]
         if cls in _PLAIN:
-            gen = {
-                RelClass.Congruence: congruence_gen,
-                RelClass.Tolerance: tolerance_gen,
-                RelClass.ReflexiveAdmissible: admissible_closure,
-            }[cls]
-            out[var] = gen(free_alg, pts, caps)
+            out[var] = _least_member(free_alg, cls, pts, caps)
         elif cls is RelClass.UnionOfTwoCongruences:
             if len(pts) > 2:
                 raise UnsupportedError(f"{spec.name}: seed needs more than two congruences")
@@ -714,508 +628,122 @@ def free_seed_verdict(
 ) -> bool:
     """Whether (x,z) lands in the right side under the generic seed assignment."""
     assignment = free_seed_assignment(free_alg, spec, generators, narrow, caps)
-    rhs = view(eval_expr(free_alg, spec.rhs, assignment, caps))
+    rhs = eval_expr(free_alg, spec.rhs, assignment, caps)
     return rhs.contains(generators[0], generators[2])
 
 
 # ---------------------------------------------------------------------------
 # builtin library
+#
+# Each builtin is a parse_spec literal whose {slots} are filled from its
+# parameters, the narrower classes it marks as equivalent ("var=prefix"),
+# and its seed instance on a free algebra ("var=pairs" of generator letters).
 
 
-def _v(name):
-    return RVar(name)
+@dataclass(frozen=True)
+class _Builtin:
+    literal: str
+    narrow: str = ""
+    seeds: str | None = None
+    defaults: dict = field(default_factory=dict)  # parameter -> default value
+    checks: tuple = ()  # (predicate over the parameters, message)
+    slots: Callable | None = None  # parameters -> derived slot values
 
 
-def _ti(a, b):
-    return Inter(a, b)
+def _at_least(p, low):
+    return (lambda **v: v[p] >= low), f"{p} must be >= {low}"
 
 
-def _need(cond, msg):
-    if not cond:
-        raise ValueError(msg)
-
-
-def _cdist2(h=2):
-    _need(h >= 1, "h must be >= 1")
-    th, s = _v("theta"), _v("sigma")
-    return IdentitySpec(
-        name=f"cdist2({h})",
-        variables=(("theta", RelClass.Tolerance), ("sigma", RelClass.UAdmissible)),
-        lhs=_ti(th, Comp(s, s)),
-        rhs=Pow(_ti(th, s), h),
-        narrow={"theta": RelClass.Congruence, "sigma": RelClass.U2Admissible},
-        free_seeds={"theta": (("x", "z"),), "sigma": (("x", "y"), ("y", "z"))},
-        params={"h": h},
-    )
-
-
-def _cdist3(k=2):
-    _need(k >= 1, "k must be >= 1")
-    a, s = _v("alpha"), _v("sigma")
-    return IdentitySpec(
-        name=f"cdist3({k})",
-        variables=(
-            ("alpha", RelClass.Congruence),
-            ("sigma", RelClass.UnionOfTwoCongruences),
-        ),
-        lhs=_ti(a, Comp(s, s)),
-        rhs=Pow(_ti(a, s), k),
-        free_seeds={"alpha": (("x", "z"),), "sigma": (("x", "y"), ("y", "z"))},
-        params={"k": k},
-    )
-
-
-def _modular2(k=2):
-    _need(k >= 1, "k must be >= 1")
-    th, r = _v("theta"), _v("R")
-    return IdentitySpec(
-        name=f"modular2({k})",
-        variables=(("theta", RelClass.Tolerance), ("R", RelClass.ReflexiveAdmissible)),
-        lhs=_ti(th, Comp(r, r)),
-        rhs=Pow(_ti(th, r), k),
-        narrow={"theta": RelClass.Congruence},
-        free_seeds={"theta": (("x", "z"),), "R": (("x", "y"), ("y", "z"))},
-        params={"k": k},
-    )
-
-
-_COR_CLASSES = (("theta", RelClass.Tolerance), ("sigma", RelClass.UAdmissible))
-_COR_CLASSES2 = _COR_CLASSES + (("tau", RelClass.UAdmissible),)
-_COR_NARROW = {
-    "theta": RelClass.Congruence,
-    "sigma": RelClass.UnionOfTwoCongruences,
-    "tau": RelClass.UnionOfTwoCongruences,
-}
-
-
-def _cor_narrow(names):
-    return {k: v for k, v in _COR_NARROW.items() if k in names}
-
-
-def _cor1():
-    th, s = _v("theta"), _v("sigma")
-    rhs = Star(_ti(th, s))
-    return IdentitySpec(
-        name="cor1",
-        variables=_COR_CLASSES,
-        lhs=_ti(th, Comp(s, s)),
-        rhs=rhs,
-        narrow=_cor_narrow(("theta", "sigma")),
-        free_seeds={"theta": (("x", "z"),), "sigma": (("x", "y"), ("y", "z"))},
-        eq_variant=IdentitySpec(
-            name="cor1.eq",
-            variables=_COR_CLASSES,
-            lhs=Star(_ti(th, Comp(s, s))),
-            rhs=rhs,
-            mode="equality",
-            narrow=_cor_narrow(("theta", "sigma")),
-        ),
-    )
-
-
-def _cor1p():
-    th, s = _v("theta"), _v("sigma")
-    return IdentitySpec(
-        name="cor1p",
-        variables=_COR_CLASSES,
-        lhs=_ti(th, Comp(s, s)),
-        rhs=Star(Comp(_ti(th, s), _ti(th, Conv(s)))),
-        narrow=_cor_narrow(("theta", "sigma")),
-        free_seeds={"theta": (("x", "z"),), "sigma": (("x", "y"), ("y", "z"))},
-    )
-
-
-def _cor1pp():
-    th, s = _v("theta"), _v("sigma")
-    rhs = Star(Comp(_ti(th, s), _ti(th, Conv(s))))
-    return IdentitySpec(
-        name="cor1pp",
-        variables=_COR_CLASSES,
-        lhs=_ti(th, Comp(s, Conv(s))),
-        rhs=rhs,
-        narrow=_cor_narrow(("theta", "sigma")),
-        free_seeds={"theta": (("x", "z"),), "sigma": (("x", "y"), ("z", "y"))},
-        eq_variant=IdentitySpec(
-            name="cor1pp.eq",
-            variables=_COR_CLASSES,
-            lhs=Star(_ti(th, Comp(s, Conv(s)))),
-            rhs=rhs,
-            mode="equality",
-            narrow=_cor_narrow(("theta", "sigma")),
-        ),
-    )
-
-
-def _cor2():
-    th, s = _v("theta"), _v("sigma")
-    rhs = Star(_ti(th, s))
-    return IdentitySpec(
-        name="cor2",
-        variables=_COR_CLASSES,
-        lhs=_ti(th, Star(s)),
-        rhs=rhs,
-        narrow=_cor_narrow(("theta", "sigma")),
-        eq_variant=IdentitySpec(
-            name="cor2.eq",
-            variables=_COR_CLASSES,
-            lhs=Star(_ti(th, Star(s))),
-            rhs=rhs,
-            mode="equality",
-            narrow=_cor_narrow(("theta", "sigma")),
-        ),
-    )
-
-
-def _cor3():
-    th, s, t = _v("theta"), _v("sigma"), _v("tau")
-    rhs = Star(Comp(_ti(th, s), _ti(th, t)))
-    return IdentitySpec(
-        name="cor3",
-        variables=_COR_CLASSES2,
-        lhs=_ti(th, Comp(s, t)),
-        rhs=rhs,
-        narrow=_cor_narrow(("theta", "sigma", "tau")),
-        free_seeds={"theta": (("x", "z"),), "sigma": (("x", "y"),), "tau": (("y", "z"),)},
-        eq_variant=IdentitySpec(
-            name="cor3.eq",
-            variables=_COR_CLASSES2,
-            lhs=Star(_ti(th, Comp(s, t))),
-            rhs=rhs,
-            mode="equality",
-            narrow=_cor_narrow(("theta", "sigma", "tau")),
-        ),
-    )
-
-
-def _cor4():
-    th, s, t = _v("theta"), _v("sigma"), _v("tau")
-    rhs = Star(Comp(_ti(th, s), _ti(th, t)))
-    return IdentitySpec(
-        name="cor4",
-        variables=_COR_CLASSES2,
-        lhs=_ti(th, Star(Comp(s, t))),
-        rhs=rhs,
-        narrow=_cor_narrow(("theta", "sigma", "tau")),
-        eq_variant=IdentitySpec(
-            name="cor4.eq",
-            variables=_COR_CLASSES2,
-            lhs=Star(_ti(th, Star(Comp(s, t)))),
-            rhs=rhs,
-            mode="equality",
-            narrow=_cor_narrow(("theta", "sigma", "tau")),
-        ),
-    )
-
-
-def _cor4p():
-    th, s, t = _v("theta"), _v("sigma"), _v("tau")
-    rhs = Star(
-        comp_chain(_ti(th, s), _ti(th, t), _ti(th, Conv(s)), _ti(th, Conv(t)))
-    )
-    return IdentitySpec(
-        name="cor4p",
-        variables=_COR_CLASSES2,
-        lhs=_ti(th, Star(Comp(s, t))),
-        rhs=rhs,
-        narrow=_cor_narrow(("theta", "sigma", "tau")),
-        eq_variant=IdentitySpec(
-            name="cor4p.eq",
-            variables=_COR_CLASSES2,
-            lhs=Star(_ti(th, Star(comp_chain(s, t, Conv(s), Conv(t))))),
-            rhs=rhs,
-            mode="equality",
-            narrow=_cor_narrow(("theta", "sigma", "tau")),
-        ),
-    )
-
-
-_GEN_CLASSES3 = (
-    ("sigma", RelClass.UAdmissible),
-    ("tau", RelClass.UAdmissible),
-    ("upsilon", RelClass.UAdmissible),
+_P12B_CHECKS = (
+    (lambda m, n: m >= 1 and n >= 1, "m and n must be >= 1"),
+    (lambda m, n: m * n - m >= 1, "need n >= 2 for a nonempty right side"),
 )
-
-
-def _gen1():
-    s, t, u = _v("sigma"), _v("tau"), _v("upsilon")
-    rhs = Star(Comp(_ti(s, t), _ti(s, u)))
-    narrow = {
-        "sigma": RelClass.ReflexiveAdmissible,
-        "tau": RelClass.ReflexiveAdmissible,
-        "upsilon": RelClass.ReflexiveAdmissible,
-    }
-    return IdentitySpec(
-        name="gen1",
-        variables=_GEN_CLASSES3,
-        lhs=_ti(s, Comp(t, u)),
-        rhs=rhs,
-        narrow=narrow,
-        free_seeds={"sigma": (("x", "z"),), "tau": (("x", "y"),), "upsilon": (("y", "z"),)},
-        eq_variant=IdentitySpec(
-            name="gen1.eq",
-            variables=_GEN_CLASSES3,
-            lhs=Star(_ti(s, Comp(t, u))),
-            rhs=rhs,
-            mode="equality",
-            narrow=narrow,
-        ),
-    )
-
-
-def _gen2():
-    s, t = _v("sigma"), _v("tau")
-    rhs = Star(_ti(s, t))
-    variables = (("sigma", RelClass.UAdmissible), ("tau", RelClass.UAdmissible))
-    narrow = {"sigma": RelClass.U2Admissible, "tau": RelClass.U2Admissible}
-    return IdentitySpec(
-        name="gen2",
-        variables=variables,
-        lhs=_ti(s, Comp(t, t)),
-        rhs=rhs,
-        narrow=narrow,
-        free_seeds={"sigma": (("x", "z"),), "tau": (("x", "y"), ("y", "z"))},
-        eq_variant=IdentitySpec(
-            name="gen2.eq",
-            variables=variables,
-            lhs=Star(_ti(s, Comp(t, t))),
-            rhs=rhs,
-            mode="equality",
-            narrow=narrow,
-        ),
-    )
-
-
-def _gen3():
-    s, t = _v("sigma"), _v("tau")
-    rhs = Star(_ti(s, t))
-    variables = (("sigma", RelClass.UAdmissible), ("tau", RelClass.UAdmissible))
-    narrow = {"sigma": RelClass.U2Admissible, "tau": RelClass.U2Admissible}
-    return IdentitySpec(
-        name="gen3",
-        variables=variables,
-        lhs=_ti(Star(s), Star(t)),
-        rhs=rhs,
-        mode="equality",
-        narrow=narrow,
-        eq_variant=IdentitySpec(
-            name="gen3.var",
-            variables=variables,
-            lhs=Star(_ti(Star(s), Star(t))),
-            rhs=rhs,
-            mode="equality",
-            narrow=narrow,
-        ),
-    )
-
-
-def _maj3():
-    s, t, u = _v("sigma"), _v("tau"), _v("upsilon")
-    narrow = {
-        "sigma": RelClass.Tolerance,
-        "tau": RelClass.Tolerance,
-        "upsilon": RelClass.Tolerance,
-    }
-    return IdentitySpec(
-        name="maj3",
-        variables=_GEN_CLASSES3,
-        lhs=_ti(s, Comp(t, u)),
-        rhs=Comp(_ti(s, t), _ti(s, u)),
-        narrow=narrow,
-        free_seeds={"sigma": (("x", "z"),), "tau": (("x", "y"),), "upsilon": (("y", "z"),)},
-    )
-
-
-def _arith3():
-    s, t, u = _v("sigma"), _v("tau"), _v("upsilon")
-    narrow = {
-        "sigma": RelClass.Tolerance,
-        "tau": RelClass.Tolerance,
-        "upsilon": RelClass.Tolerance,
-    }
-    return IdentitySpec(
-        name="arith3",
-        variables=_GEN_CLASSES3,
-        lhs=_ti(s, Comp(t, u)),
-        rhs=Comp(_ti(s, u), _ti(s, t)),
-        narrow=narrow,
-        free_seeds={"sigma": (("x", "z"),), "tau": (("x", "y"),), "upsilon": (("y", "z"),)},
-    )
-
-
-def _arith4():
-    t, r, s = _v("T"), _v("R"), _v("S")
-    narrow = {
-        "T": RelClass.Tolerance,
-        "R": RelClass.Tolerance,
-        "S": RelClass.Tolerance,
-    }
-    return IdentitySpec(
-        name="arith4",
-        variables=(
-            ("T", RelClass.ReflexiveAdmissible),
-            ("R", RelClass.ReflexiveAdmissible),
-            ("S", RelClass.ReflexiveAdmissible),
-        ),
-        lhs=_ti(t, Comp(r, s)),
-        rhs=Comp(_ti(t, r), _ti(t, s)),
-        mode="equality",
-        narrow=narrow,
-    )
-
-
-def _baker4():
-    s, t, u = _v("sigma"), _v("tau"), _v("upsilon")
-    return IdentitySpec(
-        name="baker4",
-        variables=_GEN_CLASSES3,
-        lhs=_ti(s, Comp(t, u)),
-        rhs=comp_chain(_ti(s, t), _ti(s, u), _ti(s, t), _ti(s, u)),
-        free_seeds={"sigma": (("x", "z"),), "tau": (("x", "y"),), "upsilon": (("y", "z"),)},
-    )
-
-
-def _p12b1(m=2, n=2):
-    _need(m >= 1 and n >= 1, "m and n must be >= 1")
-    _need(m * n - m >= 1, "need n >= 2 for a nonempty right side")
-    th, s = _v("theta"), _v("sigma")
-    return IdentitySpec(
-        name=f"p12b1({m},{n})",
-        variables=(("theta", RelClass.Tolerance), ("sigma", RelClass.UAdmissible)),
-        lhs=_ti(th, Pow(s, m)),
-        rhs=Pow(_ti(th, s), m * n - m),
-        narrow={"theta": RelClass.Congruence},
-        params={"m": m, "n": n},
-    )
-
-
-def _p12b2(m=2, n=2):
-    _need(m >= 1 and n >= 1, "m and n must be >= 1")
-    _need(m * n - m >= 1, "need n >= 2 for a nonempty right side")
-    _need(m % 2 == 0, "m must be even")
-    th, s, t = _v("theta"), _v("sigma"), _v("tau")
-    return IdentitySpec(
-        name=f"p12b2({m},{n})",
-        variables=(
-            ("theta", RelClass.Tolerance),
-            ("sigma", RelClass.UAdmissible),
-            ("tau", RelClass.UAdmissible),
-        ),
-        lhs=_ti(th, AltR(s, t, m)),
-        rhs=AltR(_ti(th, s), _ti(th, t), m * n - m),
-        narrow={"theta": RelClass.Congruence},
-        params={"m": m, "n": n},
-    )
-
-
-def _p12c2(m=2, k=2):
-    _need(m >= 1, "m must be >= 1")
-    _need(k >= 2, "k must be >= 2")
-    th, s, t = _v("theta"), _v("sigma"), _v("tau")
-    fwd = AltR(_ti(th, s), _ti(th, t), m)
-    bwd = AltL(_ti(th, Conv(t)), _ti(th, Conv(s)), m)
-    return IdentitySpec(
-        name=f"p12c2({m},{k})",
-        variables=(
-            ("theta", RelClass.Tolerance),
-            ("sigma", RelClass.UAdmissible),
-            ("tau", RelClass.UAdmissible),
-        ),
-        lhs=_ti(th, AltR(s, t, m)),
-        rhs=AltR(fwd, bwd, k - 1),
-        narrow={"theta": RelClass.Congruence},
-        params={"m": m, "k": k},
-    )
-
-
-def _vr_incl(h=2):
-    _need(h >= 1, "h must be >= 1")
-    s, t, u = _v("sigma"), _v("tau"), _v("upsilon")
-    narrow = {
-        "sigma": RelClass.ReflexiveAdmissible,
-        "tau": RelClass.ReflexiveAdmissible,
-        "upsilon": RelClass.ReflexiveAdmissible,
-    }
-    return IdentitySpec(
-        name=f"vrIncl({h})",
-        variables=_GEN_CLASSES3,
-        lhs=_ti(s, Comp(t, u)),
-        rhs=AltR(_ti(s, t), _ti(s, u), h),
-        narrow=narrow,
-        free_seeds={"sigma": (("x", "z"),), "tau": (("x", "y"),), "upsilon": (("y", "z"),)},
-        params={"h": h},
-    )
-
-
-def _mal_incl(h=2):
-    _need(h >= 1, "h must be >= 1")
-    a, s = _v("alpha"), _v("sigma")
-    return IdentitySpec(
-        name=f"malIncl({h})",
-        variables=(("alpha", RelClass.Tolerance), ("sigma", RelClass.UAdmissible)),
-        lhs=_ti(a, Comp(s, s)),
-        rhs=Pow(_ti(a, s), h),
-        narrow={"alpha": RelClass.Congruence, "sigma": RelClass.U2Admissible},
-        free_seeds={"alpha": (("x", "z"),), "sigma": (("x", "y"), ("y", "z"))},
-        params={"h": h},
-    )
-
-
-def _mal_a(f=(1, 2)):
-    f = tuple(f)
-    _need(len(f) >= 1, "f must be nonempty")
-    _need(all(v in (1, 2) for v in f), "f must map into {1,2}")
-    a = _v("alpha")
-    rs = {1: _v("R1"), 2: _v("R2")}
-    return IdentitySpec(
-        name=f"malA({','.join(map(str, f))})",
-        variables=(
-            ("alpha", RelClass.Tolerance),
-            ("R1", RelClass.ReflexiveAdmissible),
-            ("R2", RelClass.ReflexiveAdmissible),
-        ),
-        lhs=_ti(a, Comp(rs[1], rs[2])),
-        rhs=comp_chain(*(_ti(a, rs[v]) for v in f)),
-        narrow={"alpha": RelClass.Congruence},
-        free_seeds={"alpha": (("x", "z"),), "R1": (("x", "y"),), "R2": (("y", "z"),)},
-        params={"f": f},
-    )
-
+_STU_SEEDS = "sigma=xz tau=xy upsilon=yz"
 
 _BUILTINS = {
-    "cdist2": _cdist2,
-    "cdist3": _cdist3,
-    "modular2": _modular2,
-    "cor1": _cor1,
-    "cor1p": _cor1p,
-    "cor1pp": _cor1pp,
-    "cor2": _cor2,
-    "cor3": _cor3,
-    "cor4": _cor4,
-    "cor4p": _cor4p,
-    "gen1": _gen1,
-    "gen2": _gen2,
-    "gen3": _gen3,
-    "maj3": _maj3,
-    "arith3": _arith3,
-    "arith4": _arith4,
-    "baker4": _baker4,
-    "p12b1": _p12b1,
-    "p12b2": _p12b2,
-    "p12c2": _p12c2,
-    "vrIncl": _vr_incl,
-    "malIncl": _mal_incl,
-    "malA": _mal_a,
+    "cdist2": _Builtin("tol:theta & (uadm:sigma ; sigma) <= pow(theta & sigma, {h})",
+        "theta=cong sigma=u2", "theta=xz sigma=xy,yz", {"h": 2}, (_at_least("h", 1),)),
+    "cdist3": _Builtin("cong:alpha & (ucong2:sigma ; sigma) <= pow(alpha & sigma, {k})",
+        "", "alpha=xz sigma=xy,yz", {"k": 2}, (_at_least("k", 1),)),
+    "modular2": _Builtin("tol:theta & (adm:R ; R) <= pow(theta & R, {k})",
+        "theta=cong", "theta=xz R=xy,yz", {"k": 2}, (_at_least("k", 1),)),
+    "cor1": _Builtin("tol:theta & (uadm:sigma ; sigma) <= (theta & sigma)^*",
+        "theta=cong sigma=ucong2", "theta=xz sigma=xy,yz"),
+    "cor1p": _Builtin("tol:theta & (uadm:sigma ; sigma) <= (theta & sigma ; theta & sigma^~)^*",
+        "theta=cong sigma=ucong2", "theta=xz sigma=xy,yz"),
+    "cor1pp": _Builtin("tol:theta & (uadm:sigma ; sigma^~) <= (theta & sigma ; theta & sigma^~)^*",
+        "theta=cong sigma=ucong2", "theta=xz sigma=xy,zy"),
+    "cor2": _Builtin("tol:theta & uadm:sigma^* <= (theta & sigma)^*", "theta=cong sigma=ucong2"),
+    "cor3": _Builtin("tol:theta & (uadm:sigma ; uadm:tau) <= (theta & sigma ; theta & tau)^*",
+        "theta=cong sigma=ucong2 tau=ucong2", "theta=xz sigma=xy tau=yz"),
+    "cor4": _Builtin("tol:theta & (uadm:sigma ; uadm:tau)^* <= (theta & sigma ; theta & tau)^*",
+        "theta=cong sigma=ucong2 tau=ucong2"),
+    "cor4p": _Builtin("tol:theta & (uadm:sigma ; uadm:tau)^*"
+        " <= (theta & sigma ; theta & tau ; theta & sigma^~ ; theta & tau^~)^*",
+        "theta=cong sigma=ucong2 tau=ucong2"),
+    "gen1": _Builtin("uadm:sigma & (uadm:tau ; uadm:upsilon) <= (sigma & tau ; sigma & upsilon)^*",
+        "sigma=adm tau=adm upsilon=adm", _STU_SEEDS),
+    "gen2": _Builtin("uadm:sigma & (uadm:tau ; tau) <= (sigma & tau)^*",
+        "sigma=u2 tau=u2", "sigma=xz tau=xy,yz"),
+    "gen3": _Builtin("uadm:sigma^* & uadm:tau^* == (sigma & tau)^*", "sigma=u2 tau=u2"),
+    "maj3": _Builtin("uadm:sigma & (uadm:tau ; uadm:upsilon) <= sigma & tau ; sigma & upsilon",
+        "sigma=tol tau=tol upsilon=tol", _STU_SEEDS),
+    "arith3": _Builtin("uadm:sigma & (uadm:tau ; uadm:upsilon) <= sigma & upsilon ; sigma & tau",
+        "sigma=tol tau=tol upsilon=tol", _STU_SEEDS),
+    "arith4": _Builtin("adm:T & (adm:R ; adm:S) == T & R ; T & S", "T=tol R=tol S=tol"),
+    "baker4": _Builtin("uadm:sigma & (uadm:tau ; uadm:upsilon)"
+        " <= sigma & tau ; sigma & upsilon ; sigma & tau ; sigma & upsilon", "", _STU_SEEDS),
+    "p12b1": _Builtin("tol:theta & pow(uadm:sigma, {m}) <= pow(theta & sigma, {r})",
+        "theta=cong", None, {"m": 2, "n": 2}, _P12B_CHECKS, lambda m, n: {"r": m * n - m}),
+    "p12b2": _Builtin("tol:theta & (uadm:sigma ;^{m} uadm:tau) <= theta & sigma ;^{r} theta & tau",
+        "theta=cong", None, {"m": 2, "n": 2},
+        _P12B_CHECKS + ((lambda m, n: m % 2 == 0, "m must be even"),),
+        lambda m, n: {"r": m * n - m}),
+    "p12c2": _Builtin("tol:theta & (uadm:sigma ;^{m} uadm:tau) <= (theta & sigma ;^{m} theta & tau)"
+        " ;^{k1} (theta & tau^~ {m}^; theta & sigma^~)", "theta=cong", None, {"m": 2, "k": 2},
+        (_at_least("m", 1), _at_least("k", 2)), lambda m, k: {"k1": k - 1}),
+    "vrIncl": _Builtin(
+        "uadm:sigma & (uadm:tau ; uadm:upsilon) <= sigma & tau ;^{h} sigma & upsilon",
+        "sigma=adm tau=adm upsilon=adm", _STU_SEEDS, {"h": 2}, (_at_least("h", 1),)),
+    "malIncl": _Builtin("tol:alpha & (uadm:sigma ; sigma) <= pow(alpha & sigma, {h})",
+        "alpha=cong sigma=u2", "alpha=xz sigma=xy,yz", {"h": 2}, (_at_least("h", 1),)),
+    "malA": _Builtin("tol:alpha & (adm:R1 ; adm:R2) <= {chain}",
+        "alpha=cong", "alpha=xz R1=xy R2=yz", {"f": (1, 2)},
+        ((lambda f: len(f) >= 1, "f must be nonempty"),
+         (lambda f: all(v in (1, 2) for v in f), "f must map into {1,2}")),
+        lambda f: {"chain": " ; ".join(f"alpha & R{v}" for v in f)}),
 }
+
+
+def _fields(text: str) -> dict:
+    return dict(part.split("=") for part in text.split())
 
 
 def builtin(name: str, **params) -> IdentitySpec:
-    try:
-        ctor = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin {name!r}; known: {', '.join(sorted(_BUILTINS))}"
-        ) from None
-    return ctor(**params)
+    """The named builtin identity with its parameters filled in."""
+    from .parser import CLASS_PREFIXES, parse_spec  # the parser imports this module
+
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; known: {', '.join(builtin_names())}")
+    entry = _BUILTINS[name]
+    unknown = sorted(set(params) - set(entry.defaults))
+    if unknown:
+        raise TypeError(f"{name}() got an unexpected keyword argument {unknown[0]!r}")
+    values = {**entry.defaults, **params}
+    for ok, message in entry.checks:
+        if not ok(**values):
+            raise ValueError(message)
+    slots = entry.slots(**values) if entry.slots else {}
+    spec = parse_spec(entry.literal.format(**values, **slots))
+    label = ",".join(",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v)
+                     for v in values.values())
+    spec.name = f"{name}({label})" if entry.defaults else name
+    spec.narrow = {v: CLASS_PREFIXES[c] for v, c in _fields(entry.narrow).items()}
+    if entry.seeds:
+        spec.free_seeds = {
+            v: tuple(map(tuple, pairs.split(","))) for v, pairs in _fields(entry.seeds).items()
+        }
+    return spec
 
 
 def builtin_names() -> list[str]:

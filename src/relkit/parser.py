@@ -5,16 +5,18 @@
 
 Variables carry a class prefix (``cong:`` ``tol:`` ``adm:`` ``uadm:`` ``u2:``
 ``ucong2:``) on at least one occurrence; operators are ``&`` (intersection),
-``|`` (union), ``;`` (composition), ``;^m`` (alternating composition with m
-factors), postfix ``^~`` (converse) and ``^*`` (transitive closure),
-``bar(...)`` (admissible closure), ``pow(e,h)``, constants ``id``/``all``;
-the relator is ``<=`` or ``==``.  Binding: postfix, then ``&``, then
-``;``/``;^m``, then ``|``.
+``|`` (union), ``;`` (composition), ``;^m`` and ``m^;`` (the right and left
+alternating compositions with m factors: ``a ;^3 b`` is ``a;b;a``,
+``a 3^; b`` is ``b;a;b``), postfix ``^~`` (converse) and ``^*`` (transitive
+closure), ``bar(...)`` (admissible closure), ``pow(e,h)``, constants
+``id``/``all``; the relator is ``<=`` or ``==``.  Binding: postfix, then
+``&``, then ``;``/``;^m``/``m^;``, then ``|``.
 """
 
 from __future__ import annotations
 
 from .identities import (
+    AltL,
     AltR,
     BarOp,
     Comp,
@@ -88,7 +90,11 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            out.append(_Token("int", int(text[i:j]), i))
+            if text.startswith("^;", j):
+                out.append(_Token("laltcomp", int(text[i:j]), i))
+                j += 2
+            else:
+                out.append(_Token("int", int(text[i:j]), i))
             i = j
         elif c.isalpha() or c == "_":
             j = i
@@ -124,7 +130,7 @@ class _SpecParser:
             raise SpecParseError(f"expected {what or kind}, got {t.value!r}", t.pos)
         return t
 
-    # precedence: | < ; and ;^m < & < postfix
+    # precedence: | < ; ;^m m^; < & < postfix
     def expr(self):
         node = self.comp()
         while self.peek().kind == "|":
@@ -139,11 +145,13 @@ class _SpecParser:
             if t.kind == ";":
                 self.next()
                 node = Comp(node, self.inter())
-            elif t.kind == "altcomp":
+            elif t.kind in ("altcomp", "laltcomp"):
                 self.next()
                 if t.value < 1:
-                    raise SpecParseError("';^m' needs m >= 1", t.pos)
-                node = AltR(node, self.inter(), t.value)
+                    op = "';^m'" if t.kind == "altcomp" else "'m^;'"
+                    raise SpecParseError(f"{op} needs m >= 1", t.pos)
+                alt = AltR if t.kind == "altcomp" else AltL
+                node = alt(node, self.inter(), t.value)
             else:
                 return node
 

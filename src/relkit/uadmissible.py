@@ -1,8 +1,13 @@
 """U-admissible relations: unions of families of reflexive-admissible relations.
 
-The union itself is usually not admissible, so the family is the value; the
-cached union (`union_view`) is what identities compare, while composition
-and friends act on the components.
+A family (`UAdmRel`) is a witness: it is what a quantifier ranges over and
+what a counterexample reports, so a decomposition stays visible.  Identities
+compare union views (`union_view`) only.  Every operator of the expression
+language (intersection, union, composition, converse, ^* and bar)
+distributes over the union of the components, so `identities.eval_expr`
+evaluates on plain relations.  The componentwise operators below
+(`compose_u` and friends) give the same union views; the evaluator does not
+use them.
 """
 
 from __future__ import annotations

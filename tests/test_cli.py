@@ -229,3 +229,49 @@ def test_verify_congruences_rederives_completeness(tmp_path, capsys):
     short.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", str(short))
     assert code == 1 and "16" in err
+
+
+def test_verify_free_algebra_report(tmp_path, capsys):
+    code, out, _ = run(capsys, "free-algebra", "lattice2", "--json")
+    assert code == 0
+    fresh = tmp_path / "free3.json"
+    fresh.write_text(out)
+    assert run(capsys, "verify", str(fresh))[0] == 0
+
+    # every element is replayed, not only the first twenty
+    rpt = tmp_path / "free4.json"
+    assert run(capsys, "free-algebra", "lattice2", "--arity", "4", "--out", str(rpt))[0] == 0
+    assert run(capsys, "verify", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    el = data["result"]["elements"][25]
+    assert el["id"] == 25
+    el["table"][0] = 1 - el["table"][0]
+    bad = tmp_path / "free4_bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 1 and "#25" in err
+
+
+def test_power_grammar_respects_caps(capsys):
+    code, _, err = run(capsys, "congruences", "z2^3", "--caps", '{"max_universe": 4}')
+    assert code == 2 and "relkit: cap exceeded" in err
+
+
+def test_malformed_algebra_file_exit3(tmp_path, capsys):
+    for text, field in (('{"size": 2, "ops": 5}', "'ops'"), ('{"size": 2}', "'ops'")):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "congruences", str(path))
+        assert code == 3 and field in err and "Traceback" not in err, text
+
+
+def test_verify_equality_refutation_checks_pair(tmp_path, capsys):
+    rpt = tmp_path / "eq.json"
+    assert run(capsys, "check", "lattice_2x2", "uadm:s ; s == s", "--out", str(rpt))[0] == 1
+    assert run(capsys, "verify", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    data["result"]["counterexample"]["pair"] = [0, 0]  # s is reflexive: in both sides
+    moved = tmp_path / "eq_moved.json"
+    moved.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(moved))
+    assert code == 1 and "violating pair" in err

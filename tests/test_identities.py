@@ -1,10 +1,23 @@
+import random
+
 import pytest
 
 from relkit.caps import DEFAULT_CAPS, Caps
+from relkit.fixtures import resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
 from relkit.identities import (
+    AltL,
+    AltR,
+    BarOp,
     Comp,
+    Conv,
+    Inter,
+    Pow,
+    RConst,
+    RVar,
     RelClass,
+    Star,
+    UnionOp,
     UnsupportedError,
     builtin,
     builtin_names,
@@ -16,11 +29,83 @@ from relkit.identities import (
     evaluate,
     free_seed_assignment,
     free_seed_verdict,
-    view,
     violation_pair,
 )
-from relkit.relations import BinRel, congruence_gen
-from relkit.uadmissible import UAdmRel
+from relkit.parser import SpecParseError, parse_spec
+from relkit.relations import (
+    BinRel,
+    admissible_closure,
+    compose,
+    congruence_gen,
+    converse,
+    intersect,
+    transitive_closure,
+    union,
+)
+from relkit.uadmissible import (
+    UAdmRel,
+    as_u,
+    bar_u,
+    compose_u,
+    converse_u,
+    intersect_tol,
+    intersect_u,
+    transitive_closure_u,
+    union_u,
+)
+
+
+def family_eval_expr(alg, e, env, caps=DEFAULT_CAPS):
+    """Reference evaluator that keeps families as values: every operator on a
+    family acts componentwise and returns a family (a UAdmRel), so a family
+    stays visible up to the root.  eval_expr must equal its union view."""
+    if isinstance(e, RVar):
+        return env[e.name]
+    if isinstance(e, RConst):
+        return BinRel.diagonal(alg.size) if e.which == "id" else BinRel.full(alg.size)
+    if isinstance(e, Conv):
+        v = family_eval_expr(alg, e.arg, env, caps)
+        return converse_u(v) if isinstance(v, UAdmRel) else converse(v)
+    if isinstance(e, Star):
+        v = family_eval_expr(alg, e.arg, env, caps)
+        return transitive_closure_u(v) if isinstance(v, UAdmRel) else transitive_closure(v)
+    if isinstance(e, BarOp):
+        v = family_eval_expr(alg, e.arg, env, caps)
+        if isinstance(v, UAdmRel):
+            return bar_u(alg, v, caps)
+        return admissible_closure(alg, v, caps)
+    if isinstance(e, Pow):
+        v = family_eval_expr(alg, e.arg, env, caps)
+        out = v
+        for _ in range(e.h - 1):
+            out = compose_u(out, v) if isinstance(out, UAdmRel) else compose(out, v)
+        return out
+    if isinstance(e, (AltR, AltL)):
+        return family_eval_expr(alg, desugar(e), env, caps)
+    l = family_eval_expr(alg, e.left, env, caps)
+    r = family_eval_expr(alg, e.right, env, caps)
+    lu, ru = isinstance(l, UAdmRel), isinstance(r, UAdmRel)
+    if isinstance(e, Inter):
+        if lu and ru:
+            return intersect_u(l, r)
+        if lu:
+            return intersect_tol(r, l)
+        if ru:
+            return intersect_tol(l, r)
+        return intersect(l, r)
+    if isinstance(e, UnionOp):
+        if lu or ru:
+            return union_u(as_u(l), as_u(r))
+        return union(l, r)
+    if isinstance(e, Comp):
+        if lu or ru:
+            return compose_u(as_u(l), as_u(r))
+        return compose(l, r)
+    raise TypeError(f"not a relation expression: {e!r}")
+
+
+def union_of(value):
+    return value.union_view if isinstance(value, UAdmRel) else value
 
 
 def test_builtin_library_constructs():
@@ -32,7 +117,7 @@ def test_builtin_library_constructs():
         assert ("<=" in spec.describe()) == (spec.mode == "inclusion")
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin("nope")
-    assert builtin("cdist2", h=5).params["h"] == 5
+    assert builtin("cdist2", h=5).name == "cdist2(5)"
     with pytest.raises(ValueError):
         builtin("cdist2", h=0)
 
@@ -79,9 +164,32 @@ def test_family_dispatch_matches_union_arithmetic(z2cube):
         env_fam = {"theta": theta, "sigma": fam}
         env_flat = {"theta": theta, "sigma": fam.union_view}
         for side in (spec.lhs, spec.rhs):
-            got = view(eval_expr(z2cube, side, env_fam))
+            got = union_of(family_eval_expr(z2cube, side, env_fam))
             want = eval_expr(z2cube, side, env_flat)
             assert got == want, name
+            assert eval_expr(z2cube, side, env_fam) == want, name
+
+
+@pytest.mark.parametrize("alg_name", ["z2^2", "lattice_2x2"])
+def test_eval_expr_matches_family_oracle(alg_name):
+    """eval_expr on union views equals the union view of the family-valued
+    reference evaluator, for every builtin over random assignments drawn
+    from the wide and the narrow class pools."""
+    alg = resolve(alg_name)
+    rng = random.Random(11)
+    pools = {}
+    for name in builtin_names():
+        spec = builtin(name)
+        for narrow in (True, False):
+            classes = spec.classes(narrow)
+            for cls in classes.values():
+                if cls not in pools:
+                    pools[cls] = candidate_pool(alg, cls, DEFAULT_CAPS)[0]
+            for _ in range(25):
+                env = {v: rng.choice(pools[c]) for v, c in classes.items()}
+                for side in (spec.lhs, spec.rhs):
+                    want = union_of(family_eval_expr(alg, side, env))
+                    assert eval_expr(alg, side, env) == want, (name, narrow)
 
 
 def test_candidate_pool_counts(lattice2):
@@ -215,9 +323,10 @@ def test_chain_parameter_structure():
 
 def test_equality_variant_agrees_where_it_should(lattice2):
     spec = builtin("cor1")
-    assert spec.eq_variant is not None and spec.eq_variant.mode == "equality"
+    eq = parse_spec("(tol:theta & (uadm:sigma ; sigma))^* == (theta & sigma)^*")
+    eq.narrow = spec.narrow
     v_inc = check_for_all(lattice2, spec)
-    v_eq = check_for_all(lattice2, spec.eq_variant)
+    v_eq = check_for_all(lattice2, eq)
     assert v_inc.holds is True and v_eq.holds is True
 
 
@@ -233,3 +342,14 @@ def test_classes_override_quantification(lattice2):
     assert v.holds is True and v.coverage == "exhaustive"
     with pytest.raises(ValueError):
         check_for_all(lattice2, spec, classes_override={"zeta": RelClass.Tolerance})
+
+
+def test_left_alternating_composition_literal():
+    spec = parse_spec("tol:a 3^; tol:b <= a ;^3 b")
+    a, b = RVar("a"), RVar("b")
+    assert spec.lhs == AltL(a, b, 3) and spec.rhs == AltR(a, b, 3)
+    assert spec.describe() == "(a 3^; b) <= (a ;^3 b)"
+    assert desugar(spec.lhs) == Comp(Comp(b, a), b)
+    assert desugar(parse_spec("tol:a 2^; tol:b <= a").lhs) == Comp(a, b)
+    with pytest.raises(SpecParseError, match="needs m >= 1"):
+        parse_spec("tol:a 0^; tol:b <= a")
