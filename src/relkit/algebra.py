@@ -10,6 +10,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .caps import DEFAULT_CAPS, Caps
 
 
@@ -18,7 +20,7 @@ class CapExceeded(Exception):
 
 
 class Operation:
-    __slots__ = ("name", "arity", "table")
+    __slots__ = ("name", "arity", "table", "_array")
 
     def __init__(self, name: str, arity: int, table):
         table = tuple(int(v) for v in table)
@@ -41,6 +43,14 @@ class Operation:
 
     def __repr__(self):
         return f"Operation({self.name!r}, arity={self.arity})"
+
+    def array(self) -> np.ndarray:
+        """The table as an intp array, built on first use."""
+        try:
+            return self._array
+        except AttributeError:
+            self._array = np.asarray(self.table, dtype=np.intp)
+            return self._array
 
 
 class FiniteAlgebra:

@@ -380,7 +380,7 @@ class _ReplayError(Exception):
     pass
 
 
-def _load_value(alg, form: dict, caps):
+def _load_value(alg, form: dict):
     if form["kind"] == "family":
         comps = [BinRel.from_pairs(alg.size, [tuple(p) for p in c]) for c in form["components"]]
         return from_components(alg, comps, validate=False)
@@ -403,7 +403,7 @@ def _replay_check(report: dict, alg, caps) -> None:
     spec = _rebuild_spec(report["spec"])
     classes = {v: RelClass[c] for v, c in report["spec"]["classes"].items()}
     cex = result["counterexample"]
-    assignment = {v: _load_value(alg, form, caps) for v, form in cex["assignment"].items()}
+    assignment = {v: _load_value(alg, form) for v, form in cex["assignment"].items()}
     for v, val in assignment.items():
         if not class_member(alg, classes[v], val, caps):
             raise _ReplayError(f"assignment for {v} is not a {classes[v].name}")
@@ -461,6 +461,9 @@ def _cmd_verify(args) -> int:
     with open(args.report) as fh:
         report = json.load(fh)
     caps = _caps(args)
+    if not isinstance(report, dict):
+        print(f"verify: a report is a JSON object, not {type(report).__name__}", file=sys.stderr)
+        return 3
     if report.get("format") != REPORT_FORMAT:
         print(f"verify: unknown report format {report.get('format')!r}", file=sys.stderr)
         return 3
@@ -485,7 +488,9 @@ def _cmd_verify(args) -> int:
             pass  # nothing replayable beyond structure
         else:
             raise _ReplayError(f"unknown subcommand {sub!r} in report")
-    except (_ReplayError, KeyError, ValueError) as exc:
+    except (_ReplayError, KeyError, ValueError, TypeError, AttributeError, IndexError) as exc:
+        # a malformed report (a field of the wrong type or shape) fails the
+        # replay like a wrong one does
         print(f"verify: FAIL: {exc}", file=sys.stderr)
         return 1
     print("verify: ok")

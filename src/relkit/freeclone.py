@@ -215,12 +215,12 @@ def free_relations(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FreeRelations:
         x,
         y,
         z,
-        alpha=congruence_gen(free, [(x, z)], caps),
-        beta=congruence_gen(free, [(x, y)], caps),
-        gamma=congruence_gen(free, [(y, z)], caps),
-        r_xy=admissible_closure(free, [(x, y)], caps),
-        r_yz=admissible_closure(free, [(y, z)], caps),
-        r_xz=admissible_closure(free, [(x, z)], caps),
+        alpha=congruence_gen(free, [(x, z)]),
+        beta=congruence_gen(free, [(x, y)]),
+        gamma=congruence_gen(free, [(y, z)]),
+        r_xy=admissible_closure(free, [(x, y)]),
+        r_yz=admissible_closure(free, [(y, z)]),
+        r_xz=admissible_closure(free, [(x, z)]),
     )
 
 

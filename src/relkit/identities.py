@@ -280,7 +280,7 @@ def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict, caps: Caps = DEFAULT_CA
     if isinstance(e, Star):
         return transitive_closure(eval_expr(alg, e.arg, env, caps))
     if isinstance(e, BarOp):
-        return admissible_closure(alg, eval_expr(alg, e.arg, env, caps), caps)
+        return admissible_closure(alg, eval_expr(alg, e.arg, env, caps))
     if isinstance(e, Pow):
         return rel_power(eval_expr(alg, e.arg, env, caps), e.h)
     if isinstance(e, (AltR, AltL)):
@@ -450,13 +450,13 @@ def check_for_all(
     return Verdict(None, "truncated", note="no counterexample found (truncated)")
 
 
-def _least_member(alg, cls, pairs, caps):
-    """The least relation of a plain class containing the pairs."""
+def _generator(cls):
+    """The closure that gives the least relation of a plain class."""
     if cls is RelClass.Congruence:
-        return congruence_gen(alg, pairs, caps)
+        return congruence_gen
     if cls is RelClass.Tolerance:
-        return tolerance_gen(alg, pairs, caps)
-    return admissible_closure(alg, pairs, caps)
+        return tolerance_gen
+    return admissible_closure
 
 
 def _random_value(alg, cls, caps, rng):
@@ -464,12 +464,12 @@ def _random_value(alg, cls, caps, rng):
     def rnd_pairs(k):
         return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
     if cls in _PLAIN:
-        return _least_member(alg, cls, rnd_pairs(rng.randint(1, 2)), caps)
+        return _generator(cls)(alg, rnd_pairs(rng.randint(1, 2)))
     if cls is RelClass.UnionOfTwoCongruences:
-        return UAdmRel([congruence_gen(alg, [p], caps) for p in rnd_pairs(2)])
+        return UAdmRel([congruence_gen(alg, [p]) for p in rnd_pairs(2)])
     k = 2 if cls is RelClass.U2Admissible else (caps.max_components or 3)
     return UAdmRel(
-        [admissible_closure(alg, [p], caps) for p in rnd_pairs(rng.randint(1, k))]
+        [admissible_closure(alg, [p]) for p in rnd_pairs(rng.randint(1, k))]
     )
 
 
@@ -537,18 +537,18 @@ def _two_block_partitions(pairs: tuple):
     return out
 
 
-def _minimal_members(alg, cls, pairs: tuple, caps):
+def _minimal_members(alg, cls, pairs: tuple, close):
     """Minimal members of cls containing all given pairs (may be several)."""
     pairs = tuple(dict.fromkeys(pairs))
     if cls in _PLAIN:
-        return [_least_member(alg, cls, pairs, caps)]
+        return [close(_generator(cls), pairs)]
     if not pairs:
         return [UAdmRel([BinRel.diagonal(alg.size)])]
     if cls is RelClass.UAdmissible:
-        return [UAdmRel([admissible_closure(alg, [p], caps) for p in pairs])]
+        return [UAdmRel([close(admissible_closure, (p,)) for p in pairs])]
     gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
     return [
-        UAdmRel([gen(alg, list(block), caps) for block in blocks])
+        UAdmRel([close(gen, block) for block in blocks])
         for blocks in _two_block_partitions(pairs)
     ]
 
@@ -559,13 +559,29 @@ def _check_principal(alg, spec, classes, caps):
     lhs = desugar(spec.lhs)
     n = alg.size
     names = [v for v, _ in spec.variables]
-    closure_cache: dict = {}
+    closures: dict = {}
+    members: dict = {}
+
+    def close(gen, block):
+        """gen's closure of the pair block, once per check: a single pair is
+        closed from itself, a larger block from the join of its pairs'
+        closures."""
+        key = (gen, frozenset(block))
+        if key not in closures:
+            if len(block) == 1:
+                closures[key] = gen(alg, block)
+            else:
+                mask = 0
+                for p in block:
+                    mask |= close(gen, (p,)).mask
+                closures[key] = gen(alg, BinRel(n, mask))
+        return closures[key]
 
     def minimal(v, pairs):
         key = (v, pairs)
-        if key not in closure_cache:
-            closure_cache[key] = _minimal_members(alg, classes[v], pairs, caps)
-        return closure_cache[key]
+        if key not in members:
+            members[key] = _minimal_members(alg, classes[v], pairs, close)
+        return members[key]
 
     for a in range(n):
         for c in range(n):
@@ -607,15 +623,15 @@ def free_seed_assignment(
         pts = tuple((letters[p[0]], letters[p[1]]) for p in pairs)
         cls = classes[var]
         if cls in _PLAIN:
-            out[var] = _least_member(free_alg, cls, pts, caps)
+            out[var] = _generator(cls)(free_alg, pts)
         elif cls is RelClass.UnionOfTwoCongruences:
             if len(pts) > 2:
                 raise UnsupportedError(f"{spec.name}: seed needs more than two congruences")
-            out[var] = UAdmRel([congruence_gen(free_alg, [p], caps) for p in pts])
+            out[var] = UAdmRel([congruence_gen(free_alg, [p]) for p in pts])
         else:
             if cls is RelClass.U2Admissible and len(pts) > 2:
                 raise UnsupportedError(f"{spec.name}: seed needs more than two components")
-            out[var] = UAdmRel([admissible_closure(free_alg, [p], caps) for p in pts])
+            out[var] = UAdmRel([admissible_closure(free_alg, [p]) for p in pts])
     return out
 
 

@@ -5,12 +5,32 @@ pair (a, b), the row index a being the first coordinate.  Composition uses
 the shift/multiply boolean-matrix trick, which is exact for arbitrary n with
 Python ints (each selected row lands in its own n-bit field, so the products
 never carry across fields).
+
+Closures.  admissible_closure, tolerance_gen and congruence_gen run one
+semi-naive loop (_close).  It keeps old, the pairs whose images are already
+in the relation, and each round images only the operation tuples that use at
+least one newer pair: for arity r, old^i x new x all^(r-1-i) over i < r.
+A tolerance is one such closure of the symmetric seed (the image of a
+symmetric relation is symmetric); a congruence also takes the transitive
+closure after every round, which only adds pairs and so keeps the invariant.
+is_admissible images the whole relation (old = 0).
+
+An image is computed by one of two kernels.  The tuple kernel builds the flat
+table indices of the tuples in numpy, in chunks of at most _CHUNK tuples.
+The dense kernel images a binary operation on the whole relation with three
+float32 matrix products, about n^4 multiply-adds.  _image_mask takes the
+dense kernel for a binary operation when the tuples outnumber _SMALL,
+_DENSE_RATIO times their count exceeds n^4, and its n^3 arrays fit in the
+memory of one tuple chunk; every other case, and every other arity, takes
+the tuple kernel.  Masks convert to and from bit arrays through
+int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
@@ -131,6 +151,25 @@ class BinRel:
         return self._flags["trans"]
 
 
+def _pairs_cmp(r: BinRel, s: BinRel) -> int:
+    """Compare two relations as their ascending pair lists compare.
+
+    The lists agree up to the lowest differing bit p.  The mask holding p
+    sorts first, unless the other mask has no bit above p: then its list is
+    a prefix of the first and sorts before it.
+    """
+    x, y = r.mask, s.mask
+    if x == y:
+        return 0
+    low = (x ^ y) & -(x ^ y)
+    if x & low:
+        return 1 if y < low else -1
+    return -1 if x < low else 1
+
+
+pairs_order = cmp_to_key(_pairs_cmp)  # sort key: same order as r.pairs()
+
+
 # ---------------------------------------------------------------------------
 # relation calculus
 
@@ -221,84 +260,172 @@ def symmetric_closure(r: BinRel) -> BinRel:
 # admissibility
 
 
-def _pair_tuple_chunks(left, right, n, r, chunk=1 << 22):
-    """Flat table indices for all r-tuples over a pair list, chunked."""
-    m = len(left)
-    if r == 1 or m**r <= chunk:
-        li, ri = left, right
-        for _ in range(r - 1):
-            li = (li[:, None] * n + left[None, :]).ravel()
-            ri = (ri[:, None] * n + right[None, :]).ravel()
-        yield li, ri
+# Tuples per index chunk of the tuple kernel; the consumer drops each chunk
+# before it asks for the next, so at most one is alive.
+_CHUNK = 1 << 21
+# Up to this many tuples, one product over the whole relation is cheapest:
+# the semi-naive split and the dense kernel only pay off above it.
+_SMALL = 1 << 12
+# The dense kernel costs about n^4 multiply-adds; the tuple kernel breaks
+# even with it at about n^4 / 128 tuples (measured for n from 18 to 99).
+# The dense kernel holds three n^3 float32 arrays, so it runs only while
+# n^3 <= 2 * _CHUNK, within the memory of one tuple chunk.
+_DENSE_RATIO = 128
+
+
+def _bits(mask: int, n: int) -> np.ndarray:
+    """The n*n bits of mask as a bool array; index a*n + b is (a, b)."""
+    raw = np.frombuffer(mask.to_bytes((n * n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n * n, bitorder="little").view(bool)
+
+
+def _mask_of(hit: np.ndarray) -> int:
+    """Inverse of _bits."""
+    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+
+
+def _pair_arrays(mask: int, n: int):
+    """(left, right) coordinate arrays of the pairs of mask, ascending."""
+    return np.divmod(_bits(mask, n).nonzero()[0], n)
+
+
+def _tuple_chunks(factors, n):
+    """Flat table indices (left, right) of the tuples in the product of the
+    factors, each a (left, right) pair of coordinate arrays; at most _CHUNK
+    tuples per chunk."""
+    (head_l, head_r), rest = factors[0], factors[1:]
+    tail = math.prod(len(fl) for fl, _ in rest)
+    if tail == 0:
         return
-    scale = n ** (r - 1)
-    for j in range(m):
-        for sli, sri in _pair_tuple_chunks(left, right, n, r - 1, chunk):
-            yield left[j] * scale + sli, right[j] * scale + sri
+    if tail > _CHUNK:  # one head pair at a time, folded into the next factor
+        (fl, fr), more = rest[0], rest[1:]
+        for a, b in zip(head_l.tolist(), head_r.tolist()):
+            yield from _tuple_chunks([(a * n + fl, b * n + fr), *more], n)
+        return
+    step = max(1, _CHUNK // tail)
+    for s in range(0, len(head_l), step):
+        li, ri = head_l[s : s + step], head_r[s : s + step]
+        for fl, fr in rest:
+            li = (li[:, None] * n + fl).ravel()
+            ri = (ri[:, None] * n + fr).ravel()
+        yield li, ri
 
 
-def _image_mask(alg: FiniteAlgebra, rel: BinRel) -> int:
-    """Union of (g(a-row), g(b-row)) over all op tuples of related pairs."""
+def _dense_image(tab: np.ndarray, mask: int, n: int) -> np.ndarray:
+    """The image of a binary operation on the whole relation, as matrix
+    products: Img[c, d] = sum W[a1 a2, c] R[a1, b1] R[a2, b2] W[b1 b2, d]
+    with W the one-hot matrix of the table.  Every term is >= 0, so float
+    rounding never turns a nonzero sum into 0."""
+    rel = _bits(mask, n).reshape(n, n).astype(np.float32)
+    onehot = np.zeros((n * n, n), dtype=np.float32)
+    onehot[np.arange(n * n), tab] = 1.0
+    t1 = rel @ onehot.reshape(n, n, n)  # [b1, a2, d]: sum over b2
+    t2 = rel @ t1.reshape(n, n * n)  # [a1, a2 d]: sum over b1
+    return (onehot.T @ t2.reshape(n * n, n) > 0).ravel()
+
+
+def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0) -> int:
+    """Union of (f(a-row), f(b-row)) over the operation tuples of pairs of
+    mask that use at least one pair outside old (old must lie in mask).
+
+    For arity r those tuples are the union over i of old^i x new x all^(r-1-i).
+    Up to _SMALL tuples in all, one product over all^r is cheaper than the
+    split.  A binary operation with more than n^4 / _DENSE_RATIO tuples
+    takes the dense kernel, which images the whole relation.
+    """
     n = alg.size
-    prs = rel.pairs()
-    left = np.array([p[0] for p in prs], dtype=np.intp)
-    right = np.array([p[1] for p in prs], dtype=np.intp)
+    arrays = {}  # mask -> its pair arrays, built when a tuple product needs them
+
+    def pairs_of(m):
+        if m not in arrays:
+            arrays[m] = _pair_arrays(m, n)
+        return arrays[m]
+
     hit = np.zeros(n * n, dtype=bool)
     for op in alg.ops:
-        if op.arity == 0:
+        r = op.arity
+        if r == 0:
             c = op.table[0]
             hit[c * n + c] = True
             continue
-        if len(prs) == 0:
+        cells = mask.bit_count() ** r
+        split = old != 0 and cells > _SMALL
+        if split:
+            cells -= old.bit_count() ** r
+        if cells == 0:
             continue
-        tab = np.asarray(op.table, dtype=np.intp)
-        for li, ri in _pair_tuple_chunks(left, right, n, op.arity):
-            hit[tab[li] * n + tab[ri]] = True
-    mask = 0
-    for pos in np.nonzero(hit)[0]:
-        mask |= 1 << int(pos)
-    return mask
+        tab = op.array()
+        dense = cells > _SMALL and _DENSE_RATIO * cells > n**4 and n**3 <= 2 * _CHUNK
+        if r == 2 and dense:
+            hit |= _dense_image(tab, mask, n)
+            continue
+        every = pairs_of(mask)
+        if split:
+            new, prev = pairs_of(mask & ~old), pairs_of(old)
+            parts = [[prev] * i + [new] + [every] * (r - 1 - i) for i in range(r)]
+        else:
+            parts = [[every] * r]
+        for part in parts:
+            for li, ri in _tuple_chunks(part, n):
+                li = tab[li]
+                li *= n
+                li += tab[ri]
+                hit[li] = True
+                del li, ri
+    return _mask_of(hit)
+
+
+def _seed_mask(n: int, seed) -> int:
+    return seed.mask if isinstance(seed, BinRel) else BinRel.from_pairs(n, seed).mask
+
+
+def _close(alg: FiniteAlgebra, mask: int, post=None) -> BinRel:
+    """Least admissible relation containing mask and closed under post.
+
+    Semi-naive: old holds the pairs whose images are known to lie in mask,
+    so each round images only the tuples that use a newer pair.  post (a
+    BinRel -> BinRel closure, applied first and after every round) only adds
+    pairs, so it keeps that invariant.
+    """
+    n = alg.size
+    old = 0
+    while True:
+        if post is not None:
+            mask = post(BinRel(n, mask)).mask
+        img = _image_mask(alg, mask, old)
+        if img & ~mask == 0:
+            return BinRel(n, mask)
+        old, mask = mask, mask | img
 
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """Compatibility with every operation; reflexivity is NOT required here."""
     if r.n != alg.size:
         raise ValueError("relation universe does not match the algebra")
-    return _image_mask(alg, r) | r.mask == r.mask
+    return _image_mask(alg, r.mask) & ~r.mask == 0
 
 
-def admissible_closure(alg: FiniteAlgebra, seed, caps: Caps = DEFAULT_CAPS) -> BinRel:
+def admissible_closure(alg: FiniteAlgebra, seed) -> BinRel:
     """Least reflexive admissible relation containing the seed pairs."""
+    return _close(alg, _seed_mask(alg.size, seed) | _diag_mask(alg.size))
+
+
+def tolerance_gen(alg: FiniteAlgebra, seed) -> BinRel:
+    """Least reflexive symmetric admissible relation containing the seed.
+
+    The image of a symmetric relation is symmetric, so one closure of the
+    symmetric seed suffices.
+    """
     n = alg.size
-    mask = seed.mask if isinstance(seed, BinRel) else BinRel.from_pairs(n, seed).mask
-    mask |= _diag_mask(n)
-    while True:
-        img = _image_mask(alg, BinRel(n, mask))
-        if img | mask == mask:
-            return BinRel(n, mask)
-        mask |= img
+    base = BinRel(n, _seed_mask(n, seed) | _diag_mask(n))
+    return _close(alg, symmetric_closure(base).mask)
 
 
-def tolerance_gen(alg: FiniteAlgebra, seed, caps: Caps = DEFAULT_CAPS) -> BinRel:
-    """Least reflexive symmetric admissible relation containing the seed."""
-    cur = seed if isinstance(seed, BinRel) else BinRel.from_pairs(alg.size, seed)
-    cur = union(cur, BinRel.diagonal(alg.size))
-    while True:
-        nxt = admissible_closure(alg, symmetric_closure(cur), caps)
-        if nxt.mask == cur.mask:
-            return cur
-        cur = nxt
-
-
-def congruence_gen(alg: FiniteAlgebra, seed, caps: Caps = DEFAULT_CAPS) -> BinRel:
+def congruence_gen(alg: FiniteAlgebra, seed) -> BinRel:
     """Least congruence containing the seed pairs."""
-    cur = seed if isinstance(seed, BinRel) else BinRel.from_pairs(alg.size, seed)
-    cur = union(cur, BinRel.diagonal(alg.size))
-    while True:
-        nxt = admissible_closure(alg, transitive_closure(symmetric_closure(cur)), caps)
-        if nxt.mask == cur.mask:
-            return cur
-        cur = nxt
+    n = alg.size
+    base = BinRel(n, _seed_mask(n, seed) | _diag_mask(n))
+    return _close(alg, symmetric_closure(base).mask, transitive_closure)
 
 
 def is_tolerance(alg: FiniteAlgebra, r: BinRel) -> bool:
@@ -333,12 +460,12 @@ class EnumResult:
         return len(self.relations)
 
 
-def _kind_closure(alg, kind, caps):
+def _kind_closure(alg, kind):
     if kind == "congruence":
-        return lambda seed: congruence_gen(alg, seed, caps)
+        return lambda seed: congruence_gen(alg, seed)
     if kind == "tolerance":
-        return lambda seed: tolerance_gen(alg, seed, caps)
-    return lambda seed: admissible_closure(alg, seed, caps)
+        return lambda seed: tolerance_gen(alg, seed)
+    return lambda seed: admissible_closure(alg, seed)
 
 
 def enumerate_relations(
@@ -362,7 +489,7 @@ def enumerate_relations(
     if method not in ("auto", "generated"):
         raise ValueError(f"unknown enumeration method {method!r}")
     n = alg.size
-    close = _kind_closure(alg, kind, caps)
+    close = _kind_closure(alg, kind)
     base = close([])
     found = {base.mask: base}
     gens = []
@@ -393,5 +520,5 @@ def enumerate_relations(
                 if len(found) > caps.max_relations:
                     truncated = True
                     break
-    rels = sorted(found.values(), key=lambda r: r.pairs())
+    rels = sorted(found.values(), key=pairs_order)
     return EnumResult(kind, rels, exhaustive=not truncated, truncated=truncated)

@@ -25,6 +25,7 @@ from .relations import (
     intersect,
     is_congruence,
     is_reflexive_admissible,
+    pairs_order,
     transitive_closure,
     union,
 )
@@ -75,7 +76,7 @@ def canonical_components(components) -> tuple:
         if any(o.mask != c.mask and c.mask | o.mask == o.mask for o in uniq.values()):
             continue
         kept.append(c)
-    return tuple(sorted(kept, key=lambda r: r.pairs()))
+    return tuple(sorted(kept, key=pairs_order))
 
 
 def from_components(alg: FiniteAlgebra, components, validate: bool = True) -> UAdmRel:
@@ -149,43 +150,43 @@ def transitive_closure_u(sigma: UAdmRel) -> UAdmRel:
     return out
 
 
-def bar_u(alg: FiniteAlgebra, sigma: UAdmRel, caps: Caps = DEFAULT_CAPS) -> UAdmRel:
+def bar_u(alg: FiniteAlgebra, sigma: UAdmRel) -> UAdmRel:
     """Smallest reflexive admissible relation containing the union."""
-    return UAdmRel([admissible_closure(alg, sigma.union_view, caps)])
+    return UAdmRel([admissible_closure(alg, sigma.union_view)])
 
 
 # ---------------------------------------------------------------------------
 # recognizing / decomposing plain relations
 
 
-def principal_components(alg: FiniteAlgebra, rel: BinRel, caps: Caps = DEFAULT_CAPS):
+def principal_components(alg: FiniteAlgebra, rel: BinRel):
     """Principal closures of the pairs of rel (each one is <=(a,b)>)."""
-    return [admissible_closure(alg, [p], caps) for p in rel.pairs()]
+    return [admissible_closure(alg, [p]) for p in rel.pairs()]
 
 
-def is_u_admissible(alg: FiniteAlgebra, rel: BinRel, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_u_admissible(alg: FiniteAlgebra, rel: BinRel) -> bool:
     """rel is a union of reflexive-admissible relations iff every principal
     closure of one of its pairs stays inside it."""
     if not rel.is_reflexive():
         return False
-    for comp in principal_components(alg, rel, caps):
+    for comp in principal_components(alg, rel):
         if comp.mask | rel.mask != rel.mask:
             return False
     return True
 
 
-def principal_decomposition(alg: FiniteAlgebra, rel: BinRel, caps: Caps = DEFAULT_CAPS) -> UAdmRel:
+def principal_decomposition(alg: FiniteAlgebra, rel: BinRel) -> UAdmRel:
     """Exact decomposition into principal components (fails if not U-admissible)."""
-    comps = principal_components(alg, rel, caps)
+    comps = principal_components(alg, rel)
     for comp in comps:
         if comp.mask | rel.mask != rel.mask:
             raise ValueError("relation is not U-admissible")
     return UAdmRel(comps)
 
 
-def greedy_decomposition(alg: FiniteAlgebra, rel: BinRel, caps: Caps = DEFAULT_CAPS) -> UAdmRel:
+def greedy_decomposition(alg: FiniteAlgebra, rel: BinRel) -> UAdmRel:
     """Best-effort small component family (no optimality guarantee)."""
-    sigma = principal_decomposition(alg, rel, caps)
+    sigma = principal_decomposition(alg, rel)
     remaining = list(sigma.components)
     chosen = []
     covered = 0

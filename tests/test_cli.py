@@ -275,3 +275,21 @@ def test_verify_equality_refutation_checks_pair(tmp_path, capsys):
     moved.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", str(moved))
     assert code == 1 and "violating pair" in err
+
+
+def test_verify_non_object_report_exit3(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "JSON object" in err and "Traceback" not in err
+
+
+def test_verify_malformed_free_algebra_report_fails(tmp_path, capsys):
+    code, out, _ = run(capsys, "free-algebra", "lattice2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    data["result"]["elements"][3] = 5
+    bad = tmp_path / "free3_malformed.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 1 and err.startswith("verify: FAIL:") and "Traceback" not in err

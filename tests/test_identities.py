@@ -72,8 +72,8 @@ def family_eval_expr(alg, e, env, caps=DEFAULT_CAPS):
     if isinstance(e, BarOp):
         v = family_eval_expr(alg, e.arg, env, caps)
         if isinstance(v, UAdmRel):
-            return bar_u(alg, v, caps)
-        return admissible_closure(alg, v, caps)
+            return bar_u(alg, v)
+        return admissible_closure(alg, v)
     if isinstance(e, Pow):
         v = family_eval_expr(alg, e.arg, env, caps)
         out = v

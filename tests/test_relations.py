@@ -1,13 +1,21 @@
+import functools
 import itertools
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relkit.relations as relations
 from relkit.algebra import FiniteAlgebra
 from relkit.caps import Caps
+from relkit.fixtures import FIXTURES, resolve
+from relkit.freeclone import clone_as_algebra, generate_clone
 from relkit.relations import (
     BinRel,
+    _image_mask,
+    _pairs_cmp,
     admissible_closure,
     compose,
     compose_alt,
@@ -19,6 +27,7 @@ from relkit.relations import (
     is_congruence,
     is_reflexive_admissible,
     is_tolerance,
+    pairs_order,
     rel_power,
     symmetric_closure,
     tolerance_gen,
@@ -321,3 +330,221 @@ def test_enumeration_truncation_flag(lattice_n5):
     out = enumerate_relations(lattice_n5, "reflexive_admissible", caps=tight)
     assert out.truncated and not out.exhaustive
     assert len(out.relations) < 25  # the true count; the cap cut generation short
+
+
+# ---------------------------------------------------------------------------
+# reference closures: the full-image loop the semi-naive closures replaced
+
+
+def ref_pair_tuple_chunks(left, right, n, r, chunk=1 << 22):
+    """Flat table indices for all r-tuples over a pair list, chunked."""
+    m = len(left)
+    if r == 1 or m**r <= chunk:
+        li, ri = left, right
+        for _ in range(r - 1):
+            li = (li[:, None] * n + left[None, :]).ravel()
+            ri = (ri[:, None] * n + right[None, :]).ravel()
+        yield li, ri
+        return
+    scale = n ** (r - 1)
+    for j in range(m):
+        for sli, sri in ref_pair_tuple_chunks(left, right, n, r - 1, chunk):
+            yield left[j] * scale + sli, right[j] * scale + sri
+
+
+def ref_image_mask(alg, rel):
+    """Union of (g(a-row), g(b-row)) over all op tuples of related pairs."""
+    n = alg.size
+    prs = rel.pairs()
+    left = np.array([p[0] for p in prs], dtype=np.intp)
+    right = np.array([p[1] for p in prs], dtype=np.intp)
+    hit = np.zeros(n * n, dtype=bool)
+    for op in alg.ops:
+        if op.arity == 0:
+            c = op.table[0]
+            hit[c * n + c] = True
+            continue
+        if len(prs) == 0:
+            continue
+        tab = np.asarray(op.table, dtype=np.intp)
+        for li, ri in ref_pair_tuple_chunks(left, right, n, op.arity):
+            hit[tab[li] * n + tab[ri]] = True
+    mask = 0
+    for pos in np.nonzero(hit)[0]:
+        mask |= 1 << int(pos)
+    return mask
+
+
+def ref_admissible_closure(alg, seed):
+    n = alg.size
+    mask = seed.mask if isinstance(seed, BinRel) else BinRel.from_pairs(n, seed).mask
+    mask |= BinRel.diagonal(n).mask
+    while True:
+        img = ref_image_mask(alg, BinRel(n, mask))
+        if img | mask == mask:
+            return BinRel(n, mask)
+        mask |= img
+
+
+def ref_tolerance_gen(alg, seed):
+    cur = seed if isinstance(seed, BinRel) else BinRel.from_pairs(alg.size, seed)
+    cur = union(cur, BinRel.diagonal(alg.size))
+    while True:
+        nxt = ref_admissible_closure(alg, symmetric_closure(cur))
+        if nxt.mask == cur.mask:
+            return cur
+        cur = nxt
+
+
+def ref_congruence_gen(alg, seed):
+    cur = seed if isinstance(seed, BinRel) else BinRel.from_pairs(alg.size, seed)
+    cur = union(cur, BinRel.diagonal(alg.size))
+    while True:
+        nxt = ref_admissible_closure(alg, transitive_closure(symmetric_closure(cur)))
+        if nxt.mask == cur.mask:
+            return cur
+        cur = nxt
+
+
+CLOSURE_PAIRS = (
+    (admissible_closure, ref_admissible_closure),
+    (tolerance_gen, ref_tolerance_gen),
+    (congruence_gen, ref_congruence_gen),
+)
+
+# (_SMALL, _DENSE_RATIO, _CHUNK): the defaults; the semi-naive tuple path at
+# every size, in chunks of 7 tuples; the dense kernel for every binary op
+KERNEL_SETTINGS = {
+    "default": {},
+    "tuples": {"_SMALL": 0, "_DENSE_RATIO": 0, "_CHUNK": 7},
+    "dense": {"_SMALL": 0, "_DENSE_RATIO": 1 << 60},
+}
+
+
+@pytest.fixture(params=list(KERNEL_SETTINGS))
+def kernel(request, monkeypatch):
+    for name, value in KERNEL_SETTINGS[request.param].items():
+        monkeypatch.setattr(relations, name, value)
+    return request.param
+
+
+def random_algebra(rng, size, arities):
+    ops = [
+        (f"f{i}", r, [rng.randrange(size) for _ in range(size**r)])
+        for i, r in enumerate(arities)
+    ]
+    return FiniteAlgebra(size, ops, name=f"rnd{size}{arities}")
+
+
+def random_algebras(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        size = rng.randrange(2, 7)
+        arities = sorted(rng.choice((0, 1, 2, 2, 3)) for _ in range(rng.randrange(1, 4)))
+        out.append(random_algebra(rng, size, arities))
+    out.append(random_algebra(rng, 4, (0, 1, 2, 3)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def free_algebra(name):
+    """The 3-generated free algebra F(name, 3)."""
+    return clone_as_algebra(generate_clone(resolve(name), 3))
+
+
+def check_closures_agree(alg, rng, seeds, max_pairs):
+    n = alg.size
+    for _ in range(seeds):
+        seed = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, max_pairs))]
+        for fast, ref in CLOSURE_PAIRS:
+            assert fast(alg, seed) == ref(alg, seed), (alg.name, fast.__name__, seed)
+        rel = rand_rel(rng, n)
+        assert is_admissible(alg, rel) == (ref_image_mask(alg, rel) | rel.mask == rel.mask)
+        assert _image_mask(alg, rel.mask) == ref_image_mask(alg, rel)
+
+
+def test_closures_match_reference_on_fixtures(kernel):
+    rng = random.Random(41)
+    for name in sorted(FIXTURES):
+        check_closures_agree(resolve(name), rng, 6, 3)
+
+
+def test_closures_match_reference_on_random_algebras(kernel):
+    rng = random.Random(43)
+    for alg in random_algebras(47, 25):
+        check_closures_agree(alg, rng, 5, 3)
+
+
+def test_closures_match_reference_on_free_algebras():
+    rng = random.Random(53)
+    for name in ("lattice2", "baker4"):  # binary ops; one ternary op
+        check_closures_agree(free_algebra(name), rng, 8, 2)
+
+
+def test_dense_closures_match_reference_on_free_lattice_n5(monkeypatch):
+    alg = free_algebra("lattice_n5")
+    assert alg.size == 99
+    dense_calls = []
+    dense = relations._dense_image
+    monkeypatch.setattr(
+        relations, "_dense_image", lambda *a: dense_calls.append(1) or dense(*a)
+    )
+    rng = random.Random(59)
+    seeds = [[(rng.randrange(99), rng.randrange(99)) for _ in range(k)] for k in (1, 4)]
+    seeds.append([(75, 4), (61, 31), (95, 51), (53, 85)])
+    for seed in seeds:
+        assert admissible_closure(alg, seed) == ref_admissible_closure(alg, seed)
+    assert dense_calls, "no seed reached the dense kernel"
+    assert tolerance_gen(alg, seeds[0]) == ref_tolerance_gen(alg, seeds[0])
+    assert congruence_gen(alg, seeds[0]) == ref_congruence_gen(alg, seeds[0])
+
+
+def test_dense_and_tuple_kernels_agree(monkeypatch):
+    rng = random.Random(61)
+    algebras = [random_algebra(rng, size, (2,)) for size in (2, 3, 5, 8, 11)]
+    algebras.append(free_algebra("lattice2"))
+    for alg in algebras:
+        n = alg.size
+        rels = [rand_rel(rng, n) for _ in range(6)]
+        rels += [BinRel(n, 0), BinRel.diagonal(n), BinRel.full(n)]
+        images = {}
+        for mode in ("tuples", "dense"):
+            with monkeypatch.context() as m:
+                for name, value in KERNEL_SETTINGS[mode].items():
+                    m.setattr(relations, name, value)
+                images[mode] = [_image_mask(alg, r.mask) for r in rels]
+        assert images["tuples"] == images["dense"], alg.name
+        assert images["tuples"] == [ref_image_mask(alg, r) for r in rels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4),
+)
+def test_tolerance_is_closure_of_symmetric_seed(alg_seed, pairs):
+    rng = random.Random(alg_seed)
+    alg = random_algebra(rng, 6, sorted(rng.choice((0, 1, 2, 3)) for _ in range(2)))
+    seed = BinRel.from_pairs(6, pairs)
+    base = symmetric_closure(union(seed, BinRel.diagonal(6)))
+    assert tolerance_gen(alg, seed) == admissible_closure(alg, base)
+
+
+def _list_cmp(x, y):
+    return (x > y) - (x < y)
+
+
+def test_pairs_order_matches_pair_lists():
+    rng = random.Random(67)
+    for _ in range(20000):
+        n = rng.randrange(1, 7)
+        r = rand_rel(rng, n)
+        if rng.random() < 0.3:  # a prefix of r: its lowest k pairs
+            s = BinRel.from_pairs(n, r.pairs()[: rng.randrange(r.count() + 1)])
+        else:
+            s = BinRel(n, r.mask ^ (rng.getrandbits(n * n) & rng.getrandbits(n * n)))
+        assert _pairs_cmp(r, s) == _list_cmp(r.pairs(), s.pairs()), (n, r, s)
+    rels = [rand_rel(rng, 4) for _ in range(300)]
+    rels += [BinRel.from_pairs(4, r.pairs()[:k]) for r in rels[:50] for k in range(3)]
+    assert sorted(rels, key=pairs_order) == sorted(rels, key=lambda r: r.pairs())
