@@ -1,17 +1,20 @@
-"""Golden guard for the builtin library, the checker's verdicts and the CLI
-reports of the README examples.
+"""Golden guard for the builtin library, the checker's verdicts, the CLI
+reports of the README examples and the term-search and free-algebra reports.
 
 The expected values in ``tests/golden/`` were recorded from the code and
 must not move when the implementation is restructured.  Re-record them only
-for an intended change of output:
+for an intended change of output, naming the files to rewrite (all of them
+when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [terms.json ...]
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import sys
 
 from relkit.cli import main
 from relkit.fixtures import resolve
@@ -46,6 +49,37 @@ README_COMMANDS = (
     ("free-algebra", "lattice2"),
     ("expansions", "malIncl", "--h", "2"),
     ("search-mainp", "--seed", "5", "--count", "2"),
+)
+
+TERM_FIXTURES = ("lattice2", "z2", "baker4", "lattice_2x2", "z2cube", "lattice_n5")
+LADDER_SCHEMAS = ("jonsson", "directed-jonsson", "majority", "pixley")
+CHAINS = (
+    ("lattice2", "vr", 2),
+    ("lattice2", "mal", 2),
+    ("z2", "vr", 2),
+    ("z2", "mal", 2),
+    ("baker4", "vr", 2),
+    ("baker4", "mal", 2),
+    ("lattice_2x2", "vr", 2),
+    ("lattice_2x2", "mal", 2),
+    ("lattice2", "vr", 3),
+    ("baker4", "vr", 4),
+)
+TERMS_COMMANDS = (
+    tuple(("find-terms", name, schema) for name in TERM_FIXTURES for schema in LADDER_SCHEMAS)
+    + tuple(("find-terms", name, schema, "--h", str(h)) for name, schema, h in CHAINS)
+    + tuple(
+        ("find-terms", "lattice_n5", schema, "--h", "2", "--caps", '{"clone_cap_4": 20000}')
+        for schema in ("vr", "mal")
+    )
+)
+# the dumps are large: their reports are pinned by a digest
+FREE_ALGEBRA_COMMANDS = (
+    ("free-algebra", "lattice2", "--arity", "3"),
+    ("free-algebra", "lattice2", "--arity", "4"),
+    ("free-algebra", "baker4", "--arity", "4"),
+    ("free-algebra", "lattice_2x2", "--arity", "4"),
+    ("free-algebra", "lattice_n5", "--arity", "3"),
 )
 
 
@@ -102,6 +136,17 @@ def cli_snapshots() -> dict:
     return {" ".join(argv): cli_json(argv) for argv in README_COMMANDS}
 
 
+def cli_digest(argv) -> dict:
+    out = cli_json(argv)
+    return {"exit": out["exit"], "sha256": hashlib.sha256(out["stdout"].encode()).hexdigest()}
+
+
+def terms_snapshots() -> dict:
+    out = {" ".join(argv): cli_json(argv) for argv in TERMS_COMMANDS}
+    out.update({" ".join(argv): cli_digest(argv) for argv in FREE_ALGEBRA_COMMANDS})
+    return out
+
+
 def _load(name):
     with open(os.path.join(GOLDEN, name)) as fh:
         return json.load(fh)
@@ -131,6 +176,17 @@ def test_readme_cli_reports_golden():
         assert cli_json(argv) == want[key], key
 
 
+def test_term_search_reports_golden():
+    want = _load("terms.json")
+    assert len(want) == len(TERMS_COMMANDS) + len(FREE_ALGEBRA_COMMANDS) == 41
+    for argv in TERMS_COMMANDS:
+        key = " ".join(argv)
+        assert cli_json(argv) == want[key], key
+    for argv in FREE_ALGEBRA_COMMANDS:
+        key = " ".join(argv)
+        assert cli_digest(argv) == want[key], key
+
+
 def write_golden(name: str, data: dict) -> None:
     """One entry per line, so a changed value shows as one changed line."""
     lines = [f"{json.dumps(k)}: {json.dumps(data[k], sort_keys=True)}" for k in sorted(data)]
@@ -138,8 +194,14 @@ def write_golden(name: str, data: dict) -> None:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+SNAPSHOTS = {
+    "builtins.json": builtin_snapshots,
+    "verdicts.json": verdict_snapshots,
+    "cli.json": cli_snapshots,
+    "terms.json": terms_snapshots,
+}
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
-    write_golden("builtins.json", builtin_snapshots())
-    write_golden("verdicts.json", verdict_snapshots())
-    write_golden("cli.json", cli_snapshots())
+    for name in sys.argv[1:] or SNAPSHOTS:
+        write_golden(name, SNAPSHOTS[name]())
