@@ -2,6 +2,9 @@
 
 Tables are row-major with the LAST argument varying fastest, so the index of
 (a_1, ..., a_r) is a_1*n^(r-1) + ... + a_r.  Elements are dense ints 0..n-1.
+Two helpers own this layout: ``apply_table`` looks a table up at argument
+arrays, and ``pattern_cells`` lists the cells whose arguments repeat as an
+identification pattern such as ``"aba"`` prescribes.
 """
 
 from __future__ import annotations
@@ -92,12 +95,10 @@ class FiniteAlgebra:
             raise ValueError(
                 f"operation {op_name!r} has arity {op.arity}, got {len(args)} args"
             )
-        idx = 0
         for a in args:
             if not 0 <= a < self.size:
                 raise ValueError(f"element {a} out of range for size {self.size}")
-            idx = idx * self.size + a
-        return op.table[idx]
+        return int(apply_table(op.array(), self.size, args))
 
     def signature(self):
         return tuple((op.name, op.arity) for op in self.ops)
@@ -176,6 +177,34 @@ def save_algebra(alg: FiniteAlgebra, path: str) -> None:
         fh.write("\n")
 
 
+def _flat_index(n: int, args):
+    flat = None
+    for a in args:
+        if flat is None:
+            flat = np.array(a, dtype=np.intp)
+        else:
+            flat *= n
+            flat += a
+    return flat
+
+
+def apply_table(table: np.ndarray, n: int, args) -> np.ndarray:
+    """The r-ary table over {0..n-1} applied to r index arrays of one shape:
+    table[sum args[i] * n^(r-1-i)] elementwise (table[0] when r = 0).  args
+    may be a generator, so that one argument array is alive at a time."""
+    flat = _flat_index(n, args)
+    return table[0] if flat is None else table[flat]
+
+
+def pattern_cells(n: int, pattern) -> np.ndarray:
+    """Flat indices of the tuples over {0..n-1} that match `pattern`: equal
+    letters carry equal values.  They are ordered lexicographically by the
+    values of the distinct letters, taken in order of first appearance."""
+    letters = list(dict.fromkeys(pattern))
+    grid = np.indices((n,) * len(letters), dtype=np.intp).reshape(len(letters), -1)
+    return _flat_index(n, [grid[letters.index(c)] for c in pattern])
+
+
 def product(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
     """Direct product; the pair (x, y) is encoded as x*|B| + y."""
     if a.signature() != b.signature():
@@ -185,23 +214,16 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> Fi
         raise CapExceeded(f"product universe {n} exceeds cap {caps.max_universe}")
     ops = []
     for opa in a.ops:
-        opb = b.op(opa.name)
         r = opa.arity
         cells = n**r
         if cells > caps.max_table_cells:
             raise CapExceeded(f"product table for {opa.name!r} needs {cells} cells")
-        table = [0] * cells
-        # decode each argument tuple into A- and B-coordinates
-        for idx in range(cells):
-            rest = idx
-            ia = 0
-            ib = 0
-            for shift in range(r - 1, -1, -1):
-                arg = (rest // (n**shift)) % n
-                ia = ia * a.size + arg // b.size
-                ib = ib * b.size + arg % b.size
-            table[idx] = opa.table[ia] * b.size + opb.table[ib]
-        ops.append(Operation(opa.name, r, table))
+        # each argument tuple in table order, split into A- and B-coordinates
+        xs, ys = np.divmod(np.indices((n,) * r).reshape(r, cells), b.size)
+        table = apply_table(opa.array(), a.size, xs) * b.size + apply_table(
+            b.op(opa.name).array(), b.size, ys
+        )
+        ops.append(Operation(opa.name, r, np.reshape(table, cells)))
     return FiniteAlgebra(n, ops)
 
 

@@ -42,6 +42,7 @@ from .maltsev import (
     find_mal_f,
     find_pixley,
     find_vr,
+    schema_equations,
 )
 from .relations import BinRel, enumerate_relations, is_congruence
 from .uadmissible import UAdmRel, from_components
@@ -405,9 +406,9 @@ def _replay_check(report: dict, alg, caps) -> None:
     cex = result["counterexample"]
     assignment = {v: _load_value(alg, form) for v, form in cex["assignment"].items()}
     for v, val in assignment.items():
-        if not class_member(alg, classes[v], val, caps):
+        if not class_member(alg, classes[v], val):
             raise _ReplayError(f"assignment for {v} is not a {classes[v].name}")
-    lhs, rhs, satisfied = evaluate(alg, spec, assignment, caps)
+    lhs, rhs, satisfied = evaluate(alg, spec, assignment)
     if satisfied:
         raise _ReplayError("recorded counterexample satisfies the identity")
     a, b = cex["pair"]
@@ -423,10 +424,15 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
     result = report["result"]
     if not result["found"]:
         return
-    for eq in result["system"]["equations"]:
-        lhs, rhs = parse_term(eq["lhs"]), parse_term(eq["rhs"])
-        if not identity_holds(alg, lhs, rhs, eq["pattern"]):
-            raise _ReplayError(f"equation {eq['lhs']} = {eq['rhs']} [{eq['pattern']}] fails")
+    system = result["system"]
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in system["params"].items()}
+    terms = {role: parse_term(text) for role, text in system["terms"].items()}
+    stored = [(parse_term(e["lhs"]), parse_term(e["rhs"]), e["pattern"]) for e in system["equations"]]
+    if stored != schema_equations(system["schema"], params, terms):
+        raise _ReplayError(f"the equations are not those of the {system['schema']} terms")
+    for lhs, rhs, pattern in stored:
+        if not identity_holds(alg, lhs, rhs, pattern):
+            raise _ReplayError(f"equation {lhs} = {rhs} [{pattern}] fails")
 
 
 def _replay_congruences(report: dict, alg, caps) -> None:

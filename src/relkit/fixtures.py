@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import os
 
-from .algebra import FiniteAlgebra, Operation, load_algebra, power, save_algebra
+from .algebra import FiniteAlgebra, Operation, load_algebra, power
 from .caps import DEFAULT_CAPS, Caps
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _lattice_ops(order_pairs, size):
@@ -100,17 +98,3 @@ def resolve(name: str, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
         f"({', '.join(sorted(FIXTURES))}), not NAME^k, and not a file"
     )
 
-
-def write_fixture_files(directory: str = DATA_DIR) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, builder in sorted(FIXTURES.items()):
-        path = os.path.join(directory, f"{name}.json")
-        save_algebra(builder(), path)
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":
-    for p in write_fixture_files():
-        print(p)

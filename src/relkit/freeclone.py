@@ -12,7 +12,16 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import App, CapExceeded, FiniteAlgebra, Operation, Term, Var
+from .algebra import (
+    App,
+    CapExceeded,
+    FiniteAlgebra,
+    Operation,
+    Term,
+    Var,
+    apply_table,
+    pattern_cells,
+)
 from .caps import DEFAULT_CAPS, Caps
 from .relations import BinRel, admissible_closure, congruence_gen
 
@@ -84,17 +93,18 @@ def generate_clone(
     elements: list[TermTable] = []
     index: dict[bytes, int] = {}
 
-    def admit(table, witness, depth) -> bool:
+    def admit(table, depth, witness) -> bool:
+        """Add a new table; witness() builds its term only then."""
         key = table.tobytes()
         if key in index:
             return False
-        e = TermTable(len(elements), table, witness, depth)
+        e = TermTable(len(elements), table, witness(), depth)
         index[key] = e.id
         elements.append(e)
         return True
 
     for j, tab in enumerate(_projection_tables(n, k, dtype)):
-        admit(tab, Var(j), 0)
+        admit(tab, 0, lambda j=j: Var(j))
     ops = sorted(alg.ops, key=lambda o: o.name)
     op_tabs = {o.name: np.asarray(o.table, dtype=dtype) for o in ops}
 
@@ -113,9 +123,8 @@ def generate_clone(
         for op in ops:
             r = op.arity
             if r == 0:
-                value = op.table[0]
-                tab = np.full(span, value, dtype=dtype)
-                grew |= admit(tab, App(op.name, ()), depth)
+                tab = np.full(span, op.table[0], dtype=dtype)
+                grew |= admit(tab, depth, lambda: App(op.name, ()))
                 continue
             otab = op_tabs[op.name]
             batch: list[tuple] = []
@@ -125,18 +134,11 @@ def generate_clone(
                 if not batch:
                     return
                 ids = np.array(batch, dtype=np.intp)
-                flat = tm[ids[:, 0]].astype(np.intp, copy=True)
-                for col in range(1, r):
-                    flat *= n
-                    flat += tm[ids[:, col]]
-                out = otab[flat]
+                out = apply_table(otab, n, (tm[ids[:, col]] for col in range(r)))
                 for row, combo in zip(out, batch):
-                    if admit(
-                        np.ascontiguousarray(row),
-                        App(op.name, tuple(elements[i].witness for i in combo)),
-                        depth,
-                    ):
-                        grew = True
+                    grew |= admit(
+                        row, depth, lambda: App(op.name, tuple(elements[i].witness for i in combo))
+                    )
                 batch.clear()
 
             for combo in product(range(total), repeat=r):
@@ -176,15 +178,15 @@ def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
             continue
         otab = np.asarray(op.table, dtype=tm.dtype)
         table = []
-        for combo in product(range(m), repeat=r):
-            flat = tm[combo[0]].astype(np.intp, copy=True)
-            for col in range(1, r):
-                flat *= n
-                flat += tm[combo[col]]
-            target = clone.find(otab[flat])
-            if target is None:
-                raise CapExceeded("clone is not closed (generation was capped)")
-            table.append(target)
+        # the id tuples in lexicographic order, _CHUNK at a time
+        for start in range(0, m**r, _CHUNK):
+            combos = np.unravel_index(np.arange(start, min(start + _CHUNK, m**r)), (m,) * r)
+            out = apply_table(otab, n, (tm[ids] for ids in combos))
+            for row in out:
+                target = clone.find(row)
+                if target is None:
+                    raise CapExceeded("clone is not closed (generation was capped)")
+                table.append(target)
         ops.append(Operation(op.name, r, tuple(table)))
     name = f"F({clone.algebra.name or 'A'},{clone.arity})"
     return FiniteAlgebra(m, ops, name=name)
@@ -226,25 +228,24 @@ def free_relations(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FreeRelations:
 
 def table_of_term(alg: FiniteAlgebra, t: Term, k: int) -> np.ndarray:
     """Vectorized k-ary table of a term (last argument varies fastest)."""
-    n = alg.size
-    dtype = np.min_scalar_type(n - 1)
-    projs = _projection_tables(n, k, dtype)
+    dtype = np.min_scalar_type(alg.size - 1)
+    return _term_table(alg, t, _projection_tables(alg.size, k, dtype), dtype)
 
-    def rec(t):
-        if isinstance(t, Var):
-            if t.index >= k:
-                raise ValueError(f"term variable index {t.index} outside arity {k}")
-            return projs[t.index]
-        otab = np.asarray(alg.op(t.op).table, dtype=dtype)
-        if not t.args:
-            return np.full(n**k, otab[0], dtype=dtype)
-        flat = rec(t.args[0]).astype(np.intp, copy=True)
-        for a in t.args[1:]:
-            flat *= n
-            flat += rec(a)
-        return otab[flat]
 
-    return rec(t)
+def _term_table(alg: FiniteAlgebra, t: Term, projs: list, dtype) -> np.ndarray:
+    # recursion at module level: a nested recursive function would hold the
+    # projection tables in a reference cycle after every call
+    if isinstance(t, Var):
+        if t.index >= len(projs):
+            raise ValueError(f"term variable index {t.index} outside arity {len(projs)}")
+        return projs[t.index]
+    op = alg.op(t.op)
+    if len(t.args) != op.arity:
+        raise ValueError(f"operation {t.op!r} has arity {op.arity}, got {len(t.args)} args")
+    otab = np.asarray(op.table, dtype=dtype)
+    if not t.args:
+        return np.full(alg.size ** len(projs), otab[0], dtype=dtype)
+    return apply_table(otab, alg.size, [_term_table(alg, a, projs, dtype) for a in t.args])
 
 
 def identity_holds(alg: FiniteAlgebra, lhs: Term, rhs: Term, pattern: str) -> bool:
@@ -256,30 +257,15 @@ def identity_holds(alg: FiniteAlgebra, lhs: Term, rhs: Term, pattern: str) -> bo
     k = len(pattern)
     if k == 0:
         raise ValueError("empty substitution pattern")
-    n = alg.size
-    lt = table_of_term(alg, lhs, k)
-    rt = table_of_term(alg, rhs, k)
-    grid = np.indices((n,) * k).reshape(k, -1)
-    ok = np.ones(n**k, dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pattern[i] == pattern[j]:
-                ok &= grid[i] == grid[j]
-    return bool(np.array_equal(lt[ok], rt[ok]))
+    cells = pattern_cells(alg.size, pattern)
+    return bool(np.array_equal(table_of_term(alg, lhs, k)[cells], table_of_term(alg, rhs, k)[cells]))
 
 
 def restrict_table(table: np.ndarray, n: int, k: int, slot: int) -> np.ndarray:
     """Identify the last argument with argument `slot`: a (k-1)-ary table."""
     if not 0 <= slot < k - 1:
         raise ValueError("slot must name one of the first k-1 arguments")
-    grid = np.indices((n,) * (k - 1)).reshape(k - 1, -1)
-    flat = grid[0].astype(np.intp, copy=True)
-    for j in range(1, k - 1):
-        flat *= n
-        flat += grid[j]
-    flat *= n
-    flat += grid[slot]
-    return np.ascontiguousarray(np.asarray(table)[flat])
+    return np.asarray(table)[pattern_cells(n, [*range(k - 1), slot])]
 
 
 def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, int]]:
@@ -292,16 +278,14 @@ def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, i
     if clone4.arity != 4 or clone3.arity != 3:
         raise ValueError("expected a 4-ary and a 3-ary clone")
     n = clone4.algebra.size
-    out = []
-    for e in clone4.elements:
-        ids = []
-        for slot in range(3):
-            rid = clone3.find(restrict_table(e.table, n, 4, slot))
-            if rid is None:
-                raise CapExceeded("restricted table missing from 3-ary clone")
-            ids.append(rid)
-        out.append(tuple(ids))
-    return out
+    tm4 = clone4.matrix()
+    columns = []
+    for pattern in ("abca", "abcb", "abcc"):
+        ids = [clone3.find(row) for row in tm4[:, pattern_cells(n, pattern)]]
+        if None in ids:
+            raise CapExceeded("restricted table missing from 3-ary clone")
+        columns.append(ids)
+    return list(zip(*columns))
 
 
 def principal_sigma_4ary(clone4: Clone, clone3: Clone) -> BinRel:

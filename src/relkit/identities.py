@@ -242,7 +242,7 @@ class IdentitySpec:
 # evaluation
 
 
-def class_member(alg: FiniteAlgebra, cls: RelClass, value, caps: Caps = DEFAULT_CAPS) -> bool:
+def class_member(alg: FiniteAlgebra, cls: RelClass, value) -> bool:
     if cls in _PLAIN:
         if not isinstance(value, BinRel):
             return False
@@ -261,7 +261,7 @@ def class_member(alg: FiniteAlgebra, cls: RelClass, value, caps: Caps = DEFAULT_
     return all(is_reflexive_admissible(alg, c) for c in comps)
 
 
-def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict, caps: Caps = DEFAULT_CAPS) -> BinRel:
+def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict) -> BinRel:
     """The value of e as a plain relation.
 
     A variable bound to a family evaluates to its union view: every operator
@@ -276,17 +276,17 @@ def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict, caps: Caps = DEFAULT_CA
     if isinstance(e, RConst):
         return BinRel.diagonal(alg.size) if e.which == "id" else BinRel.full(alg.size)
     if isinstance(e, Conv):
-        return converse(eval_expr(alg, e.arg, env, caps))
+        return converse(eval_expr(alg, e.arg, env))
     if isinstance(e, Star):
-        return transitive_closure(eval_expr(alg, e.arg, env, caps))
+        return transitive_closure(eval_expr(alg, e.arg, env))
     if isinstance(e, BarOp):
-        return admissible_closure(alg, eval_expr(alg, e.arg, env, caps))
+        return admissible_closure(alg, eval_expr(alg, e.arg, env))
     if isinstance(e, Pow):
-        return rel_power(eval_expr(alg, e.arg, env, caps), e.h)
+        return rel_power(eval_expr(alg, e.arg, env), e.h)
     if isinstance(e, (AltR, AltL)):
-        return eval_expr(alg, desugar(e), env, caps)
-    l = eval_expr(alg, e.left, env, caps)
-    r = eval_expr(alg, e.right, env, caps)
+        return eval_expr(alg, desugar(e), env)
+    l = eval_expr(alg, e.left, env)
+    r = eval_expr(alg, e.right, env)
     if isinstance(e, Inter):
         return intersect(l, r)
     if isinstance(e, UnionOp):
@@ -296,10 +296,10 @@ def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict, caps: Caps = DEFAULT_CA
     raise TypeError(f"not a relation expression: {e!r}")
 
 
-def evaluate(alg: FiniteAlgebra, spec: IdentitySpec, assignment: dict, caps: Caps = DEFAULT_CAPS):
+def evaluate(alg: FiniteAlgebra, spec: IdentitySpec, assignment: dict):
     """Returns (lhs, rhs, satisfied)."""
-    lhs = eval_expr(alg, spec.lhs, assignment, caps)
-    rhs = eval_expr(alg, spec.rhs, assignment, caps)
+    lhs = eval_expr(alg, spec.lhs, assignment)
+    rhs = eval_expr(alg, spec.rhs, assignment)
     if spec.mode == "inclusion":
         sat = lhs.mask | rhs.mask == rhs.mask
     else:
@@ -376,11 +376,11 @@ def candidate_pool(alg, cls: RelClass, caps: Caps):
     return list(res), res.exhaustive
 
 
-def _scan(alg, spec, names, pools, caps, start, stop):
+def _scan(alg, spec, names, pools, start, stop):
     """Scan assignments with outermost index in [start, stop); first violation."""
     for values in product(pools[0][start:stop], *pools[1:]):
         env = dict(zip(names, values))
-        lhs, rhs, sat = evaluate(alg, spec, env, caps)
+        lhs, rhs, sat = evaluate(alg, spec, env)
         if not sat:
             return env, violation_pair(lhs, rhs, spec.mode)
     return None
@@ -388,7 +388,7 @@ def _scan(alg, spec, names, pools, caps, start, stop):
 
 def _scan_job(args):
     """(start, first violation) of one chunk of the outermost pool."""
-    return args[5], _scan(*args)
+    return args[4], _scan(*args)
 
 
 def check_for_all(
@@ -431,7 +431,7 @@ def check_for_all(
     if jobs > 1 and len(pools[0]) > 1:
         chunk = max(1, -(-len(pools[0]) // jobs))
         tasks = [
-            (alg, spec, names, pools, caps, s, min(s + chunk, len(pools[0])))
+            (alg, spec, names, pools, s, min(s + chunk, len(pools[0])))
             for s in range(0, len(pools[0]), chunk)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as ex_:
@@ -439,7 +439,7 @@ def check_for_all(
         if results:
             hit = min(results)[1]
     else:
-        hit = _scan(alg, spec, names, pools, caps, 0, len(pools[0]))
+        hit = _scan(alg, spec, names, pools, 0, len(pools[0]))
 
     coverage = "exhaustive" if exhaustive else "truncated"
     if hit:
@@ -478,7 +478,7 @@ def _check_sampled(alg, spec, classes, caps, samples, seed):
     names = [v for v, _ in spec.variables]
     for _ in range(samples):
         env = {v: _random_value(alg, classes[v], caps, rng) for v in names}
-        lhs, rhs, sat = evaluate(alg, spec, env, caps)
+        lhs, rhs, sat = evaluate(alg, spec, env)
         if not sat:
             cex = {"assignment": env, "pair": violation_pair(lhs, rhs, spec.mode)}
             return Verdict(False, "truncated", cex, note=f"sampled({samples},{seed})")
@@ -592,7 +592,7 @@ def _check_principal(alg, spec, classes, caps):
                 options = [minimal(v, tuple(per_var[v])) for v in names]
                 for values in product(*options):
                     env = dict(zip(names, values))
-                    if not evaluate(alg, spec, env, caps)[2]:
+                    if not evaluate(alg, spec, env)[2]:
                         return Verdict(
                             False, "exhaustive", {"assignment": env, "pair": (a, c)}
                         )
@@ -644,7 +644,7 @@ def free_seed_verdict(
 ) -> bool:
     """Whether (x,z) lands in the right side under the generic seed assignment."""
     assignment = free_seed_assignment(free_alg, spec, generators, narrow, caps)
-    rhs = eval_expr(free_alg, spec.rhs, assignment, caps)
+    rhs = eval_expr(free_alg, spec.rhs, assignment)
     return rhs.contains(generators[0], generators[2])
 
 

@@ -8,14 +8,13 @@ generation reached its fixpoint under the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
 import numpy as np
 
-from .algebra import App, FiniteAlgebra, Term, Var
+from .algebra import App, FiniteAlgebra, Term, Var, pattern_cells
 from .caps import DEFAULT_CAPS, Caps
 from .freeclone import (
-    Clone,
     free_relations,
     generate_clone,
     identity_holds,
@@ -54,6 +53,104 @@ def subst_vars(t: Term, mapping: dict) -> Term:
     return App(t.op, tuple(subst_vars(a, mapping) for a in t.args))
 
 
+def _identify(t: Term, pattern: str) -> Term:
+    """t with its arguments identified as in pattern; the letters a, b, c, d
+    name x, y, z, w ("acc" gives t(x,z,z))."""
+    return subst_vars(t, {i: ord(c) - ord("a") for i, c in enumerate(pattern)})
+
+
+# A condition (pattern, j) says that a term, restricted to the tuples that
+# match pattern, equals projection j.
+_SINGLE = {  # schema -> (role, conditions)
+    "Majority": ("m", (("aab", 0), ("aba", 0), ("abb", 1))),
+    "Pixley": ("p", (("abb", 0), ("aba", 0), ("aab", 2))),
+}
+_MIDDLE = ("aba", 0)  # every rung of a Jonsson ladder
+# schema -> (length param, links): step i joins j_i and j_{i+1} by
+# j_i|out = j_{i+1}|in with (out, in) = links[i % len(links)]
+_LADDERS = {
+    "Jonsson": ("k", (("aac", "aac"), ("acc", "acc"))),
+    "DirectedJonsson": ("n", (("acc", "aac"),)),
+}
+_W_SLOT = {1: 0, 2: 1}  # MalF: w_1 = x, w_2 = y
+_WP_SLOT = {1: 1, 2: 2}  # w'_1 = y, w'_2 = z
+_MAL_SIDE = {1: ("abab", 0), 2: ("abac", 0)}  # s_{i+1}(x,y,x,w'_{f(i)}) = x
+
+
+def _satisfies(tm: np.ndarray, n: int, conditions) -> np.ndarray:
+    """Which rows of a clone matrix meet every (pattern, j) condition; row j
+    of the matrix is projection j."""
+    ok = np.ones(len(tm), dtype=bool)
+    for pattern, j in conditions:
+        cells = pattern_cells(n, pattern)
+        ok &= np.all(tm[:, cells] == tm[j, cells], axis=1)
+    return ok
+
+
+def _roles(terms: dict, names) -> list:
+    """The terms of the given names, in their order; any other set of names
+    is an error.  names may be lazy: a bound read from a report is not
+    trusted to be small."""
+    names = list(islice(names, len(terms) + 1))
+    if sorted(terms) != sorted(names):
+        raise ValueError(f"expected the terms {', '.join(names)}, got {', '.join(terms)}")
+    return [terms[name] for name in names]
+
+
+def schema_equations(schema: str, params: dict, terms: dict) -> list:
+    """The defining equations of a term system, as (lhs, rhs, pattern)
+    triples, from its terms and parameters."""
+    if schema in _SINGLE:
+        role, conditions = _SINGLE[schema]
+        (t,) = _roles(terms, [role])
+        return [(t, Var(j), pattern) for pattern, j in conditions]
+    if schema in _LADDERS:
+        key, links = _LADDERS[schema]
+        rungs = _roles(terms, (f"j{i}" for i in range(params[key] + 1)))
+        eqs = [(rungs[0], Var(0), "abc"), (rungs[-1], Var(2), "abc")]
+        pattern, j = _MIDDLE
+        eqs += [(t, Var(j), pattern) for t in rungs]
+        for i in range(len(rungs) - 1):
+            out, into = links[i % len(links)]
+            eqs.append((_identify(rungs[i], out), _identify(rungs[i + 1], into), "abc"))
+        return eqs
+    h = params["h"]
+    if schema == "VR":
+        names = chain((f"t{i}" for i in range(h + 1)), (f"{r}{i}" for i in range(h) for r in "us"))
+        t = _roles(terms, names)[: h + 1]
+        eqs = [(t[0], Var(0), "abc"), (t[h], Var(2), "abc")]
+        for i in range(h):
+            u, s = terms[f"u{i}"], terms[f"s{i}"]
+            # u links t_i to t_{i+1} through (x, z), s through (x, y) or (y, z)
+            lo, hi = (0, 1) if i % 2 == 0 else (1, 2)
+            eqs.append((t[i], subst_vars(u, {3: 0}), "abc"))
+            eqs.append((subst_vars(u, {3: 2}), t[i + 1], "abc"))
+            eqs.append((t[i], subst_vars(s, {3: lo}), "abc"))
+            eqs.append((subst_vars(s, {3: hi}), t[i + 1], "abc"))
+        return eqs
+    if schema == "MalF":
+        f = tuple(params["f"])
+        if len(f) != h or not set(f) <= {1, 2}:
+            raise ValueError(f"MalF needs f in {{1,2}}^{h}, got {list(f)}")
+        s = _roles(terms, (f"s{i}" for i in range(h)))
+        eqs = [
+            (subst_vars(s[0], {3: _W_SLOT[f[0]]}), Var(0), "abc"),
+            (subst_vars(s[-1], {3: _WP_SLOT[f[-1]]}), Var(2), "abc"),
+        ]
+        for i in range(h - 1):
+            eqs.append(
+                (
+                    subst_vars(s[i], {3: _WP_SLOT[f[i]]}),
+                    subst_vars(s[i + 1], {3: _W_SLOT[f[i + 1]]}),
+                    "abc",
+                )
+            )
+            pattern, j = _MAL_SIDE[f[i]]
+            eqs.append((_identify(s[i + 1], pattern), Var(j), "abc"))
+        return eqs
+    raise ValueError(f"unknown term schema {schema!r}")
+
+
 @dataclass
 class TermSystem:
     schema: str
@@ -62,7 +159,10 @@ class TermSystem:
     equations: list  # (lhs Term, rhs Term, pattern) triples
 
     def check(self, alg: FiniteAlgebra) -> bool:
-        return all(identity_holds(alg, l, r, p) for l, r, p in self.equations)
+        """The equations are the schema's for these terms, and they hold."""
+        return self.equations == schema_equations(self.schema, self.params, self.terms) and all(
+            identity_holds(alg, l, r, p) for l, r, p in self.equations
+        )
 
     def report_form(self) -> dict:
         return {
@@ -73,6 +173,10 @@ class TermSystem:
                 {"lhs": str(l), "rhs": str(r), "pattern": p} for l, r, p in self.equations
             ],
         }
+
+
+def _system(schema: str, params: dict, terms: dict) -> TermSystem:
+    return TermSystem(schema, params, terms, schema_equations(schema, params, terms))
 
 
 @dataclass
@@ -94,52 +198,28 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Jonsson ladders
+# single terms and Jonsson ladders
 
 
-def _flat(n: int, *coords):
-    idx = coords[0]
-    for c in coords[1:]:
-        idx = idx * n + c
-    return idx
+def _find_single(alg: FiniteAlgebra, schema: str, caps: Caps) -> SearchResult:
+    """First clone element meeting the schema's conditions."""
+    clone = generate_clone(alg, 3, caps=caps)
+    role, conditions = _SINGLE[schema]
+    hits = np.flatnonzero(_satisfies(clone.matrix(), alg.size, conditions))
+    if len(hits) == 0:
+        return SearchResult(False, None, 0, clone.complete)
+    system = _system(schema, {}, {role: clone.witness(int(hits[0]))})
+    return SearchResult(True, system, 0, clone.complete)
 
 
-def _pair_grid(n: int):
-    a, b = np.indices((n, n))
-    return a.reshape(-1), b.reshape(-1)
+def find_majority(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> SearchResult:
+    """First clone element with m(x,x,y)=m(x,y,x)=m(y,x,x)=x."""
+    return _find_single(alg, "Majority", caps)
 
 
-def _middle_keys(clone: Clone):
-    """Restriction tables (a,b,a), (a,a,c), (a,c,c) for each element."""
-    n = clone.algebra.size
-    a, b = _pair_grid(n)
-    tm = clone.matrix()
-    aba = tm[:, _flat(n, a, b, a)]
-    aac = tm[:, _flat(n, a, a, b)]
-    acc = tm[:, _flat(n, a, b, b)]
-    idempotent_mid = np.all(aba == a, axis=1)  # J2 nodes
-    return idempotent_mid, aac, acc
-
-
-def _ladder_system(schema, clone, path, equations, params):
-    terms = {f"j{i}": clone.witness(e) for i, e in enumerate(path)}
-    return TermSystem(schema, params, terms, equations)
-
-
-def _jonsson_equations(clone, path, directed: bool):
-    eqs = [(clone.witness(path[0]), Var(0), "abc"), (clone.witness(path[-1]), Var(2), "abc")]
-    for e in path:
-        eqs.append((clone.witness(e), Var(0), "aba"))
-    for i in range(len(path) - 1):
-        ti, tn = clone.witness(path[i]), clone.witness(path[i + 1])
-        if directed:
-            # j_i(x,z,z) = j_{i+1}(x,x,z)
-            eqs.append((subst_vars(ti, {1: 2}), subst_vars(tn, {1: 0}), "abc"))
-        elif i % 2 == 0:
-            eqs.append((subst_vars(ti, {1: 0}), subst_vars(tn, {1: 0}), "abc"))
-        else:
-            eqs.append((subst_vars(ti, {1: 2}), subst_vars(tn, {1: 2}), "abc"))
-    return eqs
+def find_pixley(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> SearchResult:
+    """First clone element with p(x,y,y)=x, p(x,y,x)=x, p(x,x,y)=y."""
+    return _find_single(alg, "Pixley", caps)
 
 
 def _bfs_path(start, is_goal, neighbors):
@@ -163,126 +243,50 @@ def _bfs_path(start, is_goal, neighbors):
     return None
 
 
-def find_jonsson(alg: FiniteAlgebra, max_k: int = 8, caps: Caps = DEFAULT_CAPS) -> SearchResult:
-    """Shortest ladder j_0..j_k with j_0=x, j_k=z, j_i(x,y,x)=x and the
-    even/odd middle-variable agreements; absence conclusive on a closed clone."""
+def _find_ladder(alg: FiniteAlgebra, schema: str, bound: int, caps: Caps) -> SearchResult:
+    """Shortest ladder j_0 = x, ..., j_k = z of rungs with j_i(x,y,x) = x,
+    consecutive rungs linked as the schema's links say."""
     clone = generate_clone(alg, 3, caps=caps)
-    mid_ok, aac, acc = _middle_keys(clone)
-    nodes = [i for i in range(len(clone)) if mid_ok[i]]
-    by_aac: dict[bytes, list[int]] = {}
-    by_acc: dict[bytes, list[int]] = {}
-    for i in nodes:
-        by_aac.setdefault(aac[i].tobytes(), []).append(i)
-        by_acc.setdefault(acc[i].tobytes(), []).append(i)
-
+    key, links = _LADDERS[schema]
+    n = alg.size
+    tm = clone.matrix()
+    mid_ok = _satisfies(tm, n, [_MIDDLE])
     x_id, z_id = 0, 2
     if not (mid_ok[x_id] and mid_ok[z_id]):
-        return SearchResult(False, None, max_k, clone.complete)
+        return SearchResult(False, None, bound, clone.complete)
+    restricted = {p: tm[:, pattern_cells(n, p)] for link in links for p in link}
+    by_in = {into: {} for _, into in links}
+    for i in np.flatnonzero(mid_ok).tolist():
+        for into, bucket in by_in.items():
+            bucket.setdefault(restricted[into][i].tobytes(), []).append(i)
 
     def neighbors(state):
-        node, parity = state
-        # position i even: agree on (a,a,c); odd: agree on (a,c,c)
-        bucket = (
-            by_aac.get(aac[node].tobytes(), [])
-            if parity == 0
-            else by_acc.get(acc[node].tobytes(), [])
-        )
-        return [(v, 1 - parity) for v in bucket]
+        node, step = state
+        out, into = links[step]
+        nxt = (step + 1) % len(links)
+        return [(v, nxt) for v in by_in[into].get(restricted[out][node].tobytes(), [])]
 
     spath = _bfs_path((x_id, 0), lambda s: s[0] == z_id, neighbors)
     if spath is None:
-        return SearchResult(False, None, max_k, clone.complete)
-    path = [s[0] for s in spath]
-    k = len(path) - 1
-    if k > max_k:
-        return SearchResult(False, None, max_k, clone.complete, shortest=k)
-    system = _ladder_system(
-        "Jonsson", clone, path, _jonsson_equations(clone, path, directed=False), {"k": k}
-    )
-    return SearchResult(True, system, max_k, clone.complete, shortest=k)
+        return SearchResult(False, None, bound, clone.complete)
+    k = len(spath) - 1
+    if k > bound:
+        return SearchResult(False, None, bound, clone.complete, shortest=k)
+    terms = {f"j{i}": clone.witness(s[0]) for i, s in enumerate(spath)}
+    return SearchResult(True, _system(schema, {key: k}, terms), bound, clone.complete, shortest=k)
+
+
+def find_jonsson(alg: FiniteAlgebra, max_k: int = 8, caps: Caps = DEFAULT_CAPS) -> SearchResult:
+    """Shortest ladder j_0..j_k with j_0=x, j_k=z, j_i(x,y,x)=x and the
+    even/odd middle-variable agreements; absence conclusive on a closed clone."""
+    return _find_ladder(alg, "Jonsson", max_k, caps)
 
 
 def find_directed_jonsson(
     alg: FiniteAlgebra, max_n: int = 8, caps: Caps = DEFAULT_CAPS
 ) -> SearchResult:
     """Ladder under j_i(x,z,z) = j_{i+1}(x,x,z) instead of the parity split."""
-    clone = generate_clone(alg, 3, caps=caps)
-    mid_ok, aac, acc = _middle_keys(clone)
-    nodes = [i for i in range(len(clone)) if mid_ok[i]]
-    by_aac: dict[bytes, list[int]] = {}
-    for i in nodes:
-        by_aac.setdefault(aac[i].tobytes(), []).append(i)
-
-    x_id, z_id = 0, 2
-    if not (mid_ok[x_id] and mid_ok[z_id]):
-        return SearchResult(False, None, max_n, clone.complete)
-
-    def neighbors(node):
-        # u steps to v when u's (a,c,c) restriction equals v's (a,a,c) one
-        return by_aac.get(acc[node].tobytes(), [])
-
-    path = _bfs_path(x_id, lambda s: s == z_id, neighbors)
-    if path is None:
-        return SearchResult(False, None, max_n, clone.complete)
-    n_steps = len(path) - 1
-    if n_steps > max_n:
-        return SearchResult(False, None, max_n, clone.complete, shortest=n_steps)
-    system = _ladder_system(
-        "DirectedJonsson",
-        clone,
-        path,
-        _jonsson_equations(clone, path, directed=True),
-        {"n": n_steps},
-    )
-    return SearchResult(True, system, max_n, clone.complete, shortest=n_steps)
-
-
-def find_majority(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> SearchResult:
-    """First clone element with m(x,x,y)=m(x,y,x)=m(y,x,x)=x."""
-    clone = generate_clone(alg, 3, caps=caps)
-    n = alg.size
-    a, b = _pair_grid(n)
-    tm = clone.matrix()
-    ok = (
-        np.all(tm[:, _flat(n, a, a, b)] == a, axis=1)
-        & np.all(tm[:, _flat(n, a, b, a)] == a, axis=1)
-        & np.all(tm[:, _flat(n, b, a, a)] == a, axis=1)
-    )
-    hits = np.flatnonzero(ok)
-    if len(hits) == 0:
-        return SearchResult(False, None, 0, clone.complete)
-    m = clone.witness(int(hits[0]))
-    system = TermSystem(
-        "Majority",
-        {},
-        {"m": m},
-        [(m, Var(0), "aab"), (m, Var(0), "aba"), (m, Var(1), "abb")],
-    )
-    return SearchResult(True, system, 0, clone.complete)
-
-
-def find_pixley(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> SearchResult:
-    """First clone element with p(x,y,y)=x, p(x,y,x)=x, p(x,x,y)=y."""
-    clone = generate_clone(alg, 3, caps=caps)
-    n = alg.size
-    a, b = _pair_grid(n)
-    tm = clone.matrix()
-    ok = (
-        np.all(tm[:, _flat(n, a, b, b)] == a, axis=1)
-        & np.all(tm[:, _flat(n, a, b, a)] == a, axis=1)
-        & np.all(tm[:, _flat(n, a, a, b)] == b, axis=1)
-    )
-    hits = np.flatnonzero(ok)
-    if len(hits) == 0:
-        return SearchResult(False, None, 0, clone.complete)
-    p = clone.witness(int(hits[0]))
-    system = TermSystem(
-        "Pixley",
-        {},
-        {"p": p},
-        [(p, Var(0), "abb"), (p, Var(0), "aba"), (p, Var(1), "aab")],
-    )
-    return SearchResult(True, system, 0, clone.complete)
+    return _find_ladder(alg, "DirectedJonsson", max_n, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -352,35 +356,12 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
         tau_wit.setdefault((ax, ay), uid)
         ups_wit.setdefault((ay, az), uid)
 
-    terms = {}
-    equations = [
-        (clone3.witness(path[0]), Var(0), "abc"),
-        (clone3.witness(path[-1]), Var(2), "abc"),
-    ]
-    for i, e in enumerate(path):
-        terms[f"t{i}"] = clone3.witness(e)
+    terms = {f"t{i}": clone3.witness(e) for i, e in enumerate(path)}
     for i in range(h):
         step = (path[i], path[i + 1])
-        u = clone4.witness(sig_wit[step])
-        terms[f"u{i}"] = u
-        ti, tn = clone3.witness(path[i]), clone3.witness(path[i + 1])
-        equations.append((ti, subst_vars(u, {3: 0}), "abc"))
-        equations.append((subst_vars(u, {3: 2}), tn, "abc"))
-        if i % 2 == 0:
-            s = clone4.witness(tau_wit[step])
-            equations.append((ti, subst_vars(s, {3: 0}), "abc"))
-            equations.append((subst_vars(s, {3: 1}), tn, "abc"))
-        else:
-            s = clone4.witness(ups_wit[step])
-            equations.append((ti, subst_vars(s, {3: 1}), "abc"))
-            equations.append((subst_vars(s, {3: 2}), tn, "abc"))
-        terms[f"s{i}"] = s
-    system = TermSystem("VR", {"h": h}, terms, equations)
-    return SearchResult(True, system, h, conclusive, shortest=len(path) - 1)
-
-
-_W_SLOT = {1: 0, 2: 1}  # w_1 = x, w_2 = y
-_WP_SLOT = {1: 1, 2: 2}  # w'_1 = y, w'_2 = z
+        terms[f"u{i}"] = clone4.witness(sig_wit[step])
+        terms[f"s{i}"] = clone4.witness((tau_wit if i % 2 == 0 else ups_wit)[step])
+    return SearchResult(True, _system("VR", {"h": h}, terms), h, conclusive, shortest=len(path) - 1)
 
 
 def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
@@ -394,16 +375,9 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
     conclusive = clone3.complete and clone4.complete
     if not (clone3.complete and clone4.complete):
         return SearchResult(False, None, h, False)
-    n = alg.size
     slots = slot_identifications(clone4, clone3)
-
-    # side-condition flags: u(a,b,a,b) = a and u(a,b,a,c) = a
-    a, b = _pair_grid(n)
     tm4 = clone4.matrix()
-    p_y = np.all(tm4[:, _flat(n, a, b, a, b)] == a, axis=1)
-    g = np.indices((n, n, n)).reshape(3, -1)
-    p_z = np.all(tm4[:, _flat(n, g[0], g[1], g[0], g[2])] == g[0], axis=1)
-    side_ok = {1: p_y, 2: p_z}
+    side_ok = {v: _satisfies(tm4, alg.size, [cond]) for v, cond in _MAL_SIDE.items()}
 
     # transitions[v]: start id -> [(element id, end id)] sorted
     transitions: dict[int, dict[int, list]] = {1: {}, 2: {}}
@@ -439,24 +413,8 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
             chain.append(uid)
             node = prev
         chain.reverse()
-        s_terms = [clone4.witness(u) for u in chain]
-        equations = [
-            (subst_vars(s_terms[0], {3: _W_SLOT[f[0]]}), Var(0), "abc"),
-            (subst_vars(s_terms[-1], {3: _WP_SLOT[f[-1]]}), Var(2), "abc"),
-        ]
-        for i in range(h - 1):
-            equations.append(
-                (
-                    subst_vars(s_terms[i], {3: _WP_SLOT[f[i]]}),
-                    subst_vars(s_terms[i + 1], {3: _W_SLOT[f[i + 1]]}),
-                    "abc",
-                )
-            )
-            extra_map = {2: 0, 3: _WP_SLOT[f[i]]}
-            equations.append((subst_vars(s_terms[i + 1], extra_map), Var(0), "abc"))
-        terms = {f"s{i}": t for i, t in enumerate(s_terms)}
-        system = TermSystem("MalF", {"h": h, "f": f}, terms, equations)
-        return SearchResult(True, system, h, conclusive)
+        terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(chain)}
+        return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, conclusive)
     return SearchResult(False, None, h, conclusive)
 
 

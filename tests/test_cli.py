@@ -293,3 +293,54 @@ def test_verify_malformed_free_algebra_report_fails(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 1 and err.startswith("verify: FAIL:") and "Traceback" not in err
+
+
+def _tampered_terms_report(tmp_path, capsys, argv, tamper):
+    rpt = tmp_path / "terms.json"
+    assert run(capsys, "find-terms", *argv, "--out", str(rpt))[0] == 0
+    assert run(capsys, "verify", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    tamper(data["result"]["system"])
+    bad = tmp_path / "terms_tampered.json"
+    bad.write_text(json.dumps(data))
+    return run(capsys, "verify", str(bad))
+
+
+def test_verify_terms_report_without_equations_fails(tmp_path, capsys):
+    def empty(system):
+        system["equations"] = []
+
+    code, _, err = _tampered_terms_report(tmp_path, capsys, ["lattice2", "jonsson"], empty)
+    assert code == 1 and err.startswith("verify: FAIL:")
+
+
+def test_verify_terms_report_with_replaced_term_fails(tmp_path, capsys):
+    def replace(system):
+        system["terms"]["j1"] = "x"
+
+    code, _, err = _tampered_terms_report(tmp_path, capsys, ["lattice2", "jonsson"], replace)
+    assert code == 1 and err.startswith("verify: FAIL:")
+
+
+def test_verify_terms_report_with_wrong_bound_fails(tmp_path, capsys):
+    for k in (3, 10**12):  # the names j0..jk are never built for a huge k
+
+        def rebound(system):
+            system["params"]["k"] = k
+
+        code, _, err = _tampered_terms_report(tmp_path, capsys, ["lattice2", "jonsson"], rebound)
+        assert code == 1 and err.startswith("verify: FAIL:")
+
+
+def test_verify_rejects_operation_arity_mismatch(tmp_path, capsys):
+    # join(t) read as a unary lookup of the binary join table is t itself on
+    # lattice2, so only the arity check stops this certificate
+    def wrap(system):
+        m = system["terms"]["m"]
+        system["terms"]["m"] = f"join({m})"
+        for eq in system["equations"]:
+            assert eq["lhs"] == m
+            eq["lhs"] = f"join({m})"
+
+    code, _, err = _tampered_terms_report(tmp_path, capsys, ["lattice2", "majority"], wrap)
+    assert code == 1 and err.startswith("verify: FAIL:") and "arity" in err

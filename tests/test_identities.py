@@ -55,7 +55,7 @@ from relkit.uadmissible import (
 )
 
 
-def family_eval_expr(alg, e, env, caps=DEFAULT_CAPS):
+def family_eval_expr(alg, e, env):
     """Reference evaluator that keeps families as values: every operator on a
     family acts componentwise and returns a family (a UAdmRel), so a family
     stays visible up to the root.  eval_expr must equal its union view."""
@@ -64,26 +64,26 @@ def family_eval_expr(alg, e, env, caps=DEFAULT_CAPS):
     if isinstance(e, RConst):
         return BinRel.diagonal(alg.size) if e.which == "id" else BinRel.full(alg.size)
     if isinstance(e, Conv):
-        v = family_eval_expr(alg, e.arg, env, caps)
+        v = family_eval_expr(alg, e.arg, env)
         return converse_u(v) if isinstance(v, UAdmRel) else converse(v)
     if isinstance(e, Star):
-        v = family_eval_expr(alg, e.arg, env, caps)
+        v = family_eval_expr(alg, e.arg, env)
         return transitive_closure_u(v) if isinstance(v, UAdmRel) else transitive_closure(v)
     if isinstance(e, BarOp):
-        v = family_eval_expr(alg, e.arg, env, caps)
+        v = family_eval_expr(alg, e.arg, env)
         if isinstance(v, UAdmRel):
             return bar_u(alg, v)
         return admissible_closure(alg, v)
     if isinstance(e, Pow):
-        v = family_eval_expr(alg, e.arg, env, caps)
+        v = family_eval_expr(alg, e.arg, env)
         out = v
         for _ in range(e.h - 1):
             out = compose_u(out, v) if isinstance(out, UAdmRel) else compose(out, v)
         return out
     if isinstance(e, (AltR, AltL)):
-        return family_eval_expr(alg, desugar(e), env, caps)
-    l = family_eval_expr(alg, e.left, env, caps)
-    r = family_eval_expr(alg, e.right, env, caps)
+        return family_eval_expr(alg, desugar(e), env)
+    l = family_eval_expr(alg, e.left, env)
+    r = family_eval_expr(alg, e.right, env)
     lu, ru = isinstance(l, UAdmRel), isinstance(r, UAdmRel)
     if isinstance(e, Inter):
         if lu and ru:

@@ -1,6 +1,6 @@
 import pytest
 
-from relkit.algebra import App, Var, parse_term
+from relkit.algebra import App, FiniteAlgebra, Var, parse_term
 from relkit.freeclone import clone_as_algebra, generate_clone, identity_holds
 from relkit.identities import UnsupportedError, builtin, check_for_all, free_seed_verdict
 from relkit.maltsev import (
@@ -88,6 +88,16 @@ def test_majority_and_pixley(lattice2):
         assert identity_holds(lattice2, m, rhs, pattern)
     res = find_pixley(lattice2)
     assert not res.found and res.conclusive
+
+
+def test_pixley_certificate_replays():
+    # the ternary discriminator on {0,1}: t(x,y,z) = z if x = y else x
+    table = [z if x == y else x for x in range(2) for y in range(2) for z in range(2)]
+    alg = FiniteAlgebra(2, [("t", 3, table)], name="discriminator")
+    res = find_pixley(alg)
+    assert res.found and res.conclusive and res.system.terms["p"] == parse_term("t(x,y,z)")
+    assert (res.system.terms["p"], Var(2), "aab") in res.system.equations
+    assert res.system.check(alg)
 
 
 def test_certificate_tamper_detected(lattice2):
