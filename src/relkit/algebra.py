@@ -184,14 +184,18 @@ def _flat_index(n: int, args):
             flat = np.array(a, dtype=np.intp)
         else:
             flat *= n
-            flat += a
+            if flat.shape == np.shape(a):
+                flat += a
+            else:
+                flat = flat + a
     return flat
 
 
 def apply_table(table: np.ndarray, n: int, args) -> np.ndarray:
-    """The r-ary table over {0..n-1} applied to r index arrays of one shape:
-    table[sum args[i] * n^(r-1-i)] elementwise (table[0] when r = 0).  args
-    may be a generator, so that one argument array is alive at a time."""
+    """The r-ary table over {0..n-1} applied to r index arrays that
+    broadcast together: table[sum args[i] * n^(r-1-i)] elementwise
+    (table[0] when r = 0).  args may be a generator, so that one argument
+    array is alive at a time."""
     flat = _flat_index(n, args)
     return table[0] if flat is None else table[flat]
 
@@ -203,6 +207,155 @@ def pattern_cells(n: int, pattern) -> np.ndarray:
     letters = list(dict.fromkeys(pattern))
     grid = np.indices((n,) * len(letters), dtype=np.intp).reshape(len(letters), -1)
     return _flat_index(n, [grid[letters.index(c)] for c in pattern])
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms
+#
+# An automorphism is fixed by its images of a generating set: every other
+# element e has a derivation e = f(args) from elements reached before it, so
+# its image is f(images of args).  The search assigns the generators' images
+# one at a time, extends the map along the derivations, and keeps a branch
+# only while the map is injective, keeps every element's invariant class,
+# fixes every constant and commutes with every operation on the subalgebra
+# mapped so far.  Pruning a backtrack search by invariants follows McKay and
+# Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60 (2014).
+
+# Candidate extensions (an image given to one element) allowed per n^2.
+# 64 n^2 exceeds the n! leaves of a search on n <= 6 elements, so small
+# algebras always get their whole group.
+_AUT_WORK = 64
+
+
+def _new_tuples(old: np.ndarray, new: np.ndarray, r: int):
+    """The r-tuples over old ∪ new that use an element of new, as r blocks
+    old^i x new x (old ∪ new)^(r-1-i) for i < r, each given by its r
+    factors."""
+    every = np.concatenate([old, new])
+    for i in range(r):
+        yield [old] * i + [new] + [every] * (r - 1 - i)
+
+
+def _derivations(alg: FiniteAlgebra) -> list:
+    """Semi-naive generation with derivations: a list of (generator, steps),
+    one per generator, each generator the least element not yet reached.
+    steps lists (element, op, args) in the order the closure after that
+    generator reaches the elements, args being reached before them.
+    Constants are not derived: they get generators like other elements."""
+    n = alg.size
+    ops = [op for op in alg.ops if op.arity > 0]
+    reached = np.zeros(n, dtype=bool)
+    levels = []
+    while not reached.all():
+        gen = int(np.argmin(reached))
+        old, new = np.flatnonzero(reached), np.array([gen])
+        reached[gen] = True
+        steps = []
+        while len(new):
+            fresh = []
+            for op in ops:
+                for factors in _new_tuples(old, new, op.arity):
+                    vals = apply_table(op.array(), n, np.ix_(*factors)).ravel()
+                    vals, first = np.unique(vals, return_index=True)
+                    for v, cell in zip(vals.tolist(), first.tolist()):
+                        if not reached[v]:
+                            reached[v] = True
+                            fresh.append(v)
+                            at = np.unravel_index(cell, [len(f) for f in factors])
+                            steps.append((v, op, tuple(int(f[i]) for f, i in zip(factors, at))))
+            old, new = np.concatenate([old, new]), np.array(fresh, dtype=np.intp)
+        levels.append((gen, steps))
+    return levels
+
+
+def _invariant_classes(alg: FiniteAlgebra) -> list[int]:
+    """A class label per element that every automorphism preserves: for each
+    operation of arity >= 1, how many cells take the element as value and
+    whether the element is idempotent, refined by the label of f(e,...,e)
+    until the classes stop splitting."""
+    n = alg.size
+    ops = [op for op in alg.ops if op.arity > 0]
+    diag = [op.array()[pattern_cells(n, "a" * op.arity)] for op in ops]
+    cols = [np.zeros(n, dtype=np.intp)]
+    cols += [np.bincount(op.array(), minlength=n) for op in ops]
+    cols += [d == np.arange(n) for d in diag]
+    labels = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)[1].ravel()
+    while True:
+        rows = np.stack([labels] + [labels[d] for d in diag], axis=1)
+        refined = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        if refined.max() == labels.max():
+            return labels.tolist()
+        labels = refined
+
+
+def _commutes(alg: FiniteAlgebra, image: np.ndarray, old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether the partial map image, defined on old ∪ new (closed under
+    every operation of arity >= 1), fixes the constants in new and commutes
+    with every operation on the tuples that use an element of new."""
+    n = alg.size
+    for op in alg.ops:
+        tab = op.array()
+        if op.arity == 0:
+            c = tab[0]
+            if c in new and image[c] != c:
+                return False
+            continue
+        for factors in _new_tuples(old, new, op.arity):
+            args = np.ix_(*factors)
+            mapped = apply_table(tab, n, (image[a] for a in args))
+            if not np.array_equal(image[apply_table(tab, n, args)], mapped):
+                return False
+    return True
+
+
+def automorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Automorphisms of alg as image tuples (element e goes to g[e]), in
+    lexicographic order.
+
+    The search makes at most _AUT_WORK * n^2 candidate extensions.  When
+    that stops it, the result holds the automorphisms found so far: a
+    subset of the group, so orbits under the group it generates are still
+    orbits of automorphisms.
+    """
+    n = alg.size
+    levels = _derivations(alg)
+    label = _invariant_classes(alg)
+    budget = _AUT_WORK * n * n
+    image = np.full(n, -1, dtype=np.intp)
+    used = [False] * n
+    found = []
+
+    def search(level: int, domain: np.ndarray) -> None:
+        nonlocal budget
+        if level == len(levels):
+            found.append(tuple(image.tolist()))
+            return
+        gen, steps = levels[level]
+        for y in range(n):
+            if used[y] or label[y] != label[gen]:
+                continue
+            if budget <= 0:
+                return
+            budget -= 1
+            image[gen], used[y] = y, True
+            mapped = [gen]
+            for e, op, args in steps:
+                budget -= 1
+                v = int(apply_table(op.array(), n, image[list(args)]))
+                if used[v] or label[v] != label[e]:
+                    break
+                image[e], used[v] = v, True
+                mapped.append(e)
+            else:
+                new = np.array(mapped, dtype=np.intp)
+                if _commutes(alg, image, domain, new):
+                    search(level + 1, np.concatenate([domain, new]))
+            for e in mapped:
+                used[image[e]] = False
+                image[e] = -1
+
+    search(0, np.zeros(0, dtype=np.intp))
+    return found
 
 
 def product(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
@@ -294,7 +447,8 @@ def eval_term(alg: FiniteAlgebra, t: Term, args) -> int:
 
 
 def parse_term(text: str) -> Term:
-    """Parse prefix notation: `f(x,g(y,z))`; variables x,y,z,w or v<i>."""
+    """Parse prefix notation: `f(x,g(y,z))`; variables x,y,z,w or v<i>; a
+    nullary operation c as `c()` (the form str prints) or `c`."""
     pos = 0
     text = text.strip()
 
@@ -316,6 +470,9 @@ def parse_term(text: str) -> Term:
         if pos < len(text) and text[pos] == "(":
             pos += 1
             args = []
+            if pos < len(text) and text[pos] == ")":  # c(), a nullary operation
+                pos += 1
+                return App(name, ())
             while True:
                 args.append(expr())
                 if pos >= len(text):

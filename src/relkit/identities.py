@@ -14,7 +14,9 @@ from functools import reduce
 from itertools import product
 from typing import Callable
 
-from .algebra import FiniteAlgebra
+import numpy as np
+
+from .algebra import FiniteAlgebra, automorphisms
 from .caps import DEFAULT_CAPS, Caps
 from .relations import (
     BinRel,
@@ -413,7 +415,7 @@ def check_for_all(
     """
     classes = spec.classes(narrow, classes_override)
     if strategy == "principal":
-        return _check_principal(alg, spec, classes, caps)
+        return _check_principal(alg, spec, classes)
     if strategy == "sampled":
         return _check_sampled(alg, spec, classes, caps, samples, seed)
     if strategy not in ("exhaustive", "generated"):
@@ -496,6 +498,26 @@ def _check_sampled(alg, spec, classes, caps, samples, seed):
 # quantifying the variables over the whole class: any assignment that puts
 # the pair into the left side dominates one of the minimal assignments, and
 # the right side is monotone in every variable.
+#
+# The check runs in two phases.  Phase 1 decides the verdict on fewer
+# assignments:
+#
+# - Finest members only.  For a U2 or two-congruence variable with two or
+#   more distinct pairs P, the one-block member gen(P) is dropped.  It
+#   contains gen(L) ∪ gen(R) for every split P = L ∪ R, so every class
+#   member whose union view holds P dominates some split, and the verdict
+#   depends only on union views.  This skips every join closure.
+# - Orbit representatives.  An automorphism g maps the atom sets of (a, c)
+#   to those of (g a, g c) and closures to closures, so (a, c) has a
+#   violation iff g(a, c) has one.  Phase 1 visits only the pairs that no
+#   automorphism found maps to a smaller pair; every pair lies in the orbit
+#   of one of them under the group those automorphisms generate.
+#
+# So phase 1 finds a violation iff the full assignment set has one, and its
+# "holds" is exhaustive.  After phase 1 refutes at a representative P,
+# phase 2 runs the plain ordered scan over every member, bounded by P: the
+# plain scan holds phase 1's violation at P, so it refutes at or before P,
+# and the first counterexample is the one the plain scan alone reports.
 
 
 def _atom_sets(e: RelExpr, a: int, c: int, n: int):
@@ -528,7 +550,8 @@ def _atom_sets(e: RelExpr, a: int, c: int, n: int):
 
 
 def _two_block_partitions(pairs: tuple):
-    """All ways to split the pair list into at most two nonempty blocks."""
+    """All ways to split the pair list into at most two nonempty blocks; the
+    one-block split comes first."""
     out = [(pairs,)]
     for bits in range(1, 2 ** max(len(pairs) - 1, 0)):
         left = tuple(p for i, p in enumerate(pairs) if not (bits >> i) & 1)
@@ -537,8 +560,10 @@ def _two_block_partitions(pairs: tuple):
     return out
 
 
-def _minimal_members(alg, cls, pairs: tuple, close):
-    """Minimal members of cls containing all given pairs (may be several)."""
+def _minimal_members(alg, cls, pairs: tuple, close, finest: bool):
+    """Minimal members of cls containing all given pairs (may be several).
+    With finest, a two-component class with two or more distinct pairs
+    yields its two-block splits only."""
     pairs = tuple(dict.fromkeys(pairs))
     if cls in _PLAIN:
         return [close(_generator(cls), pairs)]
@@ -547,13 +572,28 @@ def _minimal_members(alg, cls, pairs: tuple, close):
     if cls is RelClass.UAdmissible:
         return [UAdmRel([close(admissible_closure, (p,)) for p in pairs])]
     gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
-    return [
-        UAdmRel([close(gen, block) for block in blocks])
-        for blocks in _two_block_partitions(pairs)
-    ]
+    splits = _two_block_partitions(pairs)
+    if finest and len(pairs) > 1:
+        splits = splits[1:]
+    return [UAdmRel([close(gen, block) for block in blocks]) for blocks in splits]
 
 
-def _check_principal(alg, spec, classes, caps):
+def _representative_pairs(alg) -> list[int]:
+    """Flat indices a*n + c, ascending, of the pairs that no automorphism
+    found maps to a smaller pair.  Following g from any pair down to such a
+    pair ends after finitely many steps, so every pair lies in the orbit of
+    one of them."""
+    n = alg.size
+    flat = np.arange(n * n)
+    a, c = np.divmod(flat, n)
+    least = flat.copy()
+    for g in automorphisms(alg):
+        g = np.asarray(g)
+        np.minimum(least, g[a] * n + g[c], out=least)
+    return np.flatnonzero(least == flat).tolist()
+
+
+def _check_principal(alg, spec, classes):
     if spec.mode != "inclusion":
         raise UnsupportedError("principal strategy handles inclusions only")
     lhs = desugar(spec.lhs)
@@ -577,26 +617,34 @@ def _check_principal(alg, spec, classes, caps):
                 closures[key] = gen(alg, BinRel(n, mask))
         return closures[key]
 
-    def minimal(v, pairs):
-        key = (v, pairs)
+    def minimal(v, pairs, finest):
+        key = (v, pairs, finest)
         if key not in members:
-            members[key] = _minimal_members(alg, classes[v], pairs, close)
+            members[key] = _minimal_members(alg, classes[v], pairs, close, finest)
         return members[key]
 
-    for a in range(n):
-        for c in range(n):
+    def first_violation(flat_pairs, finest):
+        for a, c in (divmod(p, n) for p in flat_pairs):
             for atoms in _atom_sets(lhs, a, c, n):
                 per_var = {v: [] for v in names}
                 for v, p in atoms:
                     per_var[v].append(p)
-                options = [minimal(v, tuple(per_var[v])) for v in names]
+                options = [minimal(v, tuple(per_var[v]), finest) for v in names]
                 for values in product(*options):
                     env = dict(zip(names, values))
                     if not evaluate(alg, spec, env)[2]:
-                        return Verdict(
-                            False, "exhaustive", {"assignment": env, "pair": (a, c)}
-                        )
-    return Verdict(True, "exhaustive")
+                        return env, (a, c)
+        return None
+
+    hit = first_violation(_representative_pairs(alg), finest=True)
+    if hit is None:
+        return Verdict(True, "exhaustive")
+    a, c = hit[1]
+    first = first_violation(range(a * n + c + 1), finest=False)
+    if first is None:
+        raise RuntimeError(f"principal scan found no violation up to {hit[1]}")
+    env, pair = first
+    return Verdict(False, "exhaustive", {"assignment": env, "pair": pair})
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +656,6 @@ def free_seed_assignment(
     spec: IdentitySpec,
     generators: tuple = (0, 1, 2),
     narrow: bool = True,
-    caps: Caps = DEFAULT_CAPS,
 ) -> dict:
     """The generic principal-relation assignment on a 3-generated free algebra."""
     if spec.free_seeds is None:
@@ -640,10 +687,9 @@ def free_seed_verdict(
     spec: IdentitySpec,
     generators: tuple = (0, 1, 2),
     narrow: bool = True,
-    caps: Caps = DEFAULT_CAPS,
 ) -> bool:
     """Whether (x,z) lands in the right side under the generic seed assignment."""
-    assignment = free_seed_assignment(free_alg, spec, generators, narrow, caps)
+    assignment = free_seed_assignment(free_alg, spec, generators, narrow)
     rhs = eval_expr(free_alg, spec.rhs, assignment)
     return rhs.contains(generators[0], generators[2])
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -9,6 +11,7 @@ from relkit.algebra import (
     FiniteAlgebra,
     Operation,
     Var,
+    automorphisms,
     eval_term,
     load_algebra,
     parse_term,
@@ -119,7 +122,97 @@ def test_term_eval_and_parse(lattice2):
         assert eval_term(lattice2, t, (a, b, c)) == (a & b) | c
 
 
+def test_parse_term_reads_nullary_application():
+    t = App("meet", (App("c", ()), Var(0)))
+    assert str(t) == "meet(c(),x)"
+    assert parse_term(str(t)) == t
+    assert parse_term("meet(c,x)") == t
+
+
 def test_parse_term_errors():
-    for bad in ("join(x", "join x,y)", "", "join(x,)"):
+    for bad in ("join(x", "join x,y)", "", "join(x,)", "c(", "c(,x)"):
         with pytest.raises(ValueError):
             parse_term(bad)
+
+
+# --- automorphisms -----------------------------------------------------------
+
+
+def brute_force_automorphisms(alg):
+    """Every permutation of the universe that commutes with every operation
+    (for a nullary operation: fixes its constant), in lexicographic order."""
+    cells = [
+        {t: alg.apply(op.name, t) for t in itertools.product(range(alg.size), repeat=op.arity)}
+        for op in alg.ops
+    ]
+    return [
+        perm
+        for perm in itertools.permutations(range(alg.size))
+        if all(
+            table[tuple(perm[a] for a in t)] == perm[v] for table in cells for t, v in table.items()
+        )
+    ]
+
+
+def random_operation(rng, n, r, perm):
+    """A random r-ary table; with probability 3/4 one that commutes with perm
+    (each orbit of argument tuples gets a value that perm^k fixes, k the
+    orbit length), when such a value exists."""
+    table = {}
+    for t in itertools.product(range(n), repeat=r):
+        if t in table:
+            continue
+        orbit = [t]
+        while (nxt := tuple(perm[a] for a in orbit[-1])) != t:
+            orbit.append(nxt)
+        fixed = [v for v in range(n) if _iterate(perm, v, len(orbit)) == v]
+        v = rng.choice(fixed or range(n))
+        for u in orbit:
+            table[u] = v
+            v = perm[v]
+    if rng.random() < 0.75:
+        return [table[t] for t in sorted(table)]
+    return [rng.randrange(n) for _ in range(n**r)]
+
+
+def _iterate(perm, v, k):
+    for _ in range(k):
+        v = perm[v]
+    return v
+
+
+def test_automorphisms_match_brute_force():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        arities = [rng.choice((0, 1, 2, 2, 3) if n <= 4 else (0, 1, 2, 2)) for _ in range(rng.randint(1, 3))]
+        alg = FiniteAlgebra(n, [(f"f{j}", r, random_operation(rng, n, r, perm)) for j, r in enumerate(arities)])
+        got = automorphisms(alg)
+        assert got == brute_force_automorphisms(alg), alg.to_json()
+        seen.add(len(got))
+    assert len(seen) >= 6  # the sample has groups of several sizes
+
+
+def test_automorphisms_fix_constants():
+    first = tuple(a for a in range(3) for _ in range(3))
+    alg = FiniteAlgebra(3, [("c", 0, (0,)), ("p", 2, first)])
+    assert automorphisms(alg) == [(0, 1, 2), (0, 2, 1)]
+    assert len(automorphisms(FiniteAlgebra(3, [("p", 2, first)]))) == 6
+
+
+def test_automorphisms_search_budget_covers_small_universes():
+    # with no operation every permutation is an automorphism: the search
+    # visits all n! leaves, which the budget allows for n <= 6
+    for n in range(1, 7):
+        assert len(automorphisms(FiniteAlgebra(n, []))) == math.factorial(n)
+
+
+def test_automorphisms_of_free_algebras(lattice2, z2):
+    from relkit.freeclone import clone_as_algebra, generate_clone
+
+    # F(lattice2,3): the generator permutations (S3); F(z2,3): GL(3,2)
+    assert len(automorphisms(clone_as_algebra(generate_clone(lattice2, 3)))) == 6
+    assert len(automorphisms(clone_as_algebra(generate_clone(z2, 3)))) == 168

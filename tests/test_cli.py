@@ -252,6 +252,19 @@ def test_verify_free_algebra_report(tmp_path, capsys):
     assert code == 1 and "#25" in err
 
 
+def test_verify_free_algebra_report_with_constant(tmp_path, capsys):
+    # a meet semilattice on {0, 1} with the constant 0: witnesses print c()
+    alg = tmp_path / "semilattice0.json"
+    alg.write_text(json.dumps({"size": 2, "ops": [
+        {"name": "c", "arity": 0, "table": [0]},
+        {"name": "meet", "arity": 2, "table": [0, 0, 0, 1]},
+    ]}))
+    rpt = tmp_path / "free2.json"
+    assert run(capsys, "free-algebra", str(alg), "--arity", "2", "--out", str(rpt))[0] == 0
+    assert any("c()" in el["witness"] for el in json.loads(rpt.read_text())["result"]["elements"])
+    assert run(capsys, "verify", str(rpt))[0] == 0
+
+
 def test_power_grammar_respects_caps(capsys):
     code, _, err = run(capsys, "congruences", "z2^3", "--caps", '{"max_universe": 4}')
     assert code == 2 and "relkit: cap exceeded" in err

@@ -1,9 +1,12 @@
+import itertools
 import random
+from itertools import product
 
 import pytest
 
+from relkit.algebra import FiniteAlgebra
 from relkit.caps import DEFAULT_CAPS, Caps
-from relkit.fixtures import resolve
+from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
 from relkit.identities import (
     AltL,
@@ -19,6 +22,7 @@ from relkit.identities import (
     Star,
     UnionOp,
     UnsupportedError,
+    Verdict,
     builtin,
     builtin_names,
     candidate_pool,
@@ -31,6 +35,7 @@ from relkit.identities import (
     free_seed_verdict,
     violation_pair,
 )
+from relkit.identities import _PLAIN, _atom_sets, _generator
 from relkit.parser import SpecParseError, parse_spec
 from relkit.relations import (
     BinRel,
@@ -353,3 +358,130 @@ def test_left_alternating_composition_literal():
     assert desugar(parse_spec("tol:a 2^; tol:b <= a").lhs) == Comp(a, b)
     with pytest.raises(SpecParseError, match="needs m >= 1"):
         parse_spec("tol:a 0^; tol:b <= a")
+
+
+# --- principal strategy against the plain ordered scan ----------------------
+
+
+def plain_principal(alg, spec, narrow=True):
+    """The principal strategy as one ordered scan, without orbits and with
+    every minimal member: each point pair in order, each atom set, each
+    combination of minimal members (the one-block member of a
+    two-component class first, then its splits)."""
+    if spec.mode != "inclusion":
+        raise UnsupportedError("principal strategy handles inclusions only")
+    classes = spec.classes(narrow)
+    lhs = desugar(spec.lhs)
+    n = alg.size
+    names = [v for v, _ in spec.variables]
+    closures = {}
+
+    def close(gen, pairs):
+        key = (gen, frozenset(pairs))
+        if key not in closures:
+            closures[key] = gen(alg, list(pairs))
+        return closures[key]
+
+    def members(cls, pairs):
+        pairs = tuple(dict.fromkeys(pairs))
+        if cls in _PLAIN:
+            return [close(_generator(cls), pairs)]
+        if not pairs:
+            return [UAdmRel([BinRel.diagonal(n)])]
+        if cls is RelClass.UAdmissible:
+            return [UAdmRel([close(admissible_closure, [p]) for p in pairs])]
+        gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
+        out = [UAdmRel([close(gen, pairs)])]
+        for bits in range(1, 2 ** (len(pairs) - 1)):
+            left = [p for i, p in enumerate(pairs) if not (bits >> i) & 1]
+            right = [p for i, p in enumerate(pairs) if (bits >> i) & 1]
+            out.append(UAdmRel([close(gen, left), close(gen, right)]))
+        return out
+
+    for a in range(n):
+        for c in range(n):
+            for atoms in _atom_sets(lhs, a, c, n):
+                options = [members(classes[v], [p for w, p in atoms if w == v]) for v in names]
+                for values in product(*options):
+                    env = dict(zip(names, values))
+                    if not evaluate(alg, spec, env)[2]:
+                        return Verdict(False, "exhaustive", {"assignment": env, "pair": (a, c)})
+    return Verdict(True, "exhaustive")
+
+
+def principal_specs(names=None):
+    """(spec, narrow) for every builtin the principal strategy supports."""
+    out = []
+    for name in names or builtin_names():
+        spec = builtin(name)
+        if spec.mode != "inclusion":
+            continue
+        try:
+            _atom_sets(desugar(spec.lhs), 0, 0, 1)
+        except UnsupportedError:
+            continue
+        out += [(spec, True), (spec, False)]
+    return out
+
+
+def assert_principal_matches_plain(alg, cases):
+    for spec, narrow in cases:
+        want = plain_principal(alg, spec, narrow)
+        got = check_for_all(alg, spec, strategy="principal", narrow=narrow)
+        assert got.report_form() == want.report_form(), (alg.name, spec.name, narrow)
+
+
+@pytest.mark.parametrize("alg_name", sorted(FIXTURES))
+def test_principal_matches_plain_scan_on_fixtures(alg_name):
+    assert_principal_matches_plain(resolve(alg_name), principal_specs())
+
+
+@pytest.mark.parametrize("alg_name", ["lattice2", "z2", "baker4", "lattice_2x2"])
+def test_principal_matches_plain_scan_on_free_algebras(alg_name):
+    """F(A,3): every supported builtin where the plain scan is quick, and the
+    cdist2/maj3 pair (the acceptance check) on the 18-element lattices."""
+    free = clone_as_algebra(generate_clone(resolve(alg_name), 3))
+    free.name = f"F({alg_name},3)"
+    if free.size > 10:
+        cases = [(builtin("cdist2"), True), (builtin("maj3"), True)]
+    else:
+        cases = principal_specs()
+    assert_principal_matches_plain(free, cases)
+
+
+def equivariant_algebra(rng, n, arities, perm):
+    """A random conservative algebra (each value is one of the arguments) for
+    which the permutation perm is an automorphism: each orbit of argument
+    tuples under perm gets a value, carried along the orbit.  perm^k fixes
+    every argument of a tuple whose orbit has length k, so it fixes the
+    value.  Conservative algebras keep many admissible relations, so the
+    identities are refuted as often as they hold."""
+    ops = []
+    for j, r in enumerate(arities):
+        table = {}
+        for t in itertools.product(range(n), repeat=r):
+            if t in table:
+                continue
+            orbit = [t]
+            while (nxt := tuple(perm[a] for a in orbit[-1])) != t:
+                orbit.append(nxt)
+            v = rng.choice(t)
+            for u in orbit:
+                table[u] = v
+                v = perm[v]
+        ops.append((f"f{j}", r, [table[t] for t in sorted(table)]))
+    return FiniteAlgebra(n, ops, name=f"equivariant{n}")
+
+
+def test_principal_matches_plain_scan_on_symmetric_random_algebras():
+    """Random algebras with a nontrivial automorphism, so phase 1 visits
+    fewer pairs than the plain scan."""
+    rng = random.Random(6)
+    cases = principal_specs(["cdist2", "cdist3", "cor1", "cor1pp", "gen2", "maj3", "modular2", "vrIncl"])
+    for n, arities in [(3, (2,)), (3, (1, 2)), (4, (2,)), (4, (1, 2)), (4, (2, 2)), (4, (3,)),
+                      (5, (2,)), (5, (1, 2)), (6, (2,)), (6, (1, 1))]:
+        perm = list(range(n))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        alg = equivariant_algebra(rng, n, arities, perm)
+        assert_principal_matches_plain(alg, cases)
