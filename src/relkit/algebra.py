@@ -184,18 +184,14 @@ def _flat_index(n: int, args):
             flat = np.array(a, dtype=np.intp)
         else:
             flat *= n
-            if flat.shape == np.shape(a):
-                flat += a
-            else:
-                flat = flat + a
+            flat += a
     return flat
 
 
 def apply_table(table: np.ndarray, n: int, args) -> np.ndarray:
-    """The r-ary table over {0..n-1} applied to r index arrays that
-    broadcast together: table[sum args[i] * n^(r-1-i)] elementwise
-    (table[0] when r = 0).  args may be a generator, so that one argument
-    array is alive at a time."""
+    """The r-ary table over {0..n-1} applied to r index arrays of one shape:
+    table[sum args[i] * n^(r-1-i)] elementwise (table[0] when r = 0).  args
+    may be a generator, so that one argument array is alive at a time."""
     flat = _flat_index(n, args)
     return table[0] if flat is None else table[flat]
 
@@ -236,6 +232,12 @@ def _new_tuples(old: np.ndarray, new: np.ndarray, r: int):
         yield [old] * i + [new] + [every] * (r - 1 - i)
 
 
+def _grid(factors) -> list[np.ndarray]:
+    """The argument arrays of the tuples in the product of the factors, as
+    views of one shape."""
+    return np.broadcast_arrays(*np.ix_(*factors))
+
+
 def _derivations(alg: FiniteAlgebra) -> list:
     """Semi-naive generation with derivations: a list of (generator, steps),
     one per generator, each generator the least element not yet reached.
@@ -255,7 +257,7 @@ def _derivations(alg: FiniteAlgebra) -> list:
             fresh = []
             for op in ops:
                 for factors in _new_tuples(old, new, op.arity):
-                    vals = apply_table(op.array(), n, np.ix_(*factors)).ravel()
+                    vals = apply_table(op.array(), n, _grid(factors)).ravel()
                     vals, first = np.unique(vals, return_index=True)
                     for v, cell in zip(vals.tolist(), first.tolist()):
                         if not reached[v]:
@@ -301,7 +303,7 @@ def _commutes(alg: FiniteAlgebra, image: np.ndarray, old: np.ndarray, new: np.nd
                 return False
             continue
         for factors in _new_tuples(old, new, op.arity):
-            args = np.ix_(*factors)
+            args = _grid(factors)
             mapped = apply_table(tab, n, (image[a] for a in args))
             if not np.array_equal(image[apply_table(tab, n, args)], mapped):
                 return False

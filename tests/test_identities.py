@@ -1,6 +1,5 @@
 import itertools
 import random
-from itertools import product
 
 import pytest
 
@@ -402,7 +401,7 @@ def plain_principal(alg, spec, narrow=True):
         for c in range(n):
             for atoms in _atom_sets(lhs, a, c, n):
                 options = [members(classes[v], [p for w, p in atoms if w == v]) for v in names]
-                for values in product(*options):
+                for values in itertools.product(*options):
                     env = dict(zip(names, values))
                     if not evaluate(alg, spec, env)[2]:
                         return Verdict(False, "exhaustive", {"assignment": env, "pair": (a, c)})
