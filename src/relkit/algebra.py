@@ -218,8 +218,9 @@ def pattern_cells(n: int, pattern) -> np.ndarray:
 # Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60 (2014).
 
 # Candidate extensions (an image given to one element) allowed per n^2.
-# 64 n^2 exceeds the n! leaves of a search on n <= 6 elements, so small
-# algebras always get their whole group.
+# Without operations of arity >= 1 every element is a generator and the
+# search tries every injective map: 1,956 extensions on 6 elements, below
+# 64 * 6^2 = 2,304, so even then an algebra with n <= 6 gets its whole group.
 _AUT_WORK = 64
 
 
