@@ -177,23 +177,37 @@ def save_algebra(alg: FiniteAlgebra, path: str) -> None:
         fh.write("\n")
 
 
-def _flat_index(n: int, args):
+def _flat_index(n: int, args, dtype=np.intp):
     flat = None
     for a in args:
         if flat is None:
-            flat = np.array(a, dtype=np.intp)
+            flat = np.array(a, dtype=dtype)
         else:
             flat *= n
-            flat += a
+            np.add(flat, a, out=flat, casting="unsafe")
     return flat
+
+
+def _index_dtype(cells: int):
+    """The narrowest unsigned dtype that holds every index below cells."""
+    if cells <= 1 << 8:
+        return np.uint8
+    if cells <= 1 << 16:
+        return np.uint16
+    return np.uint32 if cells <= 1 << 32 else np.uint64
 
 
 def apply_table(table: np.ndarray, n: int, args) -> np.ndarray:
     """The r-ary table over {0..n-1} applied to r index arrays of one shape:
     table[sum args[i] * n^(r-1-i)] elementwise (table[0] when r = 0).  args
-    may be a generator, so that one argument array is alive at a time."""
-    flat = _flat_index(n, args)
-    return table[0] if flat is None else table[flat]
+    may be a generator, so that one argument array is alive at a time.
+
+    Every argument must lie in {0..n-1}: the flat index is built in the
+    narrowest unsigned dtype that holds len(table) - 1 = n^r - 1, and an
+    argument of n or more would wrap it.  Tables of a FiniteAlgebra hold
+    only such values, so composing them keeps to this condition."""
+    flat = _flat_index(n, args, _index_dtype(table.size))
+    return table[0] if flat is None else table.take(flat)
 
 
 def pattern_cells(n: int, pattern) -> np.ndarray:
@@ -234,9 +248,18 @@ def _new_tuples(old: np.ndarray, new: np.ndarray, r: int):
 
 
 def _grid(factors) -> list[np.ndarray]:
-    """The argument arrays of the tuples in the product of the factors, as
-    views of one shape."""
-    return np.broadcast_arrays(*np.ix_(*factors))
+    """The argument arrays of the tuples in the product of the factors
+    (contiguous 1-D arrays), as views of one shape: factor i varies along
+    axis i and has stride 0 along the others.  The ndarray constructor
+    builds each view in one call, where np.broadcast_arrays(*np.ix_(...))
+    costs about ten times as much on the small grids of the search."""
+    shape = tuple(len(f) for f in factors)
+    views = []
+    for i, f in enumerate(factors):
+        strides = [0] * len(shape)
+        strides[i] = f.itemsize
+        views.append(np.ndarray(shape, f.dtype, f, strides=strides))
+    return views
 
 
 def _derivations(alg: FiniteAlgebra) -> list:

@@ -7,8 +7,8 @@ questions reduce to finite checks here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .algebra import (
 from .caps import DEFAULT_CAPS, Caps
 from .relations import BinRel, admissible_closure, congruence_gen
 
-_CHUNK = 4096
+# Cells per chunk of argument tuples (tuples times table cells), as in the
+# tuple kernel of relations.
+_CHUNK = 1 << 21
 
 
 @dataclass
@@ -61,8 +63,71 @@ class Clone:
     def find(self, table: np.ndarray):
         return self.index.get(np.ascontiguousarray(table).tobytes())
 
+    def find_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The id of each row of a 2-D array of tables, -1 where the clone
+        lacks it: one index lookup per distinct row."""
+        first, inverse = _distinct_rows(rows)
+        ids = [self.index.get(rows[i].tobytes(), -1) for i in first.tolist()]
+        return np.array(ids, dtype=np.intp)[inverse]
+
     def matrix(self) -> np.ndarray:
         return np.stack([e.table for e in self.elements])
+
+
+def _distinct_rows(rows: np.ndarray):
+    """np.unique over the rows of a 2-D array, compared as bytes: the index
+    of the first occurrence of each distinct row, and each row's position
+    among the distinct rows."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _prefixed(a: int, blocks):
+    """The blocks of tuples with the id a put in front of each tuple."""
+    for block in blocks:
+        yield np.vstack([np.full(block.shape[1], a), block])
+
+
+def _grid_blocks(factors, limit: int):
+    """The product of the 1-D id arrays in factors in lexicographic order,
+    as (len(factors), m) arrays of at most limit tuples (at least one)."""
+    head, rest = factors[0], factors[1:]
+    tail = math.prod(len(f) for f in rest)
+    if tail == 0:
+        return
+    if tail > limit:  # one head id at a time
+        for a in head.tolist():
+            yield from _prefixed(a, _grid_blocks(rest, limit))
+        return
+    step = max(1, limit // tail)
+    for lo in range(0, len(head), step):
+        part = [head[lo : lo + step], *rest]
+        cells = np.indices([len(f) for f in part]).reshape(len(part), -1)
+        yield np.stack([f[c] for f, c in zip(part, cells)])
+
+
+def _new_tuple_blocks(start: int, total: int, r: int, limit: int):
+    """The r-tuples (r >= 1) over range(total) with an entry >= start, in
+    lexicographic order, as (r, m) id arrays of at most limit tuples (at
+    least one).
+
+    In that order they are a x T for each a < start, T the (r-1)-tuples with
+    an entry >= start, then [start, total) x range(total)^(r-1).  Counts are
+    Python ints, so total^r may exceed the int64 range."""
+    if r > 1 and start:
+        rest = total ** (r - 1) - start ** (r - 1)
+        if rest <= limit:  # T in one array, under step heads at a time
+            tail = np.hstack(list(_new_tuple_blocks(start, total, r - 1, limit)))
+            step = limit // rest
+            for lo in range(0, start, step):
+                heads = np.arange(lo, min(lo + step, start))
+                yield np.vstack([np.repeat(heads, rest), np.tile(tail, len(heads))])
+        else:
+            for a in range(start):
+                yield from _prefixed(a, _new_tuple_blocks(start, total, r - 1, limit))
+    yield from _grid_blocks([np.arange(start, total)] + [np.arange(total)] * (r - 1), limit)
 
 
 def _projection_tables(n: int, k: int, dtype) -> list[np.ndarray]:
@@ -77,6 +142,11 @@ def generate_clone(
 
     Deterministic: depths increase, ops visited by name, argument tuples in
     lexicographic id order, so each table keeps its first (shortest) witness.
+    Depth d applies each operation to the tuples that use an element added
+    at depth d-1 (the nullary ones only at depth 1), a chunk of tuples at a
+    time; only the first occurrence of each distinct table of a chunk is
+    looked up, and witnesses are built only for tables the clone admits.
+    A clone with more than cap elements keeps the first cap, incomplete.
     """
     if k < 1:
         raise ValueError("clone arity must be >= 1")
@@ -93,68 +163,43 @@ def generate_clone(
     elements: list[TermTable] = []
     index: dict[bytes, int] = {}
 
-    def admit(table, depth, witness) -> bool:
-        """Add a new table; witness() builds its term only then."""
-        key = table.tobytes()
-        if key in index:
-            return False
-        e = TermTable(len(elements), table, witness(), depth)
-        index[key] = e.id
-        elements.append(e)
-        return True
+    def admit(table, key, depth, witness) -> None:
+        index[key] = len(elements)
+        elements.append(TermTable(len(elements), table, witness, depth))
 
     for j, tab in enumerate(_projection_tables(n, k, dtype)):
-        admit(tab, 0, lambda j=j: Var(j))
+        key = tab.tobytes()
+        if key not in index:  # on one element every projection is one table
+            admit(tab, key, 0, Var(j))
     ops = sorted(alg.ops, key=lambda o: o.name)
-    op_tabs = {o.name: np.asarray(o.table, dtype=dtype) for o in ops}
+    limit = max(1, _CHUNK // span)
 
-    complete = True
-    depth = 0
-    prev_total = 0
-    while True:
+    start, depth = 0, 1
+    while start < len(elements):
         total = len(elements)
-        if total == prev_total and depth > 0:
-            break
-        frontier_start = prev_total
-        prev_total = total
-        depth += 1
-        tm = np.stack([e.table for e in elements[:total]])
-        grew = False
+        tm = np.stack([e.table for e in elements])
         for op in ops:
-            r = op.arity
-            if r == 0:
-                tab = np.full(span, op.table[0], dtype=dtype)
-                grew |= admit(tab, depth, lambda: App(op.name, ()))
+            otab = np.asarray(op.table, dtype=dtype)
+            if op.arity == 0:
+                tab = np.full(span, otab[0], dtype=dtype)
+                key = tab.tobytes()
+                if start == 0 and key not in index:
+                    if len(elements) == cap:
+                        return Clone(alg, k, elements, complete=False)
+                    admit(tab, key, depth, App(op.name, ()))
                 continue
-            otab = op_tabs[op.name]
-            batch: list[tuple] = []
-
-            def flush():
-                nonlocal grew
-                if not batch:
-                    return
-                ids = np.array(batch, dtype=np.intp)
-                out = apply_table(otab, n, (tm[ids[:, col]] for col in range(r)))
-                for row, combo in zip(out, batch):
-                    grew |= admit(
-                        row, depth, lambda: App(op.name, tuple(elements[i].witness for i in combo))
-                    )
-                batch.clear()
-
-            for combo in product(range(total), repeat=r):
-                if max(combo) < frontier_start:
-                    continue  # all-old tuples were already processed
-                batch.append(combo)
-                if len(batch) >= _CHUNK:
-                    flush()
-                    if len(elements) > cap:
-                        break
-            flush()
-            if len(elements) > cap:
-                return Clone(alg, k, elements[: cap], complete=False)
-        if not grew:
-            break
-    return Clone(alg, k, elements, complete=complete)
+            for ids in _new_tuple_blocks(start, total, op.arity, limit):
+                out = apply_table(otab, n, (tm[c] for c in ids))
+                first = np.sort(_distinct_rows(out)[0]).tolist()
+                fresh = [(i, key) for i in first if (key := out[i].tobytes()) not in index]
+                rows = out[[i for i, _ in fresh]]  # a copy: no view keeps out alive
+                for row, (i, key) in zip(rows, fresh):
+                    if len(elements) == cap:
+                        return Clone(alg, k, elements, complete=False)
+                    args = tuple(elements[a].witness for a in ids[:, i].tolist())
+                    admit(row, key, depth, App(op.name, args))
+        start, depth = total, depth + 1
+    return Clone(alg, k, elements, complete=True)
 
 
 def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
@@ -164,6 +209,7 @@ def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
     m = len(clone)
     n = clone.algebra.size
     tm = clone.matrix()
+    limit = max(1, _CHUNK // tm.shape[1])
     ops = []
     for op in clone.algebra.ops:
         r = op.arity
@@ -178,16 +224,13 @@ def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
             continue
         otab = np.asarray(op.table, dtype=tm.dtype)
         table = []
-        # the id tuples in lexicographic order, _CHUNK at a time
-        for start in range(0, m**r, _CHUNK):
-            combos = np.unravel_index(np.arange(start, min(start + _CHUNK, m**r)), (m,) * r)
-            out = apply_table(otab, n, (tm[ids] for ids in combos))
-            for row in out:
-                target = clone.find(row)
-                if target is None:
-                    raise CapExceeded("clone is not closed (generation was capped)")
-                table.append(target)
-        ops.append(Operation(op.name, r, tuple(table)))
+        # every id tuple, in lexicographic order
+        for ids in _new_tuple_blocks(0, m, r, limit):
+            found = clone.find_rows(apply_table(otab, n, (tm[c] for c in ids)))
+            if (found < 0).any():
+                raise CapExceeded("clone is not closed (generation was capped)")
+            table.extend(found.tolist())
+        ops.append(Operation(op.name, r, table))
     name = f"F({clone.algebra.name or 'A'},{clone.arity})"
     return FiniteAlgebra(m, ops, name=name)
 
@@ -281,10 +324,10 @@ def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, i
     tm4 = clone4.matrix()
     columns = []
     for pattern in ("abca", "abcb", "abcc"):
-        ids = [clone3.find(row) for row in tm4[:, pattern_cells(n, pattern)]]
-        if None in ids:
+        ids = clone3.find_rows(tm4[:, pattern_cells(n, pattern)])
+        if (ids < 0).any():
             raise CapExceeded("restricted table missing from 3-ary clone")
-        columns.append(ids)
+        columns.append(ids.tolist())
     return list(zip(*columns))
 
 

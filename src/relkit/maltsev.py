@@ -330,9 +330,10 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
     if h < 1:
         raise ValueError("h must be >= 1")
     clone3 = generate_clone(alg, 3, caps=caps)
-    clone4 = generate_clone(alg, 4, caps=caps)
-    conclusive = clone3.complete and clone4.complete
     if not clone3.complete:
+        return SearchResult(False, None, h, False)
+    clone4 = generate_clone(alg, 4, caps=caps)
+    if not clone4.complete:  # no witnesses, so no verdict either way
         return SearchResult(False, None, h, False)
     fr = free_relations(clone3, caps)
     sigma, tau, ups = fr.r_xz, fr.r_xy, fr.r_yz
@@ -343,10 +344,7 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
         lambda i: even_adj if i % 2 == 0 else odd_adj, fr.x, fr.z, h
     )
     if path is None:
-        return SearchResult(False, None, h, conclusive)
-    if not clone4.complete:
-        return SearchResult(False, None, h, False)
-
+        return SearchResult(False, None, h, True)
     slots = slot_identifications(clone4, clone3)
     sig_wit: dict[tuple, int] = {}
     tau_wit: dict[tuple, int] = {}
@@ -361,7 +359,7 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
         step = (path[i], path[i + 1])
         terms[f"u{i}"] = clone4.witness(sig_wit[step])
         terms[f"s{i}"] = clone4.witness((tau_wit if i % 2 == 0 else ups_wit)[step])
-    return SearchResult(True, _system("VR", {"h": h}, terms), h, conclusive, shortest=len(path) - 1)
+    return SearchResult(True, _system("VR", {"h": h}, terms), h, True, shortest=len(path) - 1)
 
 
 def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
@@ -371,9 +369,10 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
     if h < 1:
         raise ValueError("h must be >= 1")
     clone3 = generate_clone(alg, 3, caps=caps)
+    if not clone3.complete:
+        return SearchResult(False, None, h, False)
     clone4 = generate_clone(alg, 4, caps=caps)
-    conclusive = clone3.complete and clone4.complete
-    if not (clone3.complete and clone4.complete):
+    if not clone4.complete:
         return SearchResult(False, None, h, False)
     slots = slot_identifications(clone4, clone3)
     tm4 = clone4.matrix()
@@ -414,8 +413,8 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
             node = prev
         chain.reverse()
         terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(chain)}
-        return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, conclusive)
-    return SearchResult(False, None, h, conclusive)
+        return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)
+    return SearchResult(False, None, h, True)
 
 
 # ---------------------------------------------------------------------------

@@ -167,14 +167,15 @@ def test_acceptance_3_chain_bound_wide_classes(lattice2, lattice_n5, announce):
     v = check_for_all(lattice2, spec, narrow=False)
     assert v.holds is True and v.coverage == "exhaustive"
     base = enumerate_relations(lattice_n5, "reflexive_admissible", DEFAULT_CAPS)
-    assert base.exhaustive and len(base.relations) == 25  # filtered from 2^20
+    assert base.exhaustive and len(base.relations) == 25  # joins of principal closures
     v5 = check_for_all(lattice_n5, spec, narrow=False)
     assert v5.holds is True and v5.coverage == "exhaustive"
     dt = time.perf_counter() - t0
-    assert dt < 600.0
+    assert dt < 10.0
     announce(
         f"[ACCEPTANCE 3] PASS ({dt:.1f}s): two-step chain bound holds over the "
-        "wide classes on both lattices (5-element case filtered from 2^20)"
+        "wide classes on both lattices (25 reflexive admissible relations on the "
+        "5-element lattice)"
     )
 
 
@@ -240,7 +241,7 @@ def test_acceptance_6_baker_chain(baker4, announce):
             step = st if i % 2 == 0 else su
             assert step.contains(p, q), (a, b, c, i)
     dt = time.perf_counter() - t0
-    assert dt < 120.0
+    assert dt < 30.0
     announce(
         f"[ACCEPTANCE 6] PASS ({dt:.1f}s): four-step inclusion exhaustive over "
         "two-component families; explicit chain validates for all 64 triples"
@@ -257,7 +258,7 @@ def test_acceptance_7_higher_term_systems(lattice2, announce):
         v = check_for_all(lattice2, builtin(name, h=2))
         assert v.holds is True and v.coverage == "exhaustive", name
     dt = time.perf_counter() - t0
-    assert dt < 60.0
+    assert dt < 10.0
     announce(
         f"[ACCEPTANCE 7] PASS ({dt:.1f}s): both length-2 systems found with "
         "replaying certificates and the matching inclusions hold exhaustively"

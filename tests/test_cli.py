@@ -93,6 +93,24 @@ def test_find_terms_cap_hit_inconclusive(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "schema, caps",
+    [
+        # the 3-ary clone stops at its cap; its 2^4 cells exceed the cell cap
+        ("vr", '{"clone_cap_3": 5, "max_table_cells": 10}'),
+        ("mal", '{"clone_cap_3": 5, "max_table_cells": 10}'),
+        # the 4-ary clone stops at its cap; F(lattice2,3)'s 18^2 cells exceed it
+        ("vr", '{"clone_cap_4": 20, "max_table_cells": 100}'),
+    ],
+)
+def test_find_terms_capped_clone_skips_later_caps(capsys, schema, caps):
+    """A capped clone answers inconclusive before any later construction
+    could exceed a cap, so the report is printed rather than the cap message."""
+    code, out, err = run(capsys, "find-terms", "lattice2", schema, "--h", "2", "--caps", caps)
+    assert code == 2 and "found: no (inconclusive (cap hit))" in out
+    assert "cap exceeded" not in err
+
+
 def test_usage_errors_exit3(capsys):
     assert run(capsys, "check", "lattice2", "cong:a & <= b")[0] == 3
     assert run(capsys, "check", "nope", "cdist2")[0] == 3

@@ -1,11 +1,17 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from relkit.algebra import App, CapExceeded, Var, parse_term
-from relkit.caps import Caps
+import relkit.freeclone as freeclone
+from relkit.algebra import App, CapExceeded, FiniteAlgebra, Var, parse_term
+from relkit.caps import DEFAULT_CAPS, Caps
+from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import (
+    Clone,
+    TermTable,
+    _new_tuple_blocks,
     clone_as_algebra,
     dump_clone,
     free_relations,
@@ -194,3 +200,183 @@ def test_nullary_free_algebra_error(lattice2):
         generate_clone(lattice2, 0)
     with pytest.raises(ValueError):
         free_relations(generate_clone(lattice2, 4))
+
+
+# ---------------------------------------------------------------------------
+# generate_clone against the plain loop it replaced
+
+
+def plain_generate_clone(alg, k, cap=None, caps=DEFAULT_CAPS):
+    """Every argument tuple through itertools.product, skipping those whose
+    ids all predate the previous depth, 4096 at a time, with the flat table
+    index written out in intp and one dict lookup per output row."""
+    n = alg.size
+    span = n**k
+    if cap is None:
+        cap = caps.clone_cap(k)
+    dtype = np.min_scalar_type(n - 1)
+    elements, index = [], {}
+
+    def admit(table, depth, witness):
+        key = table.tobytes()
+        if key in index:
+            return False
+        e = TermTable(len(elements), table, witness(), depth)
+        index[key] = e.id
+        elements.append(e)
+        return True
+
+    grid = np.indices((n,) * k, dtype=dtype)
+    for j in range(k):
+        admit(grid[j].reshape(-1), 0, lambda j=j: Var(j))
+    ops = sorted(alg.ops, key=lambda o: o.name)
+    depth, prev_total = 0, 0
+    while True:
+        total = len(elements)
+        if total == prev_total and depth > 0:
+            break
+        frontier_start, prev_total = prev_total, total
+        depth += 1
+        tm = np.stack([e.table for e in elements[:total]])
+        grew = False
+        for op in ops:
+            r = op.arity
+            otab = np.asarray(op.table, dtype=dtype)
+            if r == 0:
+                grew |= admit(np.full(span, otab[0], dtype=dtype), depth, lambda: App(op.name, ()))
+                continue
+            batch = []
+
+            def flush():
+                nonlocal grew
+                ids = np.array(batch, dtype=np.intp)
+                flat = tm[ids[:, 0]].astype(np.intp)
+                for col in range(1, r):
+                    flat = flat * n + tm[ids[:, col]]
+                for row, combo in zip(otab[flat], batch):
+                    witness = lambda: App(op.name, tuple(elements[i].witness for i in combo))
+                    grew |= admit(row, depth, witness)
+                batch.clear()
+
+            for combo in itertools.product(range(total), repeat=r):
+                if max(combo) < frontier_start:
+                    continue
+                batch.append(combo)
+                if len(batch) >= 4096:
+                    flush()
+                    if len(elements) > cap:
+                        break
+            if batch:
+                flush()
+            if len(elements) > cap:
+                return Clone(alg, k, elements[:cap], complete=False)
+        if not grew:
+            break
+    return Clone(alg, k, elements, complete=True)
+
+
+def assert_same_clone(got, want):
+    assert (len(got), got.complete) == (len(want), want.complete), got.algebra
+    for g, w in zip(got.elements, want.elements):
+        assert (g.id, g.depth, g.witness) == (w.id, w.depth, w.witness), (got.algebra, w.id)
+        assert g.table.dtype == w.table.dtype and np.array_equal(g.table, w.table)
+
+
+def _random_algebra(rng, size, arities):
+    ops = [
+        (f"f{i}", r, [rng.randrange(size) for _ in range(size**r)])
+        for i, r in enumerate(arities)
+    ]
+    return FiniteAlgebra(size, ops, name=f"rnd{size}{arities}")
+
+
+def _random_clone_cases(seed=113, count=30):
+    """(algebra, k, cap): arities 0-4.  Uncapped only where every clone is
+    small (at most 27 functions); caps small enough that the oracle's
+    total^r tuples stay in the tens of thousands."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        size = rng.choice((1, 2, 2, 3))
+        arities = tuple(sorted(rng.choice((0, 1, 2, 3, 4)) for _ in range(rng.randrange(1, 4))))
+        alg = _random_algebra(rng, size, arities)
+        if i % 3 == 0:
+            k = {1: rng.randrange(1, 5), 2: rng.randrange(1, 3), 3: 1}[size]
+            cases.append((alg, k, None))
+        else:
+            k = rng.randrange(1, 5)
+            top = max(arities)
+            cap = rng.choice({4: (4, 9, 16), 3: (5, 20, 40)}.get(top, (5, 40, 150)))
+            cases.append((alg, k, max(cap, k)))
+    return cases
+
+
+def _fixture_clone_cases():
+    cases = []
+    for name in FIXTURES:
+        alg = resolve(name)
+        for k in range(1, 5):
+            if alg.size**k > DEFAULT_CAPS.max_table_cells or (name, k) == ("lattice_n5", 4):
+                continue  # lattice_n5's 4-ary clone only capped, below
+            cases.append((alg, k, None))
+    return cases
+
+
+def test_generate_clone_matches_plain_loop():
+    cases = _fixture_clone_cases()
+    cases += [(resolve("lattice_n5"), 4, cap) for cap in (5, 777, 20000)]
+    cases += _random_clone_cases()
+    assert any(op.arity == 0 for alg, _, _ in cases for op in alg.ops)
+    assert any(op.arity == 4 for alg, _, _ in cases for op in alg.ops)
+    for alg, k, cap in cases:
+        assert_same_clone(generate_clone(alg, k, cap=cap), plain_generate_clone(alg, k, cap=cap))
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 300])
+def test_generate_clone_small_chunks(monkeypatch, chunk):
+    """Chunks of a few cells split every depth, and a cap trips mid-chunk.
+    Random cases only with at most 5000 tuples per operation and depth: a
+    chunk may hold a single tuple."""
+    cases = [
+        (resolve("lattice2"), 3, None),
+        (resolve("lattice2"), 3, 7),
+        (resolve("lattice2"), 4, 40),
+        (resolve("baker4"), 3, None),
+        (resolve("lattice_n5"), 4, 60),
+    ]
+    for alg, k, cap in _random_clone_cases(seed=127, count=20):
+        most = cap or alg.size ** alg.size**k
+        if most ** max(op.arity for op in alg.ops) <= 5000:
+            cases.append((alg, k, cap))
+    want = [plain_generate_clone(alg, k, cap=cap) for alg, k, cap in cases]
+    monkeypatch.setattr(freeclone, "_CHUNK", chunk)
+    for (alg, k, cap), w in zip(cases, want):
+        assert_same_clone(generate_clone(alg, k, cap=cap), w)
+
+
+def _lex_new_tuples(start, total, r):
+    return [t for t in itertools.product(range(total), repeat=r) if max(t) >= start]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 64, 10**6])
+def test_new_tuple_blocks_against_itertools(limit):
+    for total in range(1, 7):
+        for start in range(total):
+            for r in range(1, 5):
+                blocks = list(_new_tuple_blocks(start, total, r, limit))
+                assert all(b.shape[0] == r and 1 <= b.shape[1] <= limit for b in blocks)
+                got = [tuple(t) for b in blocks for t in b.T.tolist()]
+                assert got == _lex_new_tuples(start, total, r), (start, total, r)
+
+
+def test_new_tuple_blocks_beyond_int64():
+    """total^4 = 2^64: the first block comes without any count overflowing.
+    For a prefix (0, 0, a) with a < start, the tuples with an entry >= start
+    are (0, 0, a, start) and (0, 0, a, start + 1), so those, a = 0, 1, ...,
+    are the first in lexicographic order."""
+    total = 1 << 16
+    start = total - 2
+    assert total**4 > 2**63
+    block = next(_new_tuple_blocks(start, total, 4, 1000))
+    want = [(0, 0, a, b) for a in range(500) for b in (start, start + 1)]
+    assert [tuple(t) for t in block.T.tolist()] == want

@@ -13,6 +13,7 @@ from relkit.algebra import (
     FiniteAlgebra,
     Operation,
     Var,
+    _index_dtype,
     apply_table,
     parse_term,
     pattern_cells,
@@ -59,6 +60,18 @@ def ref_product(a, b, caps=DEFAULT_CAPS):
             table[idx] = opa.table[ia] * b.size + opb.table[ib]
         ops.append(Operation(opa.name, r, table))
     return FiniteAlgebra(n, ops)
+
+
+def ref_apply_table(table, n, args):
+    """The flat index in intp, whatever n^r is."""
+    flat = None
+    for a in args:
+        if flat is None:
+            flat = np.array(a, dtype=np.intp)
+        else:
+            flat *= n
+            flat += a
+    return table[0] if flat is None else table[flat]
 
 
 def ref_clone_as_algebra(clone):
@@ -250,6 +263,39 @@ def test_apply_table_and_pattern_cells_against_enumeration(n):
         full = list(itertools.product(range(n), repeat=len(pattern)))
         want = [full.index(tuple(v[letters.index(c)] for c in pattern)) for v in values]
         assert pattern_cells(n, pattern).tolist() == want, pattern
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(2, 8), (4, 4), (16, 2), (256, 1), (257, 1), (2, 9), (3, 6), (1, 0), (1, 1), (1, 3), (5, 0)],
+)
+def test_apply_table_narrow_index_matches_intp(n, r):
+    """n^r = 256 fills the uint8 index, 257 needs uint16; every argument
+    dtype and shape a caller passes, the all-(n-1) tuple included."""
+    rng = np.random.default_rng(n * 10 + r)
+    table = rng.integers(0, max(n, 2), size=n**r).astype(np.min_scalar_type(max(n, 2) - 1))
+    shapes = [(), (1,), (7,), (3, 5)]
+    for shape in shapes:
+        for dtype in (np.uint8, np.uint16, np.intp):
+            if n - 1 > np.iinfo(dtype).max:
+                continue
+            args = [rng.integers(0, n, size=shape).astype(dtype) for _ in range(r)]
+            for a in args:
+                a.reshape(-1)[-1:] = n - 1
+            want = ref_apply_table(table, n, args)
+            got = apply_table(table, n, iter(args))
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (shape, dtype)
+            assert np.asarray(got).dtype == table.dtype
+    # scalars as FiniteAlgebra.apply passes them
+    last = (n - 1,) * r
+    assert apply_table(table, n, last) == ref_apply_table(table, n, last)
+
+
+def test_index_dtype_is_narrowest():
+    assert [_index_dtype(c) for c in (1, 256, 257, 1 << 16, (1 << 16) + 1)] == [
+        np.uint8, np.uint8, np.uint16, np.uint16, np.uint32
+    ]
+    assert _index_dtype((1 << 32) + 1) == np.uint64
 
 
 # ---------------------------------------------------------------------------
