@@ -160,8 +160,8 @@ def generate_clone(
         raise ValueError("cap too small to hold the projections")
     dtype = np.min_scalar_type(n - 1)
 
-    elements: list[TermTable] = []
-    index: dict[bytes, int] = {}
+    clone = Clone(alg, k, [], complete=False)  # complete once closed
+    elements, index = clone.elements, clone.index
 
     def admit(table, key, depth, witness) -> None:
         index[key] = len(elements)
@@ -185,7 +185,7 @@ def generate_clone(
                 key = tab.tobytes()
                 if start == 0 and key not in index:
                     if len(elements) == cap:
-                        return Clone(alg, k, elements, complete=False)
+                        return clone
                     admit(tab, key, depth, App(op.name, ()))
                 continue
             for ids in _new_tuple_blocks(start, total, op.arity, limit):
@@ -195,11 +195,12 @@ def generate_clone(
                 rows = out[[i for i, _ in fresh]]  # a copy: no view keeps out alive
                 for row, (i, key) in zip(rows, fresh):
                     if len(elements) == cap:
-                        return Clone(alg, k, elements, complete=False)
+                        return clone
                     args = tuple(elements[a].witness for a in ids[:, i].tolist())
                     admit(row, key, depth, App(op.name, args))
         start, depth = total, depth + 1
-    return Clone(alg, k, elements, complete=True)
+    clone.complete = True
+    return clone
 
 
 def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
