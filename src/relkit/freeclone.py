@@ -225,8 +225,7 @@ def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
             continue
         otab = np.asarray(op.table, dtype=tm.dtype)
         table = []
-        # every id tuple, in lexicographic order
-        for ids in _new_tuple_blocks(0, m, r, limit):
+        for ids in _grid_blocks([np.arange(m)] * r, limit):  # lexicographic
             found = clone.find_rows(apply_table(otab, n, (tm[c] for c in ids)))
             if (found < 0).any():
                 raise CapExceeded("clone is not closed (generation was capped)")
