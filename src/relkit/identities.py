@@ -2,10 +2,25 @@
 
 Expressions evaluate to plain relations; a variable bound to a U-admissible
 family evaluates to its union view.  The builtins are parse_spec literals.
+
+One evaluator, _eval_masks, works on relation masks.  Each check desugars
+Pow/AltR/AltL into composition chains once.  A variable is bound to a mask,
+or to a numpy object array of masks, and the mask kernels of relations.py
+broadcast, so one call evaluates a whole block of assignments.  eval_expr
+and evaluate wrap its result in BinRel.
+
+The exhaustive strategy scans the product of the variables' pools in blocks
+(_scan): a prefix of the variables is bound to masks and each later variable
+to its own array axis.  A subexpression is then computed once per
+combination of the pool values its variables take, not once per assignment.
+The counterexample is the first violating assignment in the order of
+product(*pools), the lexicographically first one, with its least violating
+pair.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,18 +36,17 @@ from .caps import DEFAULT_CAPS, Caps
 from .relations import (
     BinRel,
     admissible_closure,
-    compose,
-    converse,
+    bar_masks,
+    compose,  # noqa: F401 -- perfbench's tracer patches and restores this alias
+    compose_masks,
+    congruence_gen,
+    converse_masks,
     enumerate_relations,
-    intersect,
     is_congruence,
     is_reflexive_admissible,
     is_tolerance,
-    rel_power,
-    congruence_gen,
+    star_masks,
     tolerance_gen,
-    transitive_closure,
-    union,
 )
 from .uadmissible import UAdmRel, enumerate_u, pair_families
 
@@ -263,50 +277,68 @@ def class_member(alg: FiniteAlgebra, cls: RelClass, value) -> bool:
     return all(is_reflexive_admissible(alg, c) for c in comps)
 
 
+def _value_mask(value) -> int:
+    """The mask a variable's value evaluates to: a family's union view."""
+    return value.union_view.mask if isinstance(value, UAdmRel) else value.mask
+
+
+def _eval_masks(alg: FiniteAlgebra, e: RelExpr, env: dict):
+    """The mask of the desugared expression e.
+
+    env maps each variable to a mask, or to an object array of masks; the
+    operators broadcast, so a subexpression gets one value per combination
+    of the array axes its variables span.
+    """
+    if isinstance(e, RVar):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise ValueError(f"unassigned variable {e.name!r}") from None
+    n = alg.size
+    if isinstance(e, RConst):
+        return (BinRel.diagonal(n) if e.which == "id" else BinRel.full(n)).mask
+    if isinstance(e, Conv):
+        return converse_masks(_eval_masks(alg, e.arg, env), n)
+    if isinstance(e, Star):
+        return star_masks(_eval_masks(alg, e.arg, env), n)
+    if isinstance(e, BarOp):
+        return bar_masks(alg, _eval_masks(alg, e.arg, env))
+    if not isinstance(e, (Inter, UnionOp, Comp)):
+        raise TypeError(f"not a desugared relation expression: {e!r}")
+    l = _eval_masks(alg, e.left, env)
+    r = _eval_masks(alg, e.right, env)
+    if isinstance(e, Inter):
+        return l & r
+    if isinstance(e, UnionOp):
+        return l | r
+    return compose_masks(l, r, n)
+
+
+def _holds_at(alg: FiniteAlgebra, sides: tuple, mode: str, env: dict):
+    """Whether the identity with desugared sides holds at env: a bool, or a
+    bool array over the broadcast axes of env's mask arrays."""
+    return _satisfied(*(_eval_masks(alg, side, env) for side in sides), mode)
+
+
+def _satisfied(lhs, rhs, mode: str):
+    return lhs | rhs == rhs if mode == "inclusion" else lhs == rhs
+
+
 def eval_expr(alg: FiniteAlgebra, e: RelExpr, env: dict) -> BinRel:
     """The value of e as a plain relation.
 
     A variable bound to a family evaluates to its union view: every operator
     distributes over unions of components, so the union decides the value.
     """
-    if isinstance(e, RVar):
-        try:
-            value = env[e.name]
-        except KeyError:
-            raise ValueError(f"unassigned variable {e.name!r}") from None
-        return value.union_view if isinstance(value, UAdmRel) else value
-    if isinstance(e, RConst):
-        return BinRel.diagonal(alg.size) if e.which == "id" else BinRel.full(alg.size)
-    if isinstance(e, Conv):
-        return converse(eval_expr(alg, e.arg, env))
-    if isinstance(e, Star):
-        return transitive_closure(eval_expr(alg, e.arg, env))
-    if isinstance(e, BarOp):
-        return admissible_closure(alg, eval_expr(alg, e.arg, env))
-    if isinstance(e, Pow):
-        return rel_power(eval_expr(alg, e.arg, env), e.h)
-    if isinstance(e, (AltR, AltL)):
-        return eval_expr(alg, desugar(e), env)
-    l = eval_expr(alg, e.left, env)
-    r = eval_expr(alg, e.right, env)
-    if isinstance(e, Inter):
-        return intersect(l, r)
-    if isinstance(e, UnionOp):
-        return union(l, r)
-    if isinstance(e, Comp):
-        return compose(l, r)
-    raise TypeError(f"not a relation expression: {e!r}")
+    env = {v: _value_mask(value) for v, value in env.items()}
+    return BinRel(alg.size, _eval_masks(alg, desugar(e), env))
 
 
 def evaluate(alg: FiniteAlgebra, spec: IdentitySpec, assignment: dict):
     """Returns (lhs, rhs, satisfied)."""
     lhs = eval_expr(alg, spec.lhs, assignment)
     rhs = eval_expr(alg, spec.rhs, assignment)
-    if spec.mode == "inclusion":
-        sat = lhs.mask | rhs.mask == rhs.mask
-    else:
-        sat = lhs.mask == rhs.mask
-    return lhs, rhs, sat
+    return lhs, rhs, _satisfied(lhs.mask, rhs.mask, spec.mode)
 
 
 def violation_pair(lhs: BinRel, rhs: BinRel, mode: str):
@@ -378,13 +410,41 @@ def candidate_pool(alg, cls: RelClass, caps: Caps):
     return list(res), res.exhaustive
 
 
+# Assignments one block of the exhaustive scan evaluates at most.
+_BLOCK_CELLS = 1 << 12
+
+
 def _scan(alg, spec, names, pools, start, stop):
-    """Scan assignments with outermost index in [start, stop); first violation."""
-    for values in product(pools[0][start:stop], *pools[1:]):
-        env = dict(zip(names, values))
-        lhs, rhs, sat = evaluate(alg, spec, env)
-        if not sat:
-            return env, violation_pair(lhs, rhs, spec.mode)
+    """The first violation, in the order of product(*pools), among the
+    assignments with outermost index in [start, stop); None if there is none.
+
+    One block per value of a prefix of the variables: the prefix is bound to
+    masks, each later variable i to an object array of its pool's masks that
+    has length 1 on every axis but its own, so the block evaluates all
+    combinations of the later variables at once, and a subexpression once
+    per combination of the axes it names.  The prefix is the shortest one
+    whose later pools span at most _BLOCK_CELLS assignments.
+    """
+    sides = desugar(spec.lhs), desugar(spec.rhs)
+    sizes = [len(pool) for pool in pools]
+    cut = 1
+    while math.prod(sizes[cut:]) > _BLOCK_CELLS:
+        cut += 1
+    inner = tuple(sizes[cut:])
+    masks = [[_value_mask(value) for value in pool] for pool in pools]
+    env = {}
+    for axis, i in enumerate(range(cut, len(names))):
+        column = np.empty(sizes[i], dtype=object)
+        column[:] = masks[i]
+        env[names[i]] = column.reshape([-1 if a == axis else 1 for a in range(len(inner))])
+    for prefix in product(range(start, stop), *map(range, sizes[1:cut])):
+        env.update((names[i], masks[i][j]) for i, j in enumerate(prefix))
+        holds = np.broadcast_to(_holds_at(alg, sides, spec.mode, env), inner)
+        if not holds.all():
+            at = prefix + np.unravel_index(np.argmin(holds), inner)
+            hit = {v: pool[j] for v, pool, j in zip(names, pools, at)}
+            lhs, rhs, _ = evaluate(alg, spec, hit)
+            return hit, violation_pair(lhs, rhs, spec.mode)
     return None
 
 
@@ -412,6 +472,16 @@ def check_for_all(
     "sampled" (random closures, never reports holds), "principal"
     (point-principal reduction, exact for star/bar-free inclusion left-hand
     sides).
+
+    The exhaustive scan runs one block per value of the outermost variable
+    (per value of a longer prefix when the later pools span more than
+    _BLOCK_CELLS assignments).  The block binds each later variable to an
+    object array of its pool's union-view masks along its own broadcast
+    axis, so the identity is evaluated on all of the block's assignments at
+    once.  The first False of the first failing block in C order is the
+    lexicographically first counterexample; evaluate re-runs it for the
+    violating pair.  With jobs > 1, worker processes scan contiguous chunks
+    of the outermost pool and the earliest chunk's violation wins.
     """
     classes = spec.classes(narrow, classes_override)
     if strategy == "principal":
@@ -478,10 +548,11 @@ def _random_value(alg, cls, caps, rng):
 def _check_sampled(alg, spec, classes, caps, samples, seed):
     rng = random.Random(seed)
     names = [v for v, _ in spec.variables]
+    sides = desugar(spec.lhs), desugar(spec.rhs)
     for _ in range(samples):
         env = {v: _random_value(alg, classes[v], caps, rng) for v in names}
-        lhs, rhs, sat = evaluate(alg, spec, env)
-        if not sat:
+        if not _holds_at(alg, sides, spec.mode, {v: _value_mask(x) for v, x in env.items()}):
+            lhs, rhs, _ = evaluate(alg, spec, env)
             cex = {"assignment": env, "pair": violation_pair(lhs, rhs, spec.mode)}
             return Verdict(False, "truncated", cex, note=f"sampled({samples},{seed})")
     note = f"no counterexample found (truncated); sampled({samples},{seed})"
@@ -596,7 +667,7 @@ def _representative_pairs(alg) -> list[int]:
 def _check_principal(alg, spec, classes):
     if spec.mode != "inclusion":
         raise UnsupportedError("principal strategy handles inclusions only")
-    lhs = desugar(spec.lhs)
+    sides = desugar(spec.lhs), desugar(spec.rhs)
     n = alg.size
     names = [v for v, _ in spec.variables]
     closures: dict = {}
@@ -625,15 +696,15 @@ def _check_principal(alg, spec, classes):
 
     def first_violation(flat_pairs, finest):
         for a, c in (divmod(p, n) for p in flat_pairs):
-            for atoms in _atom_sets(lhs, a, c, n):
+            for atoms in _atom_sets(sides[0], a, c, n):
                 per_var = {v: [] for v in names}
                 for v, p in atoms:
                     per_var[v].append(p)
                 options = [minimal(v, tuple(per_var[v]), finest) for v in names]
                 for values in product(*options):
-                    env = dict(zip(names, values))
-                    if not evaluate(alg, spec, env)[2]:
-                        return env, (a, c)
+                    env = dict(zip(names, map(_value_mask, values)))
+                    if not _holds_at(alg, sides, spec.mode, env):
+                        return dict(zip(names, values)), (a, c)
         return None
 
     hit = first_violation(_representative_pairs(alg), finest=True)

@@ -1,10 +1,22 @@
 """Binary relations on {0..n-1} and the relation calculus.
 
 A relation is an n*n bit mask packed into a Python int: bit a*n + b is the
-pair (a, b), the row index a being the first coordinate.  Composition uses
-the shift/multiply boolean-matrix trick, which is exact for arbitrary n with
-Python ints (each selected row lands in its own n-bit field, so the products
-never carry across fields).
+pair (a, b), the row index a being the first coordinate.  BinRel wraps one
+mask with its universe size.
+
+The calculus is written once, on masks: compose_masks, converse_masks,
+star_masks (transitive closure) and bar_masks (admissible closure) take
+either an int or a numpy object array of ints, and on an array they act
+elementwise, with numpy broadcasting between the two operands of
+compose_masks.  Intersection and union are & and |.  The object dtype keeps
+every mask an exact Python int, whatever n.  Composition uses the
+shift/multiply boolean-matrix trick, which has no data-dependent branch and
+so runs on arrays as it does on ints (each selected row lands in its own
+n-bit field, so the products never carry across fields).  The other three
+have no branch-free form; on an array they run their int kernel once per
+distinct mask.  compose and converse are their BinRel forms, and
+transitive_closure, a loop of compose on BinRel, is the int kernel of
+star_masks.
 
 Closures.  admissible_closure, tolerance_gen and congruence_gen run one
 semi-naive loop (_close).  It keeps old, the pairs whose images are already
@@ -174,21 +186,25 @@ pairs_order = cmp_to_key(_pairs_cmp)  # sort key: same order as r.pairs()
 # relation calculus
 
 
+def compose_masks(m1, m2, n: int):
+    """Mask of the composition: (a,c) iff a m1 b and b m2 c for some b.
+
+    Branch-free, so it acts on ints and elementwise on object arrays alike:
+    the b-th column of m1 moved to bit column 0, times row b of m2, lays
+    row b of m2 into every row a with (a,b) in m1.
+    """
+    col0 = _col0_mask(n)
+    row = _row_mask(n)
+    out = (m1 & col0) * (m2 & row)
+    for b in range(1, n):
+        out |= ((m1 >> b) & col0) * ((m2 >> (b * n)) & row)
+    return out
+
+
 def compose(r: BinRel, s: BinRel) -> BinRel:
     """(a,c) in result iff a r b and b s c for some b (left-to-right)."""
     r._check(s)
-    n = r.n
-    col0 = _col0_mask(n)
-    row = _row_mask(n)
-    out = 0
-    m1, m2 = r.mask, s.mask
-    for b in range(n):
-        sel = (m1 >> b) & col0
-        if sel:
-            rb = (m2 >> (b * n)) & row
-            if rb:
-                out |= sel * rb
-    return BinRel(n, out)
+    return BinRel(r.n, compose_masks(r.mask, s.mask, r.n))
 
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
@@ -201,16 +217,30 @@ def union(r: BinRel, s: BinRel) -> BinRel:
     return BinRel(r.n, r.mask | s.mask)
 
 
-def converse(r: BinRel) -> BinRel:
-    n = r.n
+def _per_distinct(kernel, masks):
+    """kernel on an int, or on each distinct mask of an object array."""
+    if not isinstance(masks, np.ndarray):
+        return kernel(masks)
+    values = {m: kernel(m) for m in set(masks.flat)}
+    return np.frompyfunc(values.__getitem__, 1, 1)(masks)
+
+
+def _converse_mask(m: int, n: int) -> int:
     out = 0
-    m = r.mask
     while m:
         low = m & -m
         pos = low.bit_length() - 1
         out |= 1 << ((pos % n) * n + pos // n)
         m ^= low
-    return BinRel(n, out)
+    return out
+
+
+def converse_masks(masks, n: int):
+    return _per_distinct(lambda m: _converse_mask(m, n), masks)
+
+
+def converse(r: BinRel) -> BinRel:
+    return BinRel(r.n, converse_masks(r.mask, r.n))
 
 
 def rel_power(r: BinRel, h: int) -> BinRel:
@@ -241,6 +271,11 @@ def compose_alt(s: BinRel, t: BinRel, m: int, side: str = "right") -> BinRel:
     for i in range(1, m):
         out = compose(out, cur[i % 2])
     return out
+
+
+def star_masks(masks, n: int):
+    """Masks of the transitive closures."""
+    return _per_distinct(lambda m: transitive_closure(BinRel(n, m)).mask, masks)
 
 
 def transitive_closure(r: BinRel) -> BinRel:
@@ -407,7 +442,13 @@ def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
 
 def admissible_closure(alg: FiniteAlgebra, seed) -> BinRel:
     """Least reflexive admissible relation containing the seed pairs."""
-    return _close(alg, _seed_mask(alg.size, seed) | _diag_mask(alg.size))
+    return BinRel(alg.size, bar_masks(alg, _seed_mask(alg.size, seed)))
+
+
+def bar_masks(alg: FiniteAlgebra, masks):
+    """Masks of the least reflexive admissible relations containing masks."""
+    diag = _diag_mask(alg.size)
+    return _per_distinct(lambda m: _close(alg, m | diag).mask, masks)
 
 
 def tolerance_gen(alg: FiniteAlgebra, seed) -> BinRel:

@@ -4,10 +4,10 @@ A family (`UAdmRel`) is a witness: it is what a quantifier ranges over and
 what a counterexample reports, so a decomposition stays visible.  Identities
 compare union views (`union_view`) only.  Every operator of the expression
 language (intersection, union, composition, converse, ^* and bar)
-distributes over the union of the components, so `identities.eval_expr`
-evaluates on plain relations.  The componentwise operators below
-(`compose_u` and friends) give the same union views; the evaluator does not
-use them.
+distributes over the union of the components, so the evaluator of
+`identities` (`eval_expr` and its mask-level core) evaluates on union-view
+masks.  The componentwise operators below (`compose_u` and friends) give
+the same union views; the evaluator does not use them.
 """
 
 from __future__ import annotations

@@ -200,7 +200,7 @@ def test_acceptance_4_refutations(z2cube, announce):
     for k in range(1, 7):
         assert slmore_dichotomy(z2cube, k).verdict == "Neither", k
     dt = time.perf_counter() - t0
-    assert dt < 30.0
+    assert dt < 5.0
     announce(
         f"[ACCEPTANCE 4] PASS ({dt:.1f}s): every chain length 1..6 refuted with "
         "replayable witnesses; closure variant refuted; dichotomy empty for k<=6"
@@ -241,7 +241,7 @@ def test_acceptance_6_baker_chain(baker4, announce):
             step = st if i % 2 == 0 else su
             assert step.contains(p, q), (a, b, c, i)
     dt = time.perf_counter() - t0
-    assert dt < 30.0
+    assert dt < 5.0
     announce(
         f"[ACCEPTANCE 6] PASS ({dt:.1f}s): four-step inclusion exhaustive over "
         "two-component families; explicit chain validates for all 64 triples"
@@ -278,7 +278,7 @@ def test_acceptance_8_expansion_agreement(lattice2, z2, announce):
     for r in base.relations:
         assert compose(r, r) == r
     dt = time.perf_counter() - t0
-    assert dt < 60.0
+    assert dt < 10.0
     announce(
         f"[ACCEPTANCE 8] PASS ({dt:.1f}s): union-quantified verdict agrees with "
         "the expansion sweep on both algebras (idempotent composition checked)"

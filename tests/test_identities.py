@@ -34,7 +34,9 @@ from relkit.identities import (
     free_seed_verdict,
     violation_pair,
 )
-from relkit.identities import _PLAIN, _atom_sets, _generator
+import relkit.identities as identities
+from relkit.cli import _random_algebra
+from relkit.identities import _PLAIN, _atom_sets, _generator, _scan
 from relkit.parser import SpecParseError, parse_spec
 from relkit.relations import (
     BinRel,
@@ -241,11 +243,22 @@ def test_maj3_holds_lattice2(lattice2):
     assert v.holds is True and v.coverage == "exhaustive"
 
 
-def test_parallel_scan_matches_serial(z2cube):
-    spec = builtin("cdist3", k=2)
-    v1 = check_for_all(z2cube, spec, jobs=1)
-    v2 = check_for_all(z2cube, spec, jobs=2)
-    assert v1.report_form() == v2.report_form()
+# A binary operation on 3 elements on which gen1 and gen2 fail first at the
+# tenth of 16 values of the outermost variable, past the first worker's chunk
+# for 2 and 3 jobs.
+LATE_REFUTATION = FiniteAlgebra(3, [("f", 2, (1, 1, 1, 1, 1, 1, 0, 1, 2))], name="late3")
+
+
+def test_parallel_scan_matches_serial(z2cube, baker4):
+    cases = [
+        (z2cube, builtin("cdist3", k=2), False),
+        (LATE_REFUTATION, builtin("gen2"), False),
+        (baker4, builtin("gen1"), True),
+    ]
+    for alg, spec, holds in cases:
+        forms = [check_for_all(alg, spec, jobs=jobs).report_form() for jobs in (1, 2, 3)]
+        assert forms[0]["holds"] is holds, (alg.name, spec.name)
+        assert forms[1] == forms[0] and forms[2] == forms[0], (alg.name, spec.name)
 
 
 def test_sampled_strategy_is_conservative(lattice2, z2cube):
@@ -484,3 +497,91 @@ def test_principal_matches_plain_scan_on_symmetric_random_algebras():
             rng.shuffle(perm)
         alg = equivariant_algebra(rng, n, arities, perm)
         assert_principal_matches_plain(alg, cases)
+
+
+# --- the block scan against the plain product loop --------------------------
+
+
+BLOCK_CELLS = identities._BLOCK_CELLS
+
+
+def plain_scan(alg, spec, names, pools):
+    """The exhaustive scan as one loop over product(*pools) that evaluates
+    each assignment on its own: the first violation (assignment, pair), or
+    None, and the number of assignments evaluated."""
+    count = 0
+    for values in itertools.product(*pools):
+        count += 1
+        env = dict(zip(names, values))
+        lhs, rhs, sat = evaluate(alg, spec, env)
+        if not sat:
+            return (env, violation_pair(lhs, rhs, spec.mode)), count
+    return None, count
+
+
+def assert_scan_matches_plain(monkeypatch, alg, spec, override=None):
+    """_scan finds the same first violation as the plain loop, with the same
+    pool objects.  Blocks of 7 and 1 assignments, which bind a longer prefix
+    of the variables to masks, are compared too where the plain loop
+    evaluates at most 5000 assignments; at one assignment per block the scan
+    is as slow as the loop."""
+    classes = spec.classes(override=override)
+    names = [v for v, _ in spec.variables]
+    pools = [candidate_pool(alg, classes[v], DEFAULT_CAPS)[0] for v in names]
+    want, count = plain_scan(alg, spec, names, pools)
+    for cells in (BLOCK_CELLS, 7, 1) if count <= 5000 else (BLOCK_CELLS,):
+        monkeypatch.setattr(identities, "_BLOCK_CELLS", cells)
+        got = _scan(alg, spec, names, pools, 0, len(pools[0]))
+        where = (alg.name, spec.name, override, cells)
+        if want is None:
+            assert got is None, where
+            continue
+        assert got is not None, where
+        assert got[1] == want[1], where
+        assert list(got[0]) == names, where
+        assert all(got[0][v] is want[0][v] for v in names), where
+    return want
+
+
+# Exhaustive checks that take over a second with the plain loop.
+SLOW_SCANS = {("baker4", "baker4"), ("lattice_2x2", "baker4"), ("lattice_n5", "baker4")}
+
+
+@pytest.mark.parametrize("alg_name", sorted(FIXTURES))
+def test_scan_matches_plain_loop_on_fixtures(monkeypatch, alg_name):
+    alg = resolve(alg_name)
+    for name in builtin_names():
+        if (alg_name, name) not in SLOW_SCANS:
+            assert_scan_matches_plain(monkeypatch, alg, builtin(name))
+
+
+def test_scan_matches_plain_loop_on_refutations(monkeypatch, z2cube, lattice2):
+    """The z2cube refutations among the benchmark's check queries; three
+    builtins that first fail past the middle of the outermost pool; and an
+    equality that first fails at the last of lattice2's two congruences, in
+    the last block of the scan."""
+    for k in range(1, 7):
+        assert assert_scan_matches_plain(monkeypatch, z2cube, builtin("cdist3", k=k))
+    assert assert_scan_matches_plain(monkeypatch, z2cube, builtin("cor1"))
+    for name in ("gen1", "gen2", "vrIncl"):
+        assert assert_scan_matches_plain(monkeypatch, LATE_REFUTATION, builtin(name))
+    spec = parse_spec("cong:a & (adm:b ; adm:c) == b ; c")
+    assert assert_scan_matches_plain(monkeypatch, lattice2, spec)
+
+
+def test_scan_matches_plain_loop_on_search_mainp_variants(monkeypatch):
+    """The five search-mainp variants on random algebras of sizes 2 to 4."""
+    variants = [
+        (builtin("cdist2", h=2), None),
+        (builtin("cdist2", h=2), {"theta": RelClass.ReflexiveAdmissible}),
+        (builtin("cdist2", h=2), {"theta": RelClass.UAdmissible}),
+        (builtin("modular2", k=2), None),
+        (builtin("modular2", k=2), {"theta": RelClass.ReflexiveAdmissible}),
+    ]
+    rng = random.Random(8)
+    refuted = 0
+    for i in range(30):
+        alg = _random_algebra(rng.randrange(2, 5), rng, f"rnd{i}")
+        for spec, override in variants:
+            refuted += assert_scan_matches_plain(monkeypatch, alg, spec, override) is not None
+    assert 0 < refuted < 150

@@ -17,10 +17,13 @@ from relkit.relations import (
     _image_mask,
     _pairs_cmp,
     admissible_closure,
+    bar_masks,
     compose,
     compose_alt,
+    compose_masks,
     congruence_gen,
     converse,
+    converse_masks,
     enumerate_relations,
     intersect,
     is_admissible,
@@ -29,6 +32,7 @@ from relkit.relations import (
     is_tolerance,
     pairs_order,
     rel_power,
+    star_masks,
     symmetric_closure,
     tolerance_gen,
     transitive_closure,
@@ -445,6 +449,41 @@ def random_algebras(seed, count):
         out.append(random_algebra(rng, size, arities))
     out.append(random_algebra(rng, 4, (0, 1, 2, 3)))
     return out
+
+
+def objects(masks, shape=(-1,)):
+    """The masks as a numpy object array of the given shape."""
+    out = np.empty(len(masks), dtype=object)
+    out[:] = masks
+    return out.reshape(shape)
+
+
+def test_mask_kernels_act_elementwise():
+    """On object arrays the mask kernels give, cell by cell, Python ints equal
+    to their int form; compose_masks broadcasts its operands.  From n = 8 on
+    the masks do not fit int64."""
+    rng = random.Random(17)
+    for n in (*range(1, 10), 27):
+        alg = random_algebra(rng, n, (2,))
+        masks = [rng.getrandbits(n * n) for _ in range(4)]
+        for k in (1, 2, n):  # sparse masks keep ^* and bar below the full relation
+            masks.append(BinRel.from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]).mask)
+        masks += masks[:3]  # repeats: the per-distinct kernels map them once
+        left, right = objects(masks, (-1, 1)), objects(masks[::-1], (1, -1))
+        got = compose_masks(left, right, n)
+        assert got.shape == (len(masks), len(masks)) and got.dtype == object
+        for (i, j), value in np.ndenumerate(got):
+            assert type(value) is int and value == compose_masks(left[i, 0], right[0, j], n)
+        grid = objects(masks, (2, -1))
+        for kernel in (
+            lambda m: converse_masks(m, n),
+            lambda m: star_masks(m, n),
+            lambda m: bar_masks(alg, m),
+        ):
+            got = kernel(grid)
+            assert got.shape == grid.shape and got.dtype == object
+            for idx, value in np.ndenumerate(got):
+                assert type(value) is int and value == kernel(grid[idx])
 
 
 @functools.lru_cache(maxsize=None)
