@@ -65,23 +65,31 @@ class Clone:
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """The id of each row of a 2-D array of tables, -1 where the clone
-        lacks it: one index lookup per distinct row."""
-        first, inverse = _distinct_rows(rows)
-        ids = [self.index.get(rows[i].tobytes(), -1) for i in first.tolist()]
-        return np.array(ids, dtype=np.intp)[inverse]
+        lacks it: one index lookup per row, on the keys of _row_keys."""
+        index = self.index
+        return np.array([index.get(key, -1) for key in _row_keys(rows)], dtype=np.intp)
 
     def matrix(self) -> np.ndarray:
         return np.stack([e.table for e in self.elements])
 
 
-def _distinct_rows(rows: np.ndarray):
-    """np.unique over the rows of a 2-D array, compared as bytes: the index
-    of the first occurrence of each distinct row, and each row's position
-    among the distinct rows."""
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, the keys of Clone.index, from
+    one tolist of a void view rather than one tobytes call per row."""
     rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _symmetric_pairs(table: np.ndarray, n: int, r: int) -> list[tuple[int, int]]:
+    """The pairs i < j of argument positions of an r-ary table over
+    {0..n-1} whose swap leaves the operation unchanged."""
+    cube = np.asarray(table).reshape((n,) * r)
+    return [
+        (i, j)
+        for i in range(r)
+        for j in range(i + 1, r)
+        if np.array_equal(cube, np.swapaxes(cube, i, j))
+    ]
 
 
 def _prefixed(a: int, blocks):
@@ -144,8 +152,19 @@ def generate_clone(
     lexicographic id order, so each table keeps its first (shortest) witness.
     Depth d applies each operation to the tuples that use an element added
     at depth d-1 (the nullary ones only at depth 1), a chunk of tuples at a
-    time; only the first occurrence of each distinct table of a chunk is
-    looked up, and witnesses are built only for tables the clone admits.
+    time.  The rows of a chunk are scanned once, in tuple order, as bytes
+    keys: a row is admitted when its key is neither in the index nor earlier
+    in the chunk, and witnesses are built only for admitted rows.
+
+    Where swapping arguments i < j leaves an operation unchanged, only the
+    tuples with ids[i] <= ids[j] are applied.  A skipped tuple t repeats
+    the table of its swap, which is lexicographically smaller, and so of
+    the least tuple of its orbit under such swaps; that tuple meets every
+    condition, holds the same ids and so lies in the same depth, and comes
+    before t.  The skipped tuple's table is thus already in the index when
+    t would be applied: it would be admitted as nothing new, so no witness,
+    depth or cap cut changes.
+
     A clone with more than cap elements keeps the first cap, incomplete.
     """
     if k < 1:
@@ -172,13 +191,14 @@ def generate_clone(
         if key not in index:  # on one element every projection is one table
             admit(tab, key, 0, Var(j))
     ops = sorted(alg.ops, key=lambda o: o.name)
+    symmetric = [_symmetric_pairs(op.table, n, op.arity) for op in ops]
     limit = max(1, _CHUNK // span)
 
     start, depth = 0, 1
     while start < len(elements):
         total = len(elements)
         tm = np.stack([e.table for e in elements])
-        for op in ops:
+        for op, pairs in zip(ops, symmetric):
             otab = np.asarray(op.table, dtype=dtype)
             if op.arity == 0:
                 tab = np.full(span, otab[0], dtype=dtype)
@@ -189,11 +209,16 @@ def generate_clone(
                     admit(tab, key, depth, App(op.name, ()))
                 continue
             for ids in _new_tuple_blocks(start, total, op.arity, limit):
+                if pairs:
+                    keep = np.logical_and.reduce([ids[i] <= ids[j] for i, j in pairs])
+                    ids = ids[:, keep]
                 out = apply_table(otab, n, (tm[c] for c in ids))
-                first = np.sort(_distinct_rows(out)[0]).tolist()
-                fresh = [(i, key) for i in first if (key := out[i].tobytes()) not in index]
-                rows = out[[i for i, _ in fresh]]  # a copy: no view keeps out alive
-                for row, (i, key) in zip(rows, fresh):
+                fresh: dict[bytes, int] = {}
+                for i, key in enumerate(_row_keys(out)):
+                    if key not in index and key not in fresh:
+                        fresh[key] = i
+                rows = out[list(fresh.values())]  # a copy: no view keeps out alive
+                for row, (key, i) in zip(rows, fresh.items()):
                     if len(elements) == cap:
                         return clone
                     args = tuple(elements[a].witness for a in ids[:, i].tolist())
