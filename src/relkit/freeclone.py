@@ -65,7 +65,7 @@ class Clone:
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """The id of each row of a 2-D array of tables, -1 where the clone
-        lacks it: one index lookup per row, on the keys of _row_keys."""
+        lacks it: one index lookup per row."""
         index = self.index
         return np.array([index.get(key, -1) for key in _row_keys(rows)], dtype=np.intp)
 
@@ -161,9 +161,9 @@ def generate_clone(
     the table of its swap, which is lexicographically smaller, and so of
     the least tuple of its orbit under such swaps; that tuple meets every
     condition, holds the same ids and so lies in the same depth, and comes
-    before t.  The skipped tuple's table is thus already in the index when
-    t would be applied: it would be admitted as nothing new, so no witness,
-    depth or cap cut changes.
+    before t.  So t's table is already in the index when t would be
+    applied, and applying it would admit nothing: no witness, depth or cap
+    cut changes.
 
     A clone with more than cap elements keeps the first cap, incomplete.
     """

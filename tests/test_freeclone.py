@@ -12,6 +12,7 @@ from relkit.freeclone import (
     Clone,
     TermTable,
     _new_tuple_blocks,
+    _symmetric_pairs,
     clone_as_algebra,
     dump_clone,
     free_relations,
@@ -352,6 +353,112 @@ def test_generate_clone_small_chunks(monkeypatch, chunk):
     monkeypatch.setattr(freeclone, "_CHUNK", chunk)
     for (alg, k, cap), w in zip(cases, want):
         assert_same_clone(generate_clone(alg, k, cap=cap), w)
+
+
+# Operations symmetric in some argument pairs: a table constant on the
+# classes of a canonical form, with the pairs i < j whose swap fixes it.
+_SYMMETRIC_KINDS = {
+    "comm2": (2, lambda t: tuple(sorted(t)), [(0, 1)]),
+    "sym02": (3, lambda t: (min(t[0], t[2]), t[1], max(t[0], t[2])), [(0, 2)]),
+    "sym3": (3, lambda t: tuple(sorted(t)), [(0, 1), (0, 2), (1, 2)]),
+    "sym13": (4, lambda t: (t[0], min(t[1], t[3]), t[2], max(t[1], t[3])), [(1, 3)]),
+}
+
+
+def _symmetric_table(rng, n, kind):
+    """A random table of the kind, symmetric in exactly its pairs; the
+    commutative binary one is not idempotent."""
+    r, canon, pairs = _SYMMETRIC_KINDS[kind]
+    tuples = list(itertools.product(range(n), repeat=r))
+    while True:
+        values = {}
+        table = [values.setdefault(canon(t), rng.randrange(n)) for t in tuples]
+        idempotent = all(table[tuples.index((x,) * r)] == x for x in range(n))
+        if _brute_symmetric_pairs(table, n, r) == pairs and not (kind == "comm2" and idempotent):
+            return table
+
+
+def _brute_symmetric_pairs(table, n, r):
+    """The transpositions among itertools.permutations of the argument
+    positions that fix the operation on every tuple."""
+    tuples = list(itertools.product(range(n), repeat=r))
+    value = dict(zip(tuples, table))
+    pairs = []
+    for perm in itertools.permutations(range(r)):
+        moved = [i for i in range(r) if perm[i] != i]
+        if len(moved) == 2 and all(value[t] == value[tuple(t[p] for p in perm)] for t in tuples):
+            pairs.append(tuple(moved))
+    return sorted(pairs)
+
+
+def _symmetric_clone_cases():
+    """(algebra, k, cap): each symmetric kind on 2 and 3 elements, alone and
+    beside a random binary operation; uncapped where the clone has at most
+    27 functions, and with caps 7 and 40."""
+    rng = random.Random(131)
+    cases = []
+    for kind, n, with_binary in itertools.product(_SYMMETRIC_KINDS, (2, 3), (False, True)):
+        r = _SYMMETRIC_KINDS[kind][0]
+        ops = [(kind, r, _symmetric_table(rng, n, kind))]
+        if with_binary:
+            ops.append(("g", 2, [rng.randrange(n) for _ in range(n * n)]))
+        alg = FiniteAlgebra(n, ops, name=f"{kind}-{n}-{len(ops)}")
+        cases += [(alg, k, None) for k in ((1, 2) if n == 2 else (1,))]
+        cases += [(alg, 3 if n == 2 else 2, cap) for cap in (7, 40)]
+    return cases
+
+
+def test_symmetric_pairs_against_brute_force():
+    rng = random.Random(137)
+    tables = [
+        (op.table, alg.size, op.arity)
+        for alg, _, _ in _symmetric_clone_cases()
+        for op in alg.ops
+    ]
+    for n in (1, 2, 3):
+        for r in range(5):
+            tables += [([rng.randrange(n) for _ in range(n**r)], n, r) for _ in range(3)]
+    tables += [(op.table, alg.size, op.arity) for alg in map(resolve, FIXTURES) for op in alg.ops]
+    for table, n, r in tables:
+        assert _symmetric_pairs(table, n, r) == _brute_symmetric_pairs(table, n, r), (table, n, r)
+
+
+def test_generate_clone_symmetric_ops_match_plain_loop():
+    """Pruning the tuples a symmetric operation repeats changes no id,
+    table, witness, depth, complete flag or cap cut."""
+    for alg, k, cap in _symmetric_clone_cases():
+        assert_same_clone(generate_clone(alg, k, cap=cap), plain_generate_clone(alg, k, cap=cap))
+
+
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_generate_clone_symmetric_ops_small_chunks(monkeypatch, chunk):
+    """As above with chunks of a few cells, so a pruned block may be empty;
+    only cases with at most 5000 tuples per operation and depth."""
+    cases = [
+        (alg, k, cap)
+        for alg, k, cap in _symmetric_clone_cases()
+        if (cap or alg.size ** alg.size**k) ** max(op.arity for op in alg.ops) <= 5000
+    ]
+    want = [plain_generate_clone(alg, k, cap=cap) for alg, k, cap in cases]
+    monkeypatch.setattr(freeclone, "_CHUNK", chunk)
+    for (alg, k, cap), w in zip(cases, want):
+        assert_same_clone(generate_clone(alg, k, cap=cap), w)
+
+
+def test_find_rows_matches_find(lattice2):
+    """find_rows on repeated, absent and shuffled rows, in C and Fortran
+    order, equals find row by row with -1 for None."""
+    c = generate_clone(lattice2, 3)
+    rng = np.random.default_rng(139)
+    present = c.matrix()
+    absent = 1 - present[rng.choice(len(c), 6)]  # antitone: no term function
+    rows = np.concatenate([present, present[rng.choice(len(c), 30)], absent, absent[:2]])
+    rows = rows[rng.permutation(len(rows))]
+    want = [-1 if (i := c.find(row)) is None else i for row in rows]
+    assert -1 in want and len(set(want) - {-1}) == len(c)
+    for layout in (rows, np.asfortranarray(rows)):
+        got = c.find_rows(layout)
+        assert got.dtype == np.intp and got.tolist() == want
 
 
 def _lex_new_tuples(start, total, r):
