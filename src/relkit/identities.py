@@ -35,6 +35,8 @@ from .algebra import FiniteAlgebra, automorphisms
 from .caps import DEFAULT_CAPS, Caps
 from .relations import (
     BinRel,
+    _bits,
+    _mask_of,
     admissible_closure,
     bar_masks,
     compose,  # noqa: F401 -- perfbench's tracer patches and restores this alias
@@ -583,6 +585,10 @@ def _check_sampled(alg, spec, classes, caps, samples, seed):
 #   violation iff g(a, c) has one.  Phase 1 visits only the pairs that no
 #   automorphism found maps to a smaller pair; every pair lies in the orbit
 #   of one of them under the group those automorphisms generate.
+# - Transported closures.  The same automorphisms serve the closures of
+#   both phases: only a pair that is its own least image is closed from
+#   itself; any other pair's closure is the closure of its least image,
+#   mapped back by a bit permutation (_OrbitClosures).
 #
 # So phase 1 finds a violation iff the full assignment set has one, and its
 # "holds" is exhaustive.  After phase 1 refutes at a representative P,
@@ -649,19 +655,58 @@ def _minimal_members(alg, cls, pairs: tuple, close, finest: bool):
     return [UAdmRel([close(gen, block) for block in blocks]) for blocks in splits]
 
 
-def _representative_pairs(alg) -> list[int]:
-    """Flat indices a*n + c, ascending, of the pairs that no automorphism
-    found maps to a smaller pair.  Following g from any pair down to such a
-    pair ends after finitely many steps, so every pair lies in the orbit of
-    one of them."""
-    n = alg.size
-    flat = np.arange(n * n)
-    a, c = np.divmod(flat, n)
-    least = flat.copy()
-    for g in automorphisms(alg):
+class _OrbitClosures:
+    """Single-pair closures on alg, each computed once, by flat index
+    p = a*n + c.
+
+    One pass over the automorphisms found gives each pair its least image
+    under one of them, least[p], and the index which[p] of the automorphism
+    g that reaches it.  A pair with least[p] == p (a representative) is
+    closed directly.  Any other pair takes the closure of q = g(p) and maps
+    it back, closure(p) = {x : g(x) ∈ closure(q)}, since g maps the least
+    relation of a class containing p onto the one containing g(p).  q is
+    itself closed through the memo, so the chain p > q > ... ends at a
+    representative even when the automorphisms found are not a group.
+    """
+
+    def __init__(self, alg):
+        n = self.n = alg.size
+        self.alg = alg
+        self.auts = automorphisms(alg)
+        least, which = np.arange(n * n), np.full(n * n, -1)
+        for i, g in enumerate(self.auts):
+            image = self._pair_image(g)
+            smaller = image < least
+            least[smaller], which[smaller] = image[smaller], i
+        self.least, self.which = least.tolist(), which.tolist()
+        self.pair_images: dict = {}
+        self.memo: dict = {}
+
+    def _pair_image(self, g) -> np.ndarray:
+        """Flat index of g(a, c) at flat index a*n + c."""
         g = np.asarray(g)
-        np.minimum(least, g[a] * n + g[c], out=least)
-    return np.flatnonzero(least == flat).tolist()
+        return np.add.outer(g * self.n, g).ravel()
+
+    def representatives(self) -> list[int]:
+        """Flat indices, ascending, of the pairs that no automorphism found
+        maps to a smaller pair; every pair lies in the orbit of one."""
+        return [p for p, q in enumerate(self.least) if p == q]
+
+    def close(self, gen, p: int) -> BinRel:
+        """gen's closure of the pair with flat index p."""
+        chain, q = [], p
+        while (gen, q) not in self.memo and self.least[q] != q:
+            chain.append(q)
+            q = self.least[q]
+        if (gen, q) not in self.memo:
+            self.memo[gen, q] = gen(self.alg, [divmod(q, self.n)])
+        for q in reversed(chain):
+            i = self.which[q]
+            if i not in self.pair_images:
+                self.pair_images[i] = self._pair_image(self.auts[i])
+            bits = _bits(self.memo[gen, self.least[q]].mask, self.n)
+            self.memo[gen, q] = BinRel(self.n, _mask_of(bits[self.pair_images[i]]))
+        return self.memo[gen, p]
 
 
 def _check_principal(alg, spec, classes):
@@ -670,22 +715,23 @@ def _check_principal(alg, spec, classes):
     sides = desugar(spec.lhs), desugar(spec.rhs)
     n = alg.size
     names = [v for v, _ in spec.variables]
+    orbits = _OrbitClosures(alg)
     closures: dict = {}
     members: dict = {}
 
     def close(gen, block):
-        """gen's closure of the pair block, once per check: a single pair is
-        closed from itself, a larger block from the join of its pairs'
+        """gen's closure of the pair block, once per check: a single pair
+        from the orbit memo, a larger block from the join of its pairs'
         closures."""
+        if len(block) == 1:
+            (a, c), = block
+            return orbits.close(gen, a * n + c)
         key = (gen, frozenset(block))
         if key not in closures:
-            if len(block) == 1:
-                closures[key] = gen(alg, block)
-            else:
-                mask = 0
-                for p in block:
-                    mask |= close(gen, (p,)).mask
-                closures[key] = gen(alg, BinRel(n, mask))
+            mask = 0
+            for a, c in block:
+                mask |= orbits.close(gen, a * n + c).mask
+            closures[key] = gen(alg, BinRel(n, mask))
         return closures[key]
 
     def minimal(v, pairs, finest):
@@ -707,7 +753,7 @@ def _check_principal(alg, spec, classes):
                         return dict(zip(names, values)), (a, c)
         return None
 
-    hit = first_violation(_representative_pairs(alg), finest=True)
+    hit = first_violation(orbits.representatives(), finest=True)
     if hit is None:
         return Verdict(True, "exhaustive")
     a, c = hit[1]

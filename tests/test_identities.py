@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from relkit.algebra import FiniteAlgebra
+from relkit.algebra import FiniteAlgebra, automorphisms
 from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
@@ -45,6 +45,7 @@ from relkit.relations import (
     congruence_gen,
     converse,
     intersect,
+    tolerance_gen,
     transitive_closure,
     union,
 )
@@ -497,6 +498,71 @@ def test_principal_matches_plain_scan_on_symmetric_random_algebras():
             rng.shuffle(perm)
         alg = equivariant_algebra(rng, n, arities, perm)
         assert_principal_matches_plain(alg, cases)
+
+
+# --- transported closures against direct ones --------------------------------
+
+
+def order(g):
+    """The order of the permutation g (image tuple)."""
+    k, h = 1, tuple(g)
+    while h != tuple(range(len(g))):
+        h, k = tuple(g[x] for x in h), k + 1
+    return k
+
+
+def free_algebra(name):
+    free = clone_as_algebra(generate_clone(resolve(name), 3))
+    free.name = f"F({name},3)"
+    return free
+
+
+def transport_algebras():
+    """F(lattice2,3) (|Aut| = 6, with 3-cycles), F(z2,3) (|Aut| = 168) and
+    random equivariant algebras under permutations of order 3, 4, 5 and 6."""
+    rng = random.Random(10)
+    algs = [free_algebra("lattice2"), free_algebra("z2")]
+    for perm, arities in [((1, 2, 0, 3), (2,)), ((1, 2, 3, 0), (2,)), ((1, 2, 3, 4, 0), (1, 2)),
+                          ((1, 2, 0, 4, 3), (2,)), ((1, 2, 0, 4, 5, 3), (1, 1))]:
+        algs.append(equivariant_algebra(rng, len(perm), arities, list(perm)))
+    return algs
+
+
+@pytest.mark.parametrize("alg", transport_algebras(), ids=lambda a: a.name)
+def test_transported_closures_match_direct(alg):
+    """Every pair's closure from the orbit memo, for each closure kind, is the
+    closure computed from the pair itself; some pairs are transported along
+    an automorphism of order >= 3, where g and its inverse differ."""
+    n = alg.size
+    orbits = identities._OrbitClosures(alg)
+    assert max(map(order, orbits.auts)) >= 3
+    moved = [p for p in range(n * n) if orbits.least[p] != p]
+    assert any(order(orbits.auts[orbits.which[p]]) >= 3 for p in moved)
+    for gen in (admissible_closure, tolerance_gen, congruence_gen):
+        for p in range(n * n):
+            assert orbits.close(gen, p) == gen(alg, [divmod(p, n)]), (gen.__name__, divmod(p, n))
+
+
+def test_principal_matches_plain_scan_with_partial_automorphisms(monkeypatch):
+    """A non-closed set of automorphisms, one 3-cycle without its inverse, and
+    then the identity alone, leave every verdict and report unchanged."""
+    rng = random.Random(11)
+    cases = [
+        (free_algebra("lattice2"), [(builtin("cdist2"), True), (builtin("maj3"), True)]),
+        (equivariant_algebra(rng, 4, (2,), [1, 2, 0, 3]), principal_specs(["cdist2", "maj3", "gen2", "cor1"])),
+        (equivariant_algebra(rng, 5, (1, 2), [1, 2, 0, 4, 3]), principal_specs(["cdist2", "maj3", "modular2"])),
+    ]
+    refuted = 0
+    for alg, specs in cases:
+        cycle = next(g for g in automorphisms(alg) if order(g) == 3)
+        for spec, narrow in specs:
+            want = plain_principal(alg, spec, narrow).report_form()
+            refuted += want["holds"] is False
+            for subset in ([cycle], [tuple(range(alg.size))]):
+                monkeypatch.setattr(identities, "automorphisms", lambda _alg, s=subset: list(s))
+                got = check_for_all(alg, spec, strategy="principal", narrow=narrow)
+                assert got.report_form() == want, (alg.name, spec.name, narrow, subset)
+    assert refuted
 
 
 # --- the block scan against the plain product loop --------------------------
