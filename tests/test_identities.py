@@ -517,22 +517,22 @@ def free_algebra(name):
     return free
 
 
-def transport_algebras():
-    """F(lattice2,3) (|Aut| = 6, with 3-cycles), F(z2,3) (|Aut| = 168) and
-    random equivariant algebras under permutations of order 3, 4, 5 and 6."""
-    rng = random.Random(10)
-    algs = [free_algebra("lattice2"), free_algebra("z2")]
-    for perm, arities in [((1, 2, 0, 3), (2,)), ((1, 2, 3, 0), (2,)), ((1, 2, 3, 4, 0), (1, 2)),
-                          ((1, 2, 0, 4, 3), (2,)), ((1, 2, 0, 4, 5, 3), (1, 1))]:
-        algs.append(equivariant_algebra(rng, len(perm), arities, list(perm)))
-    return algs
+# F(lattice2,3) (|Aut| = 6, with 3-cycles), F(z2,3) (|Aut| = 168) and random
+# equivariant algebras under permutations of order 3, 4, 5 and 6.
+TRANSPORT_CASES = ["lattice2", "z2", ((1, 2, 0, 3), (2,)), ((1, 2, 3, 0), (2,)),
+                   ((1, 2, 3, 4, 0), (1, 2)), ((1, 2, 0, 4, 3), (2,)), ((1, 2, 0, 4, 5, 3), (1, 1))]
 
 
-@pytest.mark.parametrize("alg", transport_algebras(), ids=lambda a: a.name)
-def test_transported_closures_match_direct(alg):
+@pytest.mark.parametrize("case", TRANSPORT_CASES, ids=str)
+def test_transported_closures_match_direct(case):
     """Every pair's closure from the orbit memo, for each closure kind, is the
     closure computed from the pair itself; some pairs are transported along
     an automorphism of order >= 3, where g and its inverse differ."""
+    if isinstance(case, str):
+        alg = free_algebra(case)
+    else:
+        perm, arities = case
+        alg = equivariant_algebra(random.Random(10), len(perm), arities, list(perm))
     n = alg.size
     orbits = identities._OrbitClosures(alg)
     assert max(map(order, orbits.auts)) >= 3
