@@ -91,7 +91,6 @@ from .uadmissible import (
     enumerate_u,
     from_components,
     from_congruences,
-    greedy_decomposition,
     is_u_admissible,
     pair_families,
     principal_decomposition,

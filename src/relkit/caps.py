@@ -16,10 +16,9 @@ class Caps:
     # relation enumeration: the only bound.  Every relation of a kind is the
     # join of the principal relations it contains, so joining with the
     # principal generators is complete unless it finds more than this many
-    # relations; the result is then labelled truncated.
+    # relations; the result is then labelled truncated.  It bounds the
+    # U-admissible pool (the unions of reflexive-admissible relations) too.
     max_relations: int = 100_000
-    # U-admissible family enumeration: components per family (None = to fixpoint)
-    max_components: int | None = 3
     # clone generation caps by arity
     clone_cap_3: int = 50_000
     clone_cap_4: int = 200_000
@@ -27,11 +26,8 @@ class Caps:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name == "max_components":
-                continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                want = "an integer >= 1" + (" or null" if f.name == "max_components" else "")
-                raise ValueError(f"cap {f.name} must be {want}, not {value!r}")
+                raise ValueError(f"cap {f.name} must be an integer >= 1, not {value!r}")
 
     def clone_cap(self, arity: int) -> int:
         if arity <= 3:

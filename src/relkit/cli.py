@@ -45,7 +45,7 @@ from .maltsev import (
     schema_equations,
 )
 from .relations import BinRel, enumerate_relations, is_congruence
-from .uadmissible import UAdmRel, from_components
+from .uadmissible import UAdmRel
 
 from . import parser as relparser
 
@@ -384,7 +384,7 @@ class _ReplayError(Exception):
 def _load_value(alg, form: dict):
     if form["kind"] == "family":
         comps = [BinRel.from_pairs(alg.size, [tuple(p) for p in c]) for c in form["components"]]
-        return from_components(alg, comps, validate=False)
+        return UAdmRel(comps)
     return BinRel.from_pairs(alg.size, [tuple(p) for p in form["pairs"]])
 
 
@@ -581,10 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy",
         default="exhaustive",
-        choices=("exhaustive", "generated", "sampled", "principal"),
-        help="exhaustive (default); generated is an alias of exhaustive, kept for"
-        " compatibility; sampled never reports holds; principal reduces to"
-        " point-principal relations",
+        choices=("exhaustive", "sampled", "principal"),
+        help="exhaustive (default); sampled never reports holds; principal"
+        " reduces to point-principal relations",
     )
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

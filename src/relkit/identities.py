@@ -469,11 +469,9 @@ def check_for_all(
     """Quantify every variable over its class and test the identity.
 
     Strategies: "exhaustive" (complete enumeration of every class, labelled
-    truncated when caps.max_relations or caps.max_components cuts it short),
-    "generated" (an alias of "exhaustive", kept for compatibility),
-    "sampled" (random closures, never reports holds), "principal"
-    (point-principal reduction, exact for star/bar-free inclusion left-hand
-    sides).
+    truncated when caps.max_relations cuts it short), "sampled" (random
+    closures, never reports holds), "principal" (point-principal reduction,
+    exact for star/bar-free inclusion left-hand sides).
 
     The exhaustive scan runs one block per value of the outermost variable
     (per value of a longer prefix when the later pools span more than
@@ -489,8 +487,8 @@ def check_for_all(
     if strategy == "principal":
         return _check_principal(alg, spec, classes)
     if strategy == "sampled":
-        return _check_sampled(alg, spec, classes, caps, samples, seed)
-    if strategy not in ("exhaustive", "generated"):
+        return _check_sampled(alg, spec, classes, samples, seed)
+    if strategy != "exhaustive":
         raise ValueError(f"unknown strategy {strategy!r}")
 
     names = [v for v, _ in spec.variables]
@@ -533,7 +531,7 @@ def _generator(cls):
     return admissible_closure
 
 
-def _random_value(alg, cls, caps, rng):
+def _random_value(alg, cls, rng):
     n = alg.size
     def rnd_pairs(k):
         return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
@@ -541,18 +539,18 @@ def _random_value(alg, cls, caps, rng):
         return _generator(cls)(alg, rnd_pairs(rng.randint(1, 2)))
     if cls is RelClass.UnionOfTwoCongruences:
         return UAdmRel([congruence_gen(alg, [p]) for p in rnd_pairs(2)])
-    k = 2 if cls is RelClass.U2Admissible else (caps.max_components or 3)
+    k = 2 if cls is RelClass.U2Admissible else 3
     return UAdmRel(
         [admissible_closure(alg, [p]) for p in rnd_pairs(rng.randint(1, k))]
     )
 
 
-def _check_sampled(alg, spec, classes, caps, samples, seed):
+def _check_sampled(alg, spec, classes, samples, seed):
     rng = random.Random(seed)
     names = [v for v, _ in spec.variables]
     sides = desugar(spec.lhs), desugar(spec.rhs)
     for _ in range(samples):
-        env = {v: _random_value(alg, classes[v], caps, rng) for v in names}
+        env = {v: _random_value(alg, classes[v], rng) for v in names}
         if not _holds_at(alg, sides, spec.mode, {v: _value_mask(x) for v, x in env.items()}):
             lhs, rhs, _ = evaluate(alg, spec, env)
             cex = {"assignment": env, "pair": violation_pair(lhs, rhs, spec.mode)}

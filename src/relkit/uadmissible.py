@@ -8,17 +8,18 @@ distributes over the union of the components, so the evaluator of
 `identities` (`eval_expr` and its mask-level core) evaluates on union-view
 masks.  The componentwise operators below (`compose_u` and friends) give
 the same union views; the evaluator does not use them.
+
+The quantifier pools `enumerate_u` (every union, up to caps.max_relations
+views) and `pair_families` (unions of at most two) share one join loop.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import FiniteAlgebra
 from .caps import DEFAULT_CAPS, Caps
 from .relations import (
     BinRel,
+    EnumResult,
     admissible_closure,
     compose,
     converse,
@@ -27,7 +28,6 @@ from .relations import (
     is_reflexive_admissible,
     pairs_order,
     transitive_closure,
-    union,
 )
 
 
@@ -79,11 +79,10 @@ def canonical_components(components) -> tuple:
     return tuple(sorted(kept, key=pairs_order))
 
 
-def from_components(alg: FiniteAlgebra, components, validate: bool = True) -> UAdmRel:
-    if validate:
-        for c in components:
-            if not is_reflexive_admissible(alg, c):
-                raise ValueError(f"component is not reflexive-admissible: {c!r}")
+def from_components(alg: FiniteAlgebra, components) -> UAdmRel:
+    for c in components:
+        if not is_reflexive_admissible(alg, c):
+            raise ValueError(f"component is not reflexive-admissible: {c!r}")
     return UAdmRel(components)
 
 
@@ -159,106 +158,75 @@ def bar_u(alg: FiniteAlgebra, sigma: UAdmRel) -> UAdmRel:
 # recognizing / decomposing plain relations
 
 
-def principal_components(alg: FiniteAlgebra, rel: BinRel):
-    """Principal closures of the pairs of rel (each one is <=(a,b)>)."""
-    return [admissible_closure(alg, [p]) for p in rel.pairs()]
-
-
 def is_u_admissible(alg: FiniteAlgebra, rel: BinRel) -> bool:
-    """rel is a union of reflexive-admissible relations iff every principal
-    closure of one of its pairs stays inside it."""
-    if not rel.is_reflexive():
-        return False
-    for comp in principal_components(alg, rel):
-        if comp.mask | rel.mask != rel.mask:
-            return False
-    return True
+    """rel is a union of reflexive-admissible relations iff it is reflexive
+    and every principal closure <(a,b)> of one of its pairs stays inside it."""
+    return rel.is_reflexive() and all(
+        admissible_closure(alg, [p]).mask | rel.mask == rel.mask for p in rel.pairs()
+    )
 
 
 def principal_decomposition(alg: FiniteAlgebra, rel: BinRel) -> UAdmRel:
     """Exact decomposition into principal components (fails if not U-admissible)."""
-    comps = principal_components(alg, rel)
-    for comp in comps:
-        if comp.mask | rel.mask != rel.mask:
-            raise ValueError("relation is not U-admissible")
+    comps = [admissible_closure(alg, [p]) for p in rel.pairs()]
+    if any(c.mask | rel.mask != rel.mask for c in comps):
+        raise ValueError("relation is not U-admissible")
     return UAdmRel(comps)
-
-
-def greedy_decomposition(alg: FiniteAlgebra, rel: BinRel) -> UAdmRel:
-    """Best-effort small component family (no optimality guarantee)."""
-    sigma = principal_decomposition(alg, rel)
-    remaining = list(sigma.components)
-    chosen = []
-    covered = 0
-    while covered != rel.mask:
-        best = max(remaining, key=lambda c: ((c.mask & ~covered).bit_count(), -c.mask))
-        chosen.append(best)
-        covered |= best.mask
-        remaining = [c for c in remaining if c.mask & ~covered]
-    return UAdmRel(chosen)
 
 
 # ---------------------------------------------------------------------------
 # enumeration of candidate families for quantifiers
 
 
-@dataclass
-class UEnumResult:
-    families: list
-    exhaustive: bool
-    truncated: bool = False
+def _unions(masks, depth, bound):
+    """({view: witness}, truncated) for the unions of the masks.
 
-    def __iter__(self):
-        return iter(self.families)
-
-    def __len__(self):
-        return len(self.families)
-
-
-def enumerate_u(base, base_exhaustive: bool, caps: Caps = DEFAULT_CAPS) -> UEnumResult:
-    """Families of <= caps.max_components relations from the base list,
-    one witness family per distinct union view.
-
-    Verdicts only depend on union views, so the enumeration is exhaustive
-    over ALL U-admissible relations when the view set is stable under adding
-    one more base component (then larger families add no new views).
+    Level 1 is the distinct masks; level k+1 extends each view new at level
+    k by the masks after the last index of its witness.  So no subset is
+    joined twice, a witness is the lexicographically first minimal index
+    tuple of its view, and a level that adds nothing ends the fixpoint.  It
+    also stops after depth levels, or (truncated) past bound views.
     """
+    views = {}
+    for i, m in enumerate(masks):
+        views.setdefault(m, (i,))
+    frontier = list(views.items())
+    level = 1
+    while frontier and level != depth:
+        level += 1
+        new = []
+        for view, wit in frontier:
+            for j in range(wit[-1] + 1, len(masks)):
+                m = view | masks[j]
+                if m not in views:
+                    views[m] = wit + (j,)
+                    new.append((m, views[m]))
+            if bound is not None and len(views) > bound:
+                return views, True
+        frontier = new
+    return views, False
+
+
+def _pool(base, kind: str, exhaustive: bool, depth=None, bound=None) -> EnumResult:
+    """One witness family per union view of the base relations."""
     base = list(base)
     if not base:
         raise ValueError("empty base for U-enumeration")
-    limit = caps.max_components or len(base)
-    views = {}
-    size = 0
-    stable = False
-    while size < limit:
-        size += 1
-        before = len(views)
-        for combo in combinations(range(len(base)), size):
-            mask = 0
-            for i in combo:
-                mask |= base[i].mask
-            if mask not in views:
-                views[mask] = UAdmRel([base[i] for i in combo])
-        if size > 1 and len(views) == before:
-            stable = True
-            break
-    if not stable:
-        stable = all(
-            (v | b.mask) in views for v in list(views) for b in base
-        )
-    families = sorted(views.values(), key=lambda u: (u.union_view.pairs(), len(u.components)))
-    exhaustive = base_exhaustive and stable
-    return UEnumResult(families, exhaustive=exhaustive, truncated=not exhaustive)
+    views, truncated = _unions([b.mask for b in base], depth, bound)
+    families = sorted(
+        (UAdmRel([base[i] for i in wit]) for wit in views.values()),
+        key=lambda u: pairs_order(u.union_view),
+    )
+    exhaustive = exhaustive and not truncated
+    return EnumResult(kind, families, exhaustive=exhaustive, truncated=not exhaustive)
 
 
-def pair_families(base, base_exhaustive: bool) -> UEnumResult:
-    """All families of at most two base relations (exactly the U2 class)."""
-    base = list(base)
-    views = {}
-    for i in range(len(base)):
-        for j in range(i, len(base)):
-            mask = base[i].mask | base[j].mask
-            if mask not in views:
-                views[mask] = UAdmRel([base[i], base[j]])
-    families = sorted(views.values(), key=lambda u: (u.union_view.pairs(), len(u.components)))
-    return UEnumResult(families, exhaustive=base_exhaustive, truncated=not base_exhaustive)
+def enumerate_u(base, base_exhaustive: bool, caps: Caps = DEFAULT_CAPS) -> EnumResult:
+    """Every union of the reflexive-admissible base (one witness family per
+    view), truncated past caps.max_relations views or when the base is."""
+    return _pool(base, "u_admissible", base_exhaustive, bound=caps.max_relations)
+
+
+def pair_families(base, base_exhaustive: bool) -> EnumResult:
+    """All unions of at most two base relations (exactly the U2 class)."""
+    return _pool(base, "u2_admissible", base_exhaustive, depth=2)

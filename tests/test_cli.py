@@ -213,8 +213,6 @@ def test_search_mainp_deterministic(capsys):
 
 def test_caps_type_checked_exit3(capsys, monkeypatch):
     for bad in (
-        '{"max_components": "x"}',
-        '{"max_components": 0}',
         '{"max_relations": 0}',
         '{"max_relations": 2.5}',
         '{"clone_cap_3": true}',
@@ -222,12 +220,30 @@ def test_caps_type_checked_exit3(capsys, monkeypatch):
     ):
         code, _, err = run(capsys, "check", "lattice2", "cdist2", "--caps", bad)
         assert code == 3 and "must be an integer" in err, bad
-    for removed in ('{"exhaustive_threshold": 5}', '{"seed_pairs": 2}'):
+    for removed in (
+        '{"exhaustive_threshold": 5}',
+        '{"seed_pairs": 2}',
+        '{"max_components": 3}',
+        '{"max_components": null}',
+    ):
         code, _, err = run(capsys, "check", "lattice2", "cdist2", "--caps", removed)
         assert code == 3 and "unknown keys" in err
-    assert run(capsys, "check", "lattice2", "cdist2", "--caps", '{"max_components": null}')[0] == 0
     monkeypatch.setenv("RELKIT_CAPS", '{"max_components": "x"}')
     assert run(capsys, "check", "lattice2", "cdist2")[0] == 3
+
+
+def test_removed_generated_strategy_exit3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "lattice2", "cdist2", "--strategy", "generated"])
+    assert exc.value.code == 3
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_uadm_check_exhaustive_on_z2cube(capsys):
+    # every union of reflexive-admissible relations is in the pool, so the
+    # verdict is exhaustive rather than truncated
+    code, out, _ = run(capsys, "check", "z2cube", "uadm:s & uadm:t <= s")
+    assert code == 0 and "holds (exhaustive)" in out
 
 
 def test_cap_exceeded_exit2_without_traceback(capsys):

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from relkit.algebra import FiniteAlgebra, power
+from relkit.caps import Caps
+from relkit.fixtures import FIXTURES, resolve
 from relkit.relations import (
     BinRel,
     admissible_closure,
@@ -16,11 +19,11 @@ from relkit.relations import (
 )
 from relkit.uadmissible import (
     UAdmRel,
+    _unions,
     bar_u,
     enumerate_u,
     from_components,
     from_congruences,
-    greedy_decomposition,
     is_u_admissible,
     pair_families,
     principal_decomposition,
@@ -97,8 +100,6 @@ def test_transitive_closure_u(z2cube):
 
 
 def lattice_square():
-    from relkit.fixtures import resolve
-
     return resolve("lattice_2x2")
 
 
@@ -117,8 +118,6 @@ def test_principal_decomposition_roundtrip(z2cube):
     assert is_u_admissible(z2cube, u)
     dec = principal_decomposition(z2cube, u)
     assert dec.union_view == u
-    greedy = greedy_decomposition(z2cube, u)
-    assert greedy.union_view == u
 
 
 def test_non_u_admissible_detected(lattice2):
@@ -145,8 +144,8 @@ def test_enumerate_u_lattice2(lattice2):
     assert out.exhaustive and not out.truncated
     # oracle: subsets of any size (the base only has 4 members)
     oracle = brute_families(lattice2, base.relations, len(base.relations))
-    assert {f.union_view.mask for f in out.families} == set(oracle)
-    assert len(out.families) == 4
+    assert {f.union_view.mask for f in out.relations} == set(oracle)
+    assert len(out.relations) == 4
 
 
 def test_enumerate_u_stability_beyond_cutoff(lattice_n5):
@@ -154,10 +153,10 @@ def test_enumerate_u_stability_beyond_cutoff(lattice_n5):
     assert len(base.relations) == 25
     out = enumerate_u(base.relations, base.exhaustive)
     assert out.exhaustive
-    assert len(out.families) == 58
-    # going one subset size beyond the library's component cap adds nothing
+    assert len(out.relations) == 58
+    # every union of four base relations is already in the pool
     oracle = brute_families(lattice_n5, base.relations, 4)
-    assert {f.union_view.mask for f in out.families} == set(oracle)
+    assert {f.union_view.mask for f in out.relations} == set(oracle)
 
 
 def test_enumerate_u_truncated_base(lattice2):
@@ -170,8 +169,8 @@ def test_pair_families_are_two_block(z2cube):
     congs = enumerate_relations(z2cube, "congruence")
     fams = pair_families(congs.relations, congs.exhaustive)
     oracle = brute_families(z2cube, congs.relations, 2)
-    assert {f.union_view.mask for f in fams.families} == set(oracle)
-    for f in fams.families:
+    assert {f.union_view.mask for f in fams.relations} == set(oracle)
+    for f in fams.relations:
         assert len(f.components) <= 2
 
 
@@ -180,3 +179,179 @@ def test_report_form(lattice_2x2):
     form = sigma.report_form()
     assert set(form) == {"components", "union"}
     assert sorted(tuple(p) for p in form["union"]) == sigma.union_view.pairs()
+
+
+# ---------------------------------------------------------------------------
+# the join fixpoint against the bounded combination pass it replaced
+
+
+def plain_enumerate_u(base, base_exhaustive, max_components=3):
+    """Oracle: unions of at most max_components base relations by
+    itertools.combinations, one witness per union view, exhaustive when the
+    views are stable under adding one more base relation."""
+    base = list(base)
+    views = {}
+    size = 0
+    stable = False
+    while size < max_components:
+        size += 1
+        before = len(views)
+        for combo in itertools.combinations(range(len(base)), size):
+            mask = 0
+            for i in combo:
+                mask |= base[i].mask
+            if mask not in views:
+                views[mask] = UAdmRel([base[i] for i in combo])
+        if size > 1 and len(views) == before:
+            stable = True
+            break
+    if not stable:
+        stable = all((v | b.mask) in views for v in list(views) for b in base)
+    families = sorted(views.values(), key=lambda u: u.union_view.pairs())
+    return families, base_exhaustive and stable
+
+
+def plain_pair_families(base):
+    """Oracle: every pair (i <= j) of base relations, first pair per view."""
+    base = list(base)
+    views = {}
+    for i in range(len(base)):
+        for j in range(i, len(base)):
+            mask = base[i].mask | base[j].mask
+            if mask not in views:
+                views[mask] = UAdmRel([base[i], base[j]])
+    return sorted(views.values(), key=lambda u: u.union_view.pairs())
+
+
+def brute_u_admissible(alg):
+    """Oracle: every reflexive R with adm(p) <= R for all p in R."""
+    n = alg.size
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    principal = {p: admissible_closure(alg, [p]).mask for p in off}
+    diag = BinRel.diagonal(n).mask
+    found = set()
+    for bits in range(1 << len(off)):
+        chosen = [p for k, p in enumerate(off) if bits >> k & 1]
+        rel = diag | BinRel.from_pairs(n, chosen).mask
+        if all(principal[p] | rel == rel for p in chosen):
+            found.add(rel)
+    return found
+
+
+def random_algebras(seed, count, squares):
+    """Random algebras of size 2-3, with squares of two-element ones (size
+    4) among them when squares is set; some have a unary operation."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        size = rng.choice((2, 3))
+        arities = rng.choice(((2,), (1, 2), (2, 2), (3,)))
+        ops = [
+            (f"f{i}", r, [rng.randrange(size) for _ in range(size**r)])
+            for i, r in enumerate(arities)
+        ]
+        alg = FiniteAlgebra(size, ops, name=f"rnd{size}{arities}")
+        out.append(power(alg, 2) if squares and size == 2 and rng.random() < 0.7 else alg)
+    return out
+
+
+def differential_algebras():
+    named = [resolve(name) for name in (*FIXTURES, "z2^2", "lattice2^2")]
+    return named + random_algebras(1, 30, squares=True)
+
+
+def test_enumerate_u_matches_plain_combinations():
+    compared = grown = 0
+    for alg in differential_algebras():
+        base = enumerate_relations(alg, "reflexive_admissible")
+        out = enumerate_u(base.relations, base.exhaustive)
+        plain, plain_exhaustive = plain_enumerate_u(base.relations, base.exhaustive)
+        if not plain_exhaustive:
+            continue
+        assert out.exhaustive, alg.name
+        assert [u.report_form() for u in out] == [u.report_form() for u in plain], alg.name
+        compared += 1
+        grown += len(out) > len(base)
+    assert compared >= 35 and grown >= 8
+
+
+def test_pair_families_match_plain_pairs():
+    for alg in differential_algebras():
+        for kind in ("reflexive_admissible", "congruence"):
+            base = enumerate_relations(alg, kind)
+            out = pair_families(base.relations, base.exhaustive)
+            assert out.exhaustive == base.exhaustive
+            plain = plain_pair_families(base.relations)
+            assert [u.report_form() for u in out] == [u.report_form() for u in plain], (
+                alg.name,
+                kind,
+            )
+
+
+@pytest.mark.parametrize("name", ["z2cube", "lattice2^3"])
+def test_enumerate_u_keeps_plain_witnesses(name):
+    alg = resolve(name)
+    base = enumerate_relations(alg, "reflexive_admissible")
+    out = enumerate_u(base.relations, base.exhaustive)
+    plain, plain_exhaustive = plain_enumerate_u(base.relations, base.exhaustive)
+    assert not plain_exhaustive and len(plain) < len(out)
+    witness = {u.union_view.mask: u for u in out}
+    for u in plain:
+        assert witness[u.union_view.mask].report_form() == u.report_form()
+
+
+def test_enumerate_u_matches_brute_force():
+    small = [resolve(name) for name in FIXTURES if resolve(name).size <= 4]
+    for alg in small + random_algebras(2, 30, squares=False):
+        base = enumerate_relations(alg, "reflexive_admissible")
+        out = enumerate_u(base.relations, base.exhaustive)
+        assert out.exhaustive
+        assert {u.union_view.mask for u in out} == brute_u_admissible(alg), alg.name
+
+
+@pytest.mark.parametrize(
+    "name,count", [("lattice_n5", 58), ("z2cube", 128), ("lattice2^3", 15_935)]
+)
+def test_enumerate_u_counts(name, count):
+    alg = resolve(name)
+    base = enumerate_relations(alg, "reflexive_admissible")
+    out = enumerate_u(base.relations, base.exhaustive)
+    assert len(out) == count and out.exhaustive and not out.truncated
+
+
+def test_enumerate_u_truncated_beyond_max_relations(z2cube):
+    base = enumerate_relations(z2cube, "reflexive_admissible")
+    out = enumerate_u(base.relations, base.exhaustive, Caps(max_relations=100))
+    assert out.truncated and not out.exhaustive
+    assert 100 < len(out) < 128
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "z2^2"])
+def test_u_pool_closed_under_intersection(name):
+    alg = resolve(name)
+    base = enumerate_relations(alg, "reflexive_admissible")
+    views = {u.union_view.mask for u in enumerate_u(base.relations, base.exhaustive)}
+    assert all(x & y in views for x in views for y in views)
+
+
+class _CountingMask(int):
+    """An int mask that counts the joins it takes part in."""
+
+    joins = 0
+
+    def __or__(self, other):
+        _CountingMask.joins += 1
+        return int.__or__(int(self), int(other))
+
+    __ror__ = __or__
+
+
+def test_join_loop_forms_each_subset_once(z2cube):
+    base = enumerate_relations(z2cube, "reflexive_admissible").relations
+    masks = [_CountingMask(b.mask) for b in base]
+    _CountingMask.joins = 0
+    views, truncated = _unions(masks, None, None)
+    assert not truncated and len(views) == 128
+    # each view is joined once with each base relation after its witness,
+    # and with no other
+    assert _CountingMask.joins == sum(len(masks) - 1 - w[-1] for w in views.values())
