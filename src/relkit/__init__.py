@@ -60,12 +60,10 @@ from .maltsev import (
     find_mal_f,
     find_pixley,
     find_vr,
-    mal_implication_experiment,
     slmore_dichotomy,
     subst_vars,
-    variation_count,
 )
-from .parser import SpecParseError, parse_expr, parse_spec
+from .parser import SpecParseError, parse_spec
 from .relations import (
     BinRel,
     admissible_closure,

@@ -32,7 +32,6 @@ from .identities import (
     check_for_all,
     class_member,
     evaluate,
-    expr_str,
 )
 from .maltsev import (
     enumerate_expansions,
@@ -158,7 +157,6 @@ def _cmd_check(args) -> int:
         caps=caps,
         narrow=not args.no_narrow,
         classes_override=override,
-        jobs=args.jobs,
         samples=args.samples,
         seed=args.seed,
     )
@@ -587,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-narrow", action="store_true", help="quantify the wide classes, ignoring marked narrowings")
     _add_common(p)
     p.set_defaults(func=_cmd_check)

@@ -3,6 +3,19 @@
 Expressions evaluate to plain relations; a variable bound to a U-admissible
 family evaluates to its union view.  The builtins are parse_spec literals.
 
+The AST is walked in one way.  nodes(e) yields e's nodes in preorder, and
+map_children(e, f) rebuilds e with f applied to its arg, left and right
+fields, left before right; a node's other fields (a name, a constant, m, h)
+are kept.  desugar, expr_vars, expr_str (through the _FORMS print table) and
+the expansions of maltsev are written on these two.  Only the evaluators,
+_eval_masks and _atom_sets, dispatch on the node class themselves.
+
+The variable classes are one table, _SHAPES: for each class, the kind of
+relation (relations.KINDS) its values or their components are, and the most
+components a value has (None for a plain relation).  Pools, membership,
+minimal members, random values and seed instances read it, and get a kind's
+closure and membership test from relations.kind_functions.
+
 One evaluator, _eval_masks, works on relation masks.  Each check desugars
 Pow/AltR/AltL into composition chains once.  A variable is bound to a mask,
 or to a numpy object array of masks, and the mask kernels of relations.py
@@ -22,8 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
 from itertools import product
@@ -37,18 +49,13 @@ from .relations import (
     BinRel,
     _bits,
     _mask_of,
-    admissible_closure,
     bar_masks,
     compose,  # noqa: F401 -- perfbench's tracer patches and restores this alias
     compose_masks,
-    congruence_gen,
     converse_masks,
     enumerate_relations,
-    is_congruence,
-    is_reflexive_admissible,
-    is_tolerance,
+    kind_functions,
     star_masks,
-    tolerance_gen,
 )
 from .uadmissible import UAdmRel, enumerate_u, pair_families
 
@@ -131,79 +138,65 @@ class Pow:
 RelExpr = RVar | RConst | Conv | Star | BarOp | Inter | UnionOp | Comp | AltR | AltL | Pow
 
 
+_FORMS = {  # node class -> printed form over its fields; these are the node classes
+    RVar: "{name}",
+    RConst: "{which}",
+    Conv: "{arg}^~",
+    Star: "({arg})^*",
+    BarOp: "bar({arg})",
+    Inter: "({left} & {right})",
+    UnionOp: "({left} | {right})",
+    Comp: "({left} ; {right})",
+    AltR: "({left} ;^{m} {right})",
+    AltL: "({left} {m}^; {right})",
+    Pow: "pow({arg},{h})",
+}
+_CHILDREN = ("arg", "left", "right")
+
+
+def _node(e) -> RelExpr:
+    if type(e) not in _FORMS:
+        raise TypeError(f"not a relation expression: {e!r}")
+    return e
+
+
+def nodes(e: RelExpr):
+    """The nodes of e in preorder, the left subtree before the right."""
+    yield _node(e)
+    for name in _CHILDREN:
+        if hasattr(e, name):
+            yield from nodes(getattr(e, name))
+
+
+def map_children(e: RelExpr, f) -> RelExpr:
+    """e with each child c replaced by f(c), called on left before right."""
+    kids = {name: f(getattr(e, name)) for name in _CHILDREN if hasattr(_node(e), name)}
+    return replace(e, **kids) if kids else e
+
+
 def desugar(e: RelExpr) -> RelExpr:
     """Expand Pow/AltR/AltL into explicit composition chains."""
-    if isinstance(e, (RVar, RConst)):
-        return e
-    if isinstance(e, Conv):
-        return Conv(desugar(e.arg))
-    if isinstance(e, Star):
-        return Star(desugar(e.arg))
-    if isinstance(e, BarOp):
-        return BarOp(desugar(e.arg))
-    if isinstance(e, (Inter, UnionOp, Comp)):
-        return type(e)(desugar(e.left), desugar(e.right))
+    if isinstance(e, AltL):  # the chain of AltR started from left (even m) or right (odd m)
+        return desugar(AltR(e.left, e.right, e.m) if e.m % 2 == 0 else AltR(e.right, e.left, e.m))
+    if isinstance(e, Pow) and e.h < 1:
+        raise ValueError("relation power needs h >= 1")
+    if isinstance(e, AltR) and e.m < 1:
+        raise ValueError("alternating composition needs m >= 1")
+    e = map_children(e, desugar)
     if isinstance(e, Pow):
-        if e.h < 1:
-            raise ValueError("relation power needs h >= 1")
-        a = desugar(e.arg)
-        return reduce(Comp, [a] * e.h)
+        return reduce(Comp, [e.arg] * e.h)
     if isinstance(e, AltR):
-        if e.m < 1:
-            raise ValueError("alternating composition needs m >= 1")
-        l, r = desugar(e.left), desugar(e.right)
-        return reduce(Comp, [l if i % 2 == 0 else r for i in range(e.m)])
-    if isinstance(e, AltL):
-        if e.m % 2 == 0:
-            return desugar(AltR(e.left, e.right, e.m))
-        return desugar(AltR(e.right, e.left, e.m))
-    raise TypeError(f"not a relation expression: {e!r}")
+        return reduce(Comp, [e.left if i % 2 == 0 else e.right for i in range(e.m)])
+    return e
 
 
 def expr_vars(e: RelExpr) -> list[str]:
     """Variable names in first-occurrence order."""
-    out: list[str] = []
-
-    def walk(e):
-        if isinstance(e, RVar):
-            if e.name not in out:
-                out.append(e.name)
-        elif isinstance(e, RConst):
-            pass
-        elif isinstance(e, (Conv, Star, BarOp, Pow)):
-            walk(e.arg)
-        else:
-            walk(e.left)
-            walk(e.right)
-
-    walk(e)
-    return out
+    return list(dict.fromkeys(x.name for x in nodes(e) if isinstance(x, RVar)))
 
 
 def expr_str(e: RelExpr) -> str:
-    if isinstance(e, RVar):
-        return e.name
-    if isinstance(e, RConst):
-        return e.which
-    if isinstance(e, Conv):
-        return f"{expr_str(e.arg)}^~"
-    if isinstance(e, Star):
-        return f"({expr_str(e.arg)})^*"
-    if isinstance(e, BarOp):
-        return f"bar({expr_str(e.arg)})"
-    if isinstance(e, Inter):
-        return f"({expr_str(e.left)} & {expr_str(e.right)})"
-    if isinstance(e, UnionOp):
-        return f"({expr_str(e.left)} | {expr_str(e.right)})"
-    if isinstance(e, Comp):
-        return f"({expr_str(e.left)} ; {expr_str(e.right)})"
-    if isinstance(e, AltR):
-        return f"({expr_str(e.left)} ;^{e.m} {expr_str(e.right)})"
-    if isinstance(e, AltL):
-        return f"({expr_str(e.left)} {e.m}^; {expr_str(e.right)})"
-    if isinstance(e, Pow):
-        return f"pow({expr_str(e.arg)},{e.h})"
-    raise TypeError(f"not a relation expression: {e!r}")
+    return _FORMS[type(_node(e))].format_map(vars(map_children(e, expr_str)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +212,22 @@ class RelClass(Enum):
     UnionOfTwoCongruences = "UnionOfTwoCongruences"
 
 
-_PLAIN = (RelClass.Congruence, RelClass.Tolerance, RelClass.ReflexiveAdmissible)
+# class -> (kind of its relations or components, as relations.KINDS names
+# it; most components: None for a plain relation, 2, or 0 for any number)
+_SHAPES = {
+    RelClass.Congruence: ("congruence", None),
+    RelClass.Tolerance: ("tolerance", None),
+    RelClass.ReflexiveAdmissible: ("reflexive_admissible", None),
+    RelClass.UAdmissible: ("reflexive_admissible", 0),
+    RelClass.U2Admissible: ("reflexive_admissible", 2),
+    RelClass.UnionOfTwoCongruences: ("congruence", 2),
+}
+_PLAIN = tuple(cls for cls, (_, most) in _SHAPES.items() if most is None)
+
+
+def _generator(cls):
+    """The closure that gives the least relation of cls's kind."""
+    return kind_functions(_SHAPES[cls][0])[0]
 
 
 @dataclass
@@ -261,22 +269,13 @@ class IdentitySpec:
 
 
 def class_member(alg: FiniteAlgebra, cls: RelClass, value) -> bool:
-    if cls in _PLAIN:
-        if not isinstance(value, BinRel):
-            return False
-        if cls is RelClass.Congruence:
-            return is_congruence(alg, value)
-        if cls is RelClass.Tolerance:
-            return is_tolerance(alg, value)
-        return is_reflexive_admissible(alg, value)
-    if not isinstance(value, UAdmRel):
+    kind, most = _SHAPES[cls]
+    member = kind_functions(kind)[1]
+    if most is None:
+        return isinstance(value, BinRel) and member(alg, value)
+    if not isinstance(value, UAdmRel) or 0 < most < len(value.components):
         return False
-    comps = value.components
-    if cls is RelClass.U2Admissible and len(comps) > 2:
-        return False
-    if cls is RelClass.UnionOfTwoCongruences:
-        return len(comps) <= 2 and all(is_congruence(alg, c) for c in comps)
-    return all(is_reflexive_admissible(alg, c) for c in comps)
+    return all(member(alg, c) for c in value.components)
 
 
 def _value_mask(value) -> int:
@@ -390,24 +389,15 @@ def _value_report(value) -> dict:
     return {"kind": "relation", "pairs": value.pairs()}
 
 
-_KINDS = {
-    RelClass.Congruence: "congruence",
-    RelClass.Tolerance: "tolerance",
-    RelClass.ReflexiveAdmissible: "reflexive_admissible",
-    RelClass.UAdmissible: "reflexive_admissible",
-    RelClass.U2Admissible: "reflexive_admissible",
-    RelClass.UnionOfTwoCongruences: "congruence",
-}
-
-
 def candidate_pool(alg, cls: RelClass, caps: Caps):
     """(candidates, exhaustive) for one variable class."""
-    if cls not in _KINDS:
+    if cls not in _SHAPES:
         raise ValueError(f"unknown class {cls!r}")
-    res = enumerate_relations(alg, _KINDS[cls], caps)
-    if cls is RelClass.UAdmissible:
+    kind, most = _SHAPES[cls]
+    res = enumerate_relations(alg, kind, caps)
+    if most == 0:
         res = enumerate_u(res.relations, res.exhaustive, caps)
-    elif cls not in _PLAIN:
+    elif most == 2:
         res = pair_families(res.relations, res.exhaustive)
     return list(res), res.exhaustive
 
@@ -416,9 +406,9 @@ def candidate_pool(alg, cls: RelClass, caps: Caps):
 _BLOCK_CELLS = 1 << 12
 
 
-def _scan(alg, spec, names, pools, start, stop):
-    """The first violation, in the order of product(*pools), among the
-    assignments with outermost index in [start, stop); None if there is none.
+def _scan(alg, spec, names, pools):
+    """The first violation, in the order of product(*pools); None if there
+    is none.
 
     One block per value of a prefix of the variables: the prefix is bound to
     masks, each later variable i to an object array of its pool's masks that
@@ -439,7 +429,7 @@ def _scan(alg, spec, names, pools, start, stop):
         column = np.empty(sizes[i], dtype=object)
         column[:] = masks[i]
         env[names[i]] = column.reshape([-1 if a == axis else 1 for a in range(len(inner))])
-    for prefix in product(range(start, stop), *map(range, sizes[1:cut])):
+    for prefix in product(*map(range, sizes[:cut])):
         env.update((names[i], masks[i][j]) for i, j in enumerate(prefix))
         holds = np.broadcast_to(_holds_at(alg, sides, spec.mode, env), inner)
         if not holds.all():
@@ -450,11 +440,6 @@ def _scan(alg, spec, names, pools, start, stop):
     return None
 
 
-def _scan_job(args):
-    """(start, first violation) of one chunk of the outermost pool."""
-    return args[4], _scan(*args)
-
-
 def check_for_all(
     alg: FiniteAlgebra,
     spec: IdentitySpec,
@@ -462,7 +447,6 @@ def check_for_all(
     caps: Caps = DEFAULT_CAPS,
     narrow: bool = True,
     classes_override: dict | None = None,
-    jobs: int = 1,
     samples: int = 200,
     seed: int = 0,
 ) -> Verdict:
@@ -480,8 +464,7 @@ def check_for_all(
     axis, so the identity is evaluated on all of the block's assignments at
     once.  The first False of the first failing block in C order is the
     lexicographically first counterexample; evaluate re-runs it for the
-    violating pair.  With jobs > 1, worker processes scan contiguous chunks
-    of the outermost pool and the earliest chunk's violation wins.
+    violating pair.
     """
     classes = spec.classes(narrow, classes_override)
     if strategy == "principal":
@@ -499,20 +482,7 @@ def check_for_all(
         pools.append(pool)
         exhaustive &= ex
 
-    hit = None
-    if jobs > 1 and len(pools[0]) > 1:
-        chunk = max(1, -(-len(pools[0]) // jobs))
-        tasks = [
-            (alg, spec, names, pools, s, min(s + chunk, len(pools[0])))
-            for s in range(0, len(pools[0]), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as ex_:
-            results = [r for r in ex_.map(_scan_job, tasks) if r[1]]
-        if results:
-            hit = min(results)[1]
-    else:
-        hit = _scan(alg, spec, names, pools, 0, len(pools[0]))
-
+    hit = _scan(alg, spec, names, pools)
     coverage = "exhaustive" if exhaustive else "truncated"
     if hit:
         env, pair = hit
@@ -522,26 +492,18 @@ def check_for_all(
     return Verdict(None, "truncated", note="no counterexample found (truncated)")
 
 
-def _generator(cls):
-    """The closure that gives the least relation of a plain class."""
-    if cls is RelClass.Congruence:
-        return congruence_gen
-    if cls is RelClass.Tolerance:
-        return tolerance_gen
-    return admissible_closure
-
-
 def _random_value(alg, cls, rng):
     n = alg.size
     def rnd_pairs(k):
         return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+    gen = _generator(cls)
     if cls in _PLAIN:
-        return _generator(cls)(alg, rnd_pairs(rng.randint(1, 2)))
+        return gen(alg, rnd_pairs(rng.randint(1, 2)))
     if cls is RelClass.UnionOfTwoCongruences:
-        return UAdmRel([congruence_gen(alg, [p]) for p in rnd_pairs(2)])
+        return UAdmRel([gen(alg, [p]) for p in rnd_pairs(2)])
     k = 2 if cls is RelClass.U2Admissible else 3
     return UAdmRel(
-        [admissible_closure(alg, [p]) for p in rnd_pairs(rng.randint(1, k))]
+        [gen(alg, [p]) for p in rnd_pairs(rng.randint(1, k))]
     )
 
 
@@ -640,13 +602,13 @@ def _minimal_members(alg, cls, pairs: tuple, close, finest: bool):
     With finest, a two-component class with two or more distinct pairs
     yields its two-block splits only."""
     pairs = tuple(dict.fromkeys(pairs))
-    if cls in _PLAIN:
-        return [close(_generator(cls), pairs)]
+    gen, most = _generator(cls), _SHAPES[cls][1]
+    if most is None:
+        return [close(gen, pairs)]
     if not pairs:
         return [UAdmRel([BinRel.diagonal(alg.size)])]
-    if cls is RelClass.UAdmissible:
-        return [UAdmRel([close(admissible_closure, (p,)) for p in pairs])]
-    gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
+    if most == 0:
+        return [UAdmRel([close(gen, (p,)) for p in pairs])]
     splits = _two_block_partitions(pairs)
     if finest and len(pairs) > 1:
         splits = splits[1:]
@@ -783,17 +745,13 @@ def free_seed_assignment(
     out = {}
     for var, pairs in spec.free_seeds.items():
         pts = tuple((letters[p[0]], letters[p[1]]) for p in pairs)
-        cls = classes[var]
-        if cls in _PLAIN:
-            out[var] = _generator(cls)(free_alg, pts)
-        elif cls is RelClass.UnionOfTwoCongruences:
-            if len(pts) > 2:
-                raise UnsupportedError(f"{spec.name}: seed needs more than two congruences")
-            out[var] = UAdmRel([congruence_gen(free_alg, [p]) for p in pts])
+        gen, most = _generator(classes[var]), _SHAPES[classes[var]][1]
+        if most is None:
+            out[var] = gen(free_alg, pts)
+        elif 0 < most < len(pts):
+            raise UnsupportedError(f"{spec.name}: seed needs more than {most} components")
         else:
-            if cls is RelClass.U2Admissible and len(pts) > 2:
-                raise UnsupportedError(f"{spec.name}: seed needs more than two components")
-            out[var] = UAdmRel([admissible_closure(free_alg, [p]) for p in pts])
+            out[var] = UAdmRel([gen(free_alg, [p]) for p in pts])
     return out
 
 

@@ -1,4 +1,4 @@
-"""Term-system searches on clones, expansion enumeration, and experiments.
+"""Term-system searches on clones, the SLM dichotomy, and expansion enumeration.
 
 Variety-level verdicts are decided on the free algebra of the generated
 variety (the 3- or 4-ary clone); absence is conclusive only when clone
@@ -7,6 +7,7 @@ generation reached its fixpoint under the cap.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
@@ -21,29 +22,21 @@ from .freeclone import (
     slot_identifications,
 )
 from .identities import (
+    _PLAIN,
     BarOp,
-    Comp,
-    Conv,
     IdentitySpec,
-    Inter,
-    RConst,
     RVar,
     RelClass,
     Star,
     UnionOp,
     Verdict,
-    builtin,
     check_for_all,
     desugar,
+    map_children,
+    nodes,
     UnsupportedError,
 )
 from .relations import compose_alt, intersect
-
-_U_CLASSES = (
-    RelClass.UAdmissible,
-    RelClass.U2Admissible,
-    RelClass.UnionOfTwoCongruences,
-)
 
 
 def subst_vars(t: Term, mapping: dict) -> Term:
@@ -418,7 +411,7 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
 
 
 # ---------------------------------------------------------------------------
-# dichotomy and experiments
+# dichotomy
 
 
 @dataclass
@@ -441,30 +434,6 @@ def slmore_dichotomy(alg: FiniteAlgebra, k: int, caps: Caps = DEFAULT_CAPS) -> D
     return Dichotomy(left, right, verdict)
 
 
-def variation_count(f) -> int:
-    f = tuple(f)
-    return sum(1 for i in range(len(f) - 1) if f[i] != f[i + 1])
-
-
-def mal_implication_experiment(
-    alg: FiniteAlgebra, f, f2, caps: Caps = DEFAULT_CAPS, strategy: str = "exhaustive"
-) -> dict:
-    """Empirical comparison of malA(f) and malA(f2) on one algebra."""
-    va = check_for_all(alg, builtin("malA", f=tuple(f)), strategy, caps)
-    vb = check_for_all(alg, builtin("malA", f=tuple(f2)), strategy, caps)
-    return {
-        "f": list(f),
-        "f2": list(f2),
-        "variations": [variation_count(f), variation_count(f2)],
-        "verdicts": [va.holds, vb.holds],
-        "observed": {
-            "forward": (not va.holds) or bool(vb.holds),
-            "backward": (not vb.holds) or bool(va.holds),
-        },
-        "note": "single-algebra observation, not a variety-level claim",
-    }
-
-
 # ---------------------------------------------------------------------------
 # expansions (inclusions over U-variables -> families over plain variables)
 
@@ -483,51 +452,18 @@ class ExpansionSpec:
         }
 
 
-def _check_expansion_operators(e):
-    if isinstance(e, (RVar, RConst)):
-        return
-    if isinstance(e, Conv):
-        _check_expansion_operators(e.arg)
-        return
-    if isinstance(e, (Inter, Comp)):
-        _check_expansion_operators(e.left)
-        _check_expansion_operators(e.right)
-        return
-    if isinstance(e, (Star, UnionOp, BarOp)):
-        raise UnsupportedError(
-            "expansions are defined for inclusions built from ∩, ∘ and ^⌣ only"
-        )
-    raise TypeError(f"not a relation expression: {e!r}")
+def _renamed(e, names, pick):
+    """e with the i-th occurrence of each listed variable v, counted left to
+    right from 1, renamed to pick(v, i)."""
+    seen = Counter()
 
+    def rename(x):
+        if isinstance(x, RVar) and x.name in names:
+            seen[x.name] += 1
+            return RVar(pick(x.name, seen[x.name]))
+        return map_children(x, rename)
 
-def _count_occurrences(e, names, counts):
-    if isinstance(e, RVar):
-        if e.name in names:
-            counts[e.name] = counts.get(e.name, 0) + 1
-    elif isinstance(e, RConst):
-        pass
-    elif isinstance(e, Conv):
-        _count_occurrences(e.arg, names, counts)
-    else:
-        _count_occurrences(e.left, names, counts)
-        _count_occurrences(e.right, names, counts)
-
-
-def _substitute_occurrences(e, names, pick, counters):
-    """Replace the i-th occurrence of each listed variable by pick(var, i)."""
-    if isinstance(e, RVar):
-        if e.name in names:
-            counters[e.name] = counters.get(e.name, 0) + 1
-            return RVar(pick(e.name, counters[e.name]))
-        return e
-    if isinstance(e, RConst):
-        return e
-    if isinstance(e, Conv):
-        return Conv(_substitute_occurrences(e.arg, names, pick, counters))
-    return type(e)(
-        _substitute_occurrences(e.left, names, pick, counters),
-        _substitute_occurrences(e.right, names, pick, counters),
-    )
+    return rename(e)
 
 
 def enumerate_expansions(spec: IdentitySpec) -> list[ExpansionSpec]:
@@ -537,33 +473,34 @@ def enumerate_expansions(spec: IdentitySpec) -> list[ExpansionSpec]:
     if spec.mode != "inclusion":
         raise UnsupportedError("expansions are defined for inclusions")
     lhs, rhs = desugar(spec.lhs), desugar(spec.rhs)
-    _check_expansion_operators(lhs)
-    _check_expansion_operators(rhs)
-    classes = dict(spec.variables)
-    u_vars = [v for v, c in spec.variables if c in _U_CLASSES]
-    lhs_counts: dict[str, int] = {}
-    _count_occurrences(lhs, set(u_vars), lhs_counts)
-    rhs_counts: dict[str, int] = {}
-    _count_occurrences(rhs, set(u_vars), rhs_counts)
+    if any(isinstance(x, (Star, UnionOp, BarOp)) for side in (lhs, rhs) for x in nodes(side)):
+        raise UnsupportedError(
+            "expansions are defined for inclusions built from ∩, ∘ and ^⌣ only"
+        )
+    u_vars = [v for v, c in spec.variables if c not in _PLAIN]
+    lhs_counts, rhs_counts = (
+        Counter(x.name for x in nodes(side) if isinstance(x, RVar) and x.name in u_vars)
+        for side in (lhs, rhs)
+    )
     for v in u_vars:
-        if lhs_counts.get(v, 0) == 0 and rhs_counts.get(v, 0) > 0:
+        if lhs_counts[v] == 0 and rhs_counts[v] > 0:
             raise UnsupportedError(
                 f"variable {v} occurs only on the right side; no group to map into"
             )
 
-    new_lhs = _substitute_occurrences(
-        lhs, set(u_vars), lambda v, i: f"{v}_{i}", {}
+    new_lhs = _renamed(
+        lhs, u_vars, lambda v, i: f"{v}_{i}"
     )
     fresh = [
         (f"{v}_{i}", RelClass.ReflexiveAdmissible)
         for v in u_vars
-        for i in range(1, lhs_counts.get(v, 0) + 1)
+        for i in range(1, lhs_counts[v] + 1)
     ]
-    plain = [(v, c) for v, c in spec.variables if c not in _U_CLASSES]
+    plain = [(v, c) for v, c in spec.variables if c in _PLAIN]
     narrow = {v: c for v, c in spec.narrow.items() if v in dict(plain)}
 
     choice_space = []
-    active = [v for v in u_vars if rhs_counts.get(v, 0) > 0]
+    active = [v for v in u_vars if rhs_counts[v] > 0]
     for v in active:
         choice_space.append(
             list(product(range(1, lhs_counts[v] + 1), repeat=rhs_counts[v]))
@@ -572,7 +509,7 @@ def enumerate_expansions(spec: IdentitySpec) -> list[ExpansionSpec]:
     for combo in product(*choice_space):
         choice = dict(zip(active, combo))
         pick = lambda v, i: f"{v}_{choice[v][i - 1]}"
-        new_rhs = _substitute_occurrences(rhs, set(active), pick, {})
+        new_rhs = _renamed(rhs, active, pick)
         ident = IdentitySpec(
             name=f"{spec.name}.expansion",
             variables=tuple(plain) + tuple(fresh),

@@ -254,13 +254,3 @@ class _SpecParser:
 def parse_spec(text: str) -> IdentitySpec:
     """Parse ``lhs <= rhs`` or ``lhs == rhs`` with class-prefixed variables."""
     return _SpecParser(text).parse()
-
-
-def parse_expr(text: str):
-    """Parse a bare relation expression (no relator); returns (expr, classes)."""
-    p = _SpecParser(text)
-    node = p.expr()
-    end = p.next()
-    if end.kind != "eof":
-        raise SpecParseError(f"unexpected {end.value!r}", end.pos)
-    return node, dict(p.classes)

@@ -36,6 +36,11 @@ _DENSE_RATIO times their count exceeds n^4, and its n^3 arrays fit in the
 memory of one tuple chunk; every other case, and every other arity, takes
 the tuple kernel.  Masks convert to and from bit arrays through
 int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
+
+Kinds.  KINDS names the three relation kinds.  kind_functions gives the
+closure and the membership test of a kind, read from the module at each
+call rather than from a table built at import, and enumerate_relations
+lists every relation of one.
 """
 
 from __future__ import annotations
@@ -492,7 +497,6 @@ class EnumResult:
     kind: str
     relations: list
     exhaustive: bool
-    truncated: bool = False
 
     def __iter__(self):
         return iter(self.relations)
@@ -501,12 +505,19 @@ class EnumResult:
         return len(self.relations)
 
 
-def _kind_closure(alg, kind):
-    if kind == "congruence":
-        return lambda seed: congruence_gen(alg, seed)
-    if kind == "tolerance":
-        return lambda seed: tolerance_gen(alg, seed)
-    return lambda seed: admissible_closure(alg, seed)
+def kind_functions(kind: str):
+    """(closure, membership test) of a relation kind.
+
+    Read from the module's bindings at each call, so a closure rebound on
+    the module (a tracer's wrapper, a test's counter) is the one callers get.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown relation kind {kind!r}; expected one of {KINDS}")
+    return {
+        "congruence": (congruence_gen, is_congruence),
+        "tolerance": (tolerance_gen, is_tolerance),
+        "reflexive_admissible": (admissible_closure, is_reflexive_admissible),
+    }[kind]
 
 
 def enumerate_relations(
@@ -525,19 +536,17 @@ def enumerate_relations(
     method ("auto" or "generated") is kept for compatibility; both run the
     one algorithm.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown relation kind {kind!r}; expected one of {KINDS}")
+    close = kind_functions(kind)[0]
     if method not in ("auto", "generated"):
         raise ValueError(f"unknown enumeration method {method!r}")
     n = alg.size
-    close = _kind_closure(alg, kind)
-    base = close([])
+    base = close(alg, [])
     found = {base.mask: base}
     gens = []
     truncated = False
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b and not base.contains(a, b)]
     for pair in pairs:
-        g = close([pair])
+        g = close(alg, [pair])
         if g.mask in found:
             continue
         found[g.mask] = g
@@ -554,7 +563,7 @@ def enumerate_relations(
             if um in found or um in tried:
                 continue
             tried.add(um)
-            joined = close(BinRel(n, um))
+            joined = close(alg, BinRel(n, um))
             if joined.mask not in found:
                 found[joined.mask] = joined
                 worklist.append(joined)
@@ -562,4 +571,4 @@ def enumerate_relations(
                     truncated = True
                     break
     rels = sorted(found.values(), key=pairs_order)
-    return EnumResult(kind, rels, exhaustive=not truncated, truncated=truncated)
+    return EnumResult(kind, rels, exhaustive=not truncated)

@@ -217,8 +217,7 @@ def _pool(base, kind: str, exhaustive: bool, depth=None, bound=None) -> EnumResu
         (UAdmRel([base[i] for i in wit]) for wit in views.values()),
         key=lambda u: pairs_order(u.union_view),
     )
-    exhaustive = exhaustive and not truncated
-    return EnumResult(kind, families, exhaustive=exhaustive, truncated=not exhaustive)
+    return EnumResult(kind, families, exhaustive=exhaustive and not truncated)
 
 
 def enumerate_u(base, base_exhaustive: bool, caps: Caps = DEFAULT_CAPS) -> EnumResult:

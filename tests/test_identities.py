@@ -1,7 +1,11 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relkit.algebra import FiniteAlgebra, automorphisms
 from relkit.caps import DEFAULT_CAPS, Caps
@@ -13,6 +17,7 @@ from relkit.identities import (
     BarOp,
     Comp,
     Conv,
+    IdentitySpec,
     Inter,
     Pow,
     RConst,
@@ -30,21 +35,30 @@ from relkit.identities import (
     desugar,
     eval_expr,
     evaluate,
+    expr_str,
+    expr_vars,
     free_seed_assignment,
     free_seed_verdict,
+    map_children,
+    nodes,
     violation_pair,
 )
 import relkit.identities as identities
 from relkit.cli import _random_algebra
 from relkit.identities import _PLAIN, _atom_sets, _generator, _scan
-from relkit.parser import SpecParseError, parse_spec
+from relkit.maltsev import ExpansionSpec, enumerate_expansions
+from relkit.parser import CLASS_PREFIXES, SpecParseError, parse_spec
 from relkit.relations import (
+    KINDS,
     BinRel,
     admissible_closure,
     compose,
     congruence_gen,
     converse,
     intersect,
+    is_congruence,
+    is_reflexive_admissible,
+    is_tolerance,
     tolerance_gen,
     transitive_closure,
     union,
@@ -245,21 +259,8 @@ def test_maj3_holds_lattice2(lattice2):
 
 
 # A binary operation on 3 elements on which gen1 and gen2 fail first at the
-# tenth of 16 values of the outermost variable, past the first worker's chunk
-# for 2 and 3 jobs.
+# tenth of 16 values of the outermost variable, past the middle of its pool.
 LATE_REFUTATION = FiniteAlgebra(3, [("f", 2, (1, 1, 1, 1, 1, 1, 0, 1, 2))], name="late3")
-
-
-def test_parallel_scan_matches_serial(z2cube, baker4):
-    cases = [
-        (z2cube, builtin("cdist3", k=2), False),
-        (LATE_REFUTATION, builtin("gen2"), False),
-        (baker4, builtin("gen1"), True),
-    ]
-    for alg, spec, holds in cases:
-        forms = [check_for_all(alg, spec, jobs=jobs).report_form() for jobs in (1, 2, 3)]
-        assert forms[0]["holds"] is holds, (alg.name, spec.name)
-        assert forms[1] == forms[0] and forms[2] == forms[0], (alg.name, spec.name)
 
 
 def test_sampled_strategy_is_conservative(lattice2, z2cube):
@@ -597,7 +598,7 @@ def assert_scan_matches_plain(monkeypatch, alg, spec, override=None):
     want, count = plain_scan(alg, spec, names, pools)
     for cells in (BLOCK_CELLS, 7, 1) if count <= 5000 else (BLOCK_CELLS,):
         monkeypatch.setattr(identities, "_BLOCK_CELLS", cells)
-        got = _scan(alg, spec, names, pools, 0, len(pools[0]))
+        got = _scan(alg, spec, names, pools)
         where = (alg.name, spec.name, override, cells)
         if want is None:
             assert got is None, where
@@ -651,3 +652,331 @@ def test_scan_matches_plain_loop_on_search_mainp_variants(monkeypatch):
         for spec, override in variants:
             refuted += assert_scan_matches_plain(monkeypatch, alg, spec, override) is not None
     assert 0 < refuted < 150
+
+
+# --- one traversal against the per-class walkers it replaced ----------------
+#
+# The ref_* functions are the isinstance walkers that desugar, expr_vars,
+# expr_str and enumerate_expansions were written with before nodes,
+# map_children and _FORMS; they stay here as oracles.
+
+
+def ref_desugar(e):
+    if isinstance(e, (RVar, RConst)):
+        return e
+    if isinstance(e, Conv):
+        return Conv(ref_desugar(e.arg))
+    if isinstance(e, Star):
+        return Star(ref_desugar(e.arg))
+    if isinstance(e, BarOp):
+        return BarOp(ref_desugar(e.arg))
+    if isinstance(e, (Inter, UnionOp, Comp)):
+        return type(e)(ref_desugar(e.left), ref_desugar(e.right))
+    if isinstance(e, Pow):
+        if e.h < 1:
+            raise ValueError("relation power needs h >= 1")
+        a = ref_desugar(e.arg)
+        return functools.reduce(Comp, [a] * e.h)
+    if isinstance(e, AltR):
+        if e.m < 1:
+            raise ValueError("alternating composition needs m >= 1")
+        l, r = ref_desugar(e.left), ref_desugar(e.right)
+        return functools.reduce(Comp, [l if i % 2 == 0 else r for i in range(e.m)])
+    if isinstance(e, AltL):
+        if e.m % 2 == 0:
+            return ref_desugar(AltR(e.left, e.right, e.m))
+        return ref_desugar(AltR(e.right, e.left, e.m))
+    raise TypeError(f"not a relation expression: {e!r}")
+
+
+def ref_expr_vars(e):
+    out = []
+
+    def walk(e):
+        if isinstance(e, RVar):
+            if e.name not in out:
+                out.append(e.name)
+        elif isinstance(e, RConst):
+            pass
+        elif isinstance(e, (Conv, Star, BarOp, Pow)):
+            walk(e.arg)
+        else:
+            walk(e.left)
+            walk(e.right)
+
+    walk(e)
+    return out
+
+
+def ref_expr_str(e):
+    if isinstance(e, RVar):
+        return e.name
+    if isinstance(e, RConst):
+        return e.which
+    if isinstance(e, Conv):
+        return f"{ref_expr_str(e.arg)}^~"
+    if isinstance(e, Star):
+        return f"({ref_expr_str(e.arg)})^*"
+    if isinstance(e, BarOp):
+        return f"bar({ref_expr_str(e.arg)})"
+    if isinstance(e, Inter):
+        return f"({ref_expr_str(e.left)} & {ref_expr_str(e.right)})"
+    if isinstance(e, UnionOp):
+        return f"({ref_expr_str(e.left)} | {ref_expr_str(e.right)})"
+    if isinstance(e, Comp):
+        return f"({ref_expr_str(e.left)} ; {ref_expr_str(e.right)})"
+    if isinstance(e, AltR):
+        return f"({ref_expr_str(e.left)} ;^{e.m} {ref_expr_str(e.right)})"
+    if isinstance(e, AltL):
+        return f"({ref_expr_str(e.left)} {e.m}^; {ref_expr_str(e.right)})"
+    if isinstance(e, Pow):
+        return f"pow({ref_expr_str(e.arg)},{e.h})"
+    raise TypeError(f"not a relation expression: {e!r}")
+
+
+def ref_check_expansion_operators(e):
+    if isinstance(e, (RVar, RConst)):
+        return
+    if isinstance(e, Conv):
+        ref_check_expansion_operators(e.arg)
+        return
+    if isinstance(e, (Inter, Comp)):
+        ref_check_expansion_operators(e.left)
+        ref_check_expansion_operators(e.right)
+        return
+    if isinstance(e, (Star, UnionOp, BarOp)):
+        raise UnsupportedError("expansions are defined for inclusions built from ∩, ∘ and ^⌣ only")
+    raise TypeError(f"not a relation expression: {e!r}")
+
+
+def ref_count_occurrences(e, names, counts):
+    if isinstance(e, RVar):
+        if e.name in names:
+            counts[e.name] = counts.get(e.name, 0) + 1
+    elif isinstance(e, RConst):
+        pass
+    elif isinstance(e, Conv):
+        ref_count_occurrences(e.arg, names, counts)
+    else:
+        ref_count_occurrences(e.left, names, counts)
+        ref_count_occurrences(e.right, names, counts)
+
+
+def ref_substitute_occurrences(e, names, pick, counters):
+    if isinstance(e, RVar):
+        if e.name in names:
+            counters[e.name] = counters.get(e.name, 0) + 1
+            return RVar(pick(e.name, counters[e.name]))
+        return e
+    if isinstance(e, RConst):
+        return e
+    if isinstance(e, Conv):
+        return Conv(ref_substitute_occurrences(e.arg, names, pick, counters))
+    return type(e)(
+        ref_substitute_occurrences(e.left, names, pick, counters),
+        ref_substitute_occurrences(e.right, names, pick, counters),
+    )
+
+
+REF_U_CLASSES = (RelClass.UAdmissible, RelClass.U2Admissible, RelClass.UnionOfTwoCongruences)
+
+
+def ref_expansions(spec):
+    """The report forms of enumerate_expansions(spec), from the walkers."""
+    if spec.mode != "inclusion":
+        raise UnsupportedError("expansions are defined for inclusions")
+    lhs, rhs = ref_desugar(spec.lhs), ref_desugar(spec.rhs)
+    ref_check_expansion_operators(lhs)
+    ref_check_expansion_operators(rhs)
+    u_vars = [v for v, c in spec.variables if c in REF_U_CLASSES]
+    lhs_counts, rhs_counts = {}, {}
+    ref_count_occurrences(lhs, set(u_vars), lhs_counts)
+    ref_count_occurrences(rhs, set(u_vars), rhs_counts)
+    for v in u_vars:
+        if lhs_counts.get(v, 0) == 0 and rhs_counts.get(v, 0) > 0:
+            raise UnsupportedError(f"variable {v} occurs only on the right side; no group to map into")
+    new_lhs = ref_substitute_occurrences(lhs, set(u_vars), lambda v, i: f"{v}_{i}", {})
+    fresh = [(f"{v}_{i}", RelClass.ReflexiveAdmissible)
+             for v in u_vars for i in range(1, lhs_counts.get(v, 0) + 1)]
+    plain = [(v, c) for v, c in spec.variables if c not in REF_U_CLASSES]
+    narrow = {v: c for v, c in spec.narrow.items() if v in dict(plain)}
+    active = [v for v in u_vars if rhs_counts.get(v, 0) > 0]
+    space = [list(itertools.product(range(1, lhs_counts[v] + 1), repeat=rhs_counts[v])) for v in active]
+    out = []
+    for combo in itertools.product(*space):
+        choice = dict(zip(active, combo))
+        new_rhs = ref_substitute_occurrences(
+            rhs, set(active), lambda v, i: f"{v}_{choice[v][i - 1]}", {})
+        ident = IdentitySpec(f"{spec.name}.expansion", tuple(plain) + tuple(fresh),
+                             new_lhs, new_rhs, "inclusion", narrow)
+        out.append(ExpansionSpec(spec.name, choice, ident).report_form())
+    return out
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def expansion_forms(spec):
+    return [x.report_form() for x in enumerate_expansions(spec)]
+
+
+def assert_traversal_matches_walkers(spec):
+    for e in (spec.lhs, spec.rhs):
+        assert outcome(desugar, e) == outcome(ref_desugar, e), e
+        assert expr_vars(e) == ref_expr_vars(e), e
+        assert expr_str(e) == ref_expr_str(e), e
+    assert outcome(expansion_forms, spec) == outcome(ref_expansions, spec), spec.describe()
+
+
+# Literals that between them use every operator: m^; and ;^m, bar, id, all,
+# pow, ^~, ^*, &, | and ;, with U-variables on both sides.
+OPERATOR_LITERALS = [
+    "tol:a 3^; tol:b <= a ;^3 b",
+    "adm:a & id <= bar(a) | all ; pow(a^~, 2)",
+    "uadm:s & (uadm:t ; s^~) <= pow(s & t, 3) ; (t 2^; s)",
+    "uadm:s & (ucong2:t ;^3 s) <= s & t 3^; s & t^~",
+    "cong:a & (u2:s ; s ; s) <= a & s ;^4 a & s^~",
+    "uadm:s & (uadm:t ; s) <= (s ; t)^*",
+    "uadm:s <= s | id",
+    "uadm:s & all <= bar(s)",
+    "tol:a <= uadm:s",
+    "uadm:s ; s == s",
+]
+
+
+def test_traversal_matches_walkers_on_builtins_and_literals():
+    specs = [builtin(name) for name in builtin_names()]
+    specs += [builtin("p12c2", m=3, k=3), builtin("malA", f=(2, 1, 2)), builtin("cdist2", h=3)]
+    specs += [parse_spec(text) for text in OPERATOR_LITERALS]
+    expansions = 0
+    for spec in specs:
+        assert_traversal_matches_walkers(spec)
+        forms = outcome(expansion_forms, spec)
+        expansions += len(forms) if isinstance(forms, list) else 0
+    assert expansions > 50
+
+
+def test_map_children_calls_left_before_right():
+    seen = []
+
+    def upper(c):
+        seen.append(c.name)
+        return RVar(c.name.upper())
+
+    assert map_children(AltR(RVar("a"), RVar("b"), 3), upper) == AltR(RVar("A"), RVar("B"), 3)
+    assert map_children(Pow(RVar("c"), 2), upper) == Pow(RVar("C"), 2)
+    assert seen == ["a", "b", "c"]
+    leaf = RConst("id")
+    assert map_children(leaf, upper) is leaf
+    assert [type(x) for x in nodes(Comp(Conv(RVar("a")), RConst("all")))] == [Comp, Conv, RVar, RConst]
+    for f in (desugar, expr_str, expr_vars):
+        with pytest.raises(TypeError, match="not a relation expression"):
+            f(Comp(RVar("a"), "b"))
+
+
+AST_VARS = ("s", "t", "u")
+
+
+def ast_strategy(unary, binary, chains, low):
+    small = st.integers(min_value=low, max_value=3)
+    leaves = st.one_of(st.sampled_from(AST_VARS).map(RVar), st.sampled_from(("id", "all")).map(RConst))
+
+    def extend(sub):
+        return st.one_of(
+            *(st.builds(c, sub) for c in unary),
+            *(st.builds(c, sub, sub) for c in binary),
+            *(st.builds(c, sub, sub, small) for c in chains),
+            st.builds(Pow, sub, small),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+ALL_OPS = ast_strategy((Conv, Star, BarOp), (Inter, UnionOp, Comp), (AltR, AltL), 0)
+# The operators expansions accept, with valid chain lengths, so most drawn
+# specs have expansions.
+EXPANSION_OPS = ast_strategy((Conv,), (Inter, Comp), (AltR, AltL), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_OPS)
+def test_traversal_matches_walkers_on_random_asts(e):
+    assert outcome(desugar, e) == outcome(ref_desugar, e)
+    assert expr_vars(e) == ref_expr_vars(e)
+    assert expr_str(e) == ref_expr_str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(EXPANSION_OPS, ALL_OPS),
+    st.one_of(EXPANSION_OPS, ALL_OPS),
+    st.lists(st.sampled_from(list(RelClass) + [RelClass.UAdmissible] * 3), min_size=3, max_size=3),
+)
+def test_expansions_match_walkers_on_random_specs(lhs, rhs, classes):
+    spec = IdentitySpec("random", tuple(zip(AST_VARS, classes)), lhs, rhs)
+    sides = [outcome(ref_desugar, side) for side in (lhs, rhs)]
+    if all(outcome(ref_check_expansion_operators, side) is None for side in sides):
+        counts = [{}, {}]
+        for side, c in zip(sides, counts):
+            ref_count_occurrences(side, set(AST_VARS), c)
+        assume(math.prod(counts[0].get(v, 1) ** counts[1].get(v, 0) for v in AST_VARS) <= 256)
+    assert_traversal_matches_walkers(spec)
+
+
+# --- one class table against the if-chain it replaced ------------------------
+
+
+def ref_class_member(alg, cls, value):
+    """class_member as an if-chain over the classes, before _SHAPES."""
+    if cls in (RelClass.Congruence, RelClass.Tolerance, RelClass.ReflexiveAdmissible):
+        if not isinstance(value, BinRel):
+            return False
+        if cls is RelClass.Congruence:
+            return is_congruence(alg, value)
+        if cls is RelClass.Tolerance:
+            return is_tolerance(alg, value)
+        return is_reflexive_admissible(alg, value)
+    if not isinstance(value, UAdmRel):
+        return False
+    comps = value.components
+    if cls is RelClass.U2Admissible and len(comps) > 2:
+        return False
+    if cls is RelClass.UnionOfTwoCongruences:
+        return len(comps) <= 2 and all(is_congruence(alg, c) for c in comps)
+    return all(is_reflexive_admissible(alg, c) for c in comps)
+
+
+def test_every_class_has_a_shape():
+    shapes = identities._SHAPES
+    assert set(shapes) == set(RelClass) and set(CLASS_PREFIXES.values()) <= set(shapes)
+    for kind, most in shapes.values():
+        assert kind in KINDS and most in (None, 0, 2)
+    assert identities._PLAIN == (RelClass.Congruence, RelClass.Tolerance, RelClass.ReflexiveAdmissible)
+
+
+@pytest.mark.parametrize("alg_name", sorted(FIXTURES))
+def test_class_member_matches_if_chain(alg_name):
+    """Every pool value of every class, tested against every class, and the
+    wrong shapes: plain relations for the U classes, families for the plain
+    ones, three-component families for u2 and ucong2, and a relation that
+    is in no class."""
+    alg = resolve(alg_name)
+    pools = {cls: candidate_pool(alg, cls, DEFAULT_CAPS)[0] for cls in RelClass}
+    triples = []
+    for cls in (RelClass.Congruence, RelClass.ReflexiveAdmissible):
+        families = (UAdmRel(t) for t in itertools.combinations(pools[cls], 3))
+        triples += list(itertools.islice((u for u in families if len(u.components) == 3), 5))
+    if alg_name in ("baker4", "lattice_2x2", "lattice_n5", "z2cube"):
+        assert triples
+    stray = BinRel.from_pairs(alg.size, [(0, alg.size - 1)])
+    values = [v for pool in pools.values() for v in pool] + triples + [stray, UAdmRel([stray])]
+    for value in values:
+        for cls in RelClass:
+            assert class_member(alg, cls, value) == ref_class_member(alg, cls, value), (cls, value)
+    assert not any(class_member(alg, cls, t) for t in triples
+                   for cls in (RelClass.U2Admissible, RelClass.UnionOfTwoCongruences))

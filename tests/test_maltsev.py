@@ -13,10 +13,8 @@ from relkit.maltsev import (
     find_mal_f,
     find_pixley,
     find_vr,
-    mal_implication_experiment,
     slmore_dichotomy,
     subst_vars,
-    variation_count,
 )
 from relkit.parser import parse_spec
 
@@ -26,13 +24,6 @@ def test_subst_vars_simultaneous():
     assert subst_vars(t, {0: 1, 1: 0}) == App("f", (Var(1), Var(0), Var(1)))
     assert subst_vars(Var(2), {2: 0}) == Var(0)
     assert subst_vars(t, {}) == t
-
-
-def test_variation_count():
-    assert variation_count((1, 1)) == 0
-    assert variation_count((1, 2)) == 1
-    assert variation_count((1, 2, 1)) == 2
-    assert variation_count((2, 2, 1, 1, 2)) == 2
 
 
 def test_jonsson_ladder_distributive(lattice2):
@@ -197,13 +188,6 @@ def test_check_any_expansion_agreement(lattice2, z2):
         assert res.agree is True
         form = res.report_form()
         assert form["checked"] >= 1 and form["witness"]["source"] == spec.name
-
-
-def test_mal_implication_experiment_shape(lattice2):
-    obs = mal_implication_experiment(lattice2, (1, 2), (1, 2, 1))
-    assert obs["variations"] == [1, 2]
-    assert set(obs["observed"]) == {"forward", "backward"}
-    assert all(isinstance(v, bool) for v in obs["observed"].values())
 
 
 def test_report_forms_serialize(lattice2):
