@@ -57,9 +57,13 @@ class Operation:
 
 
 class FiniteAlgebra:
-    """Universe {0..size-1} with named finitary operations."""
+    """Universe {0..size-1} with named finitary operations.
 
-    __slots__ = ("size", "ops", "name", "_by_name")
+    _pools holds the relation enumerations identities.candidate_pool made on
+    this object, keyed by (kind, caps); it lives and dies with the algebra.
+    """
+
+    __slots__ = ("size", "ops", "name", "_by_name", "_pools")
 
     def __init__(self, size: int, ops, name: str | None = None):
         if size <= 0:
@@ -82,6 +86,7 @@ class FiniteAlgebra:
         self.ops = ops
         self.name = name
         self._by_name = {op.name: op for op in ops}
+        self._pools = {}
 
     def op(self, name: str) -> Operation:
         try:

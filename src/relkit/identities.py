@@ -18,17 +18,19 @@ closure and membership test from relations.kind_functions.
 
 One evaluator, _eval_masks, works on relation masks.  Each check desugars
 Pow/AltR/AltL into composition chains once.  A variable is bound to a mask,
-or to a numpy object array of masks, and the mask kernels of relations.py
+or to a numpy array of masks (uint64 when every mask fits in one machine
+word, n^2 <= 64, object otherwise), and the mask kernels of relations.py
 broadcast, so one call evaluates a whole block of assignments.  eval_expr
 and evaluate wrap its result in BinRel.
 
-The exhaustive strategy scans the product of the variables' pools in blocks
-(_scan): a prefix of the variables is bound to masks and each later variable
-to its own array axis.  A subexpression is then computed once per
-combination of the pool values its variables take, not once per assignment.
-The counterexample is the first violating assignment in the order of
-product(*pools), the lexicographically first one, with its least violating
-pair.
+The exhaustive strategy takes each variable's pool from candidate_pool,
+which enumerates each relation kind once per algebra object, and scans the
+product of the pools in blocks (_scan): a prefix of the variables is bound
+to masks and each later variable to its own array axis.  A subexpression is
+then computed once per combination of the pool values its variables take,
+not once per assignment.  The counterexample is the first violating
+assignment in the order of product(*pools), the lexicographically first
+one, with its least violating pair.
 """
 
 from __future__ import annotations
@@ -286,9 +288,10 @@ def _value_mask(value) -> int:
 def _eval_masks(alg: FiniteAlgebra, e: RelExpr, env: dict):
     """The mask of the desugared expression e.
 
-    env maps each variable to a mask, or to an object array of masks; the
-    operators broadcast, so a subexpression gets one value per combination
-    of the array axes its variables span.
+    env maps each variable to a mask, or to an array of masks (uint64 or
+    object, as _scan builds them); the operators broadcast, so a
+    subexpression gets one value per combination of the array axes its
+    variables span.
     """
     if isinstance(e, RVar):
         try:
@@ -390,11 +393,20 @@ def _value_report(value) -> dict:
 
 
 def candidate_pool(alg, cls: RelClass, caps: Caps):
-    """(candidates, exhaustive) for one variable class."""
+    """(candidates, exhaustive) for one variable class.
+
+    The enumeration of the class's relation kind is made once per algebra
+    object and caps: it is kept in alg._pools under (kind, caps), so every
+    variable and every check on the same object reuses it, and it goes with
+    the object (resolve builds a new algebra on each call).  The caller gets
+    a new list each time.
+    """
     if cls not in _SHAPES:
         raise ValueError(f"unknown class {cls!r}")
     kind, most = _SHAPES[cls]
-    res = enumerate_relations(alg, kind, caps)
+    res = alg._pools.get((kind, caps))
+    if res is None:
+        res = alg._pools[kind, caps] = enumerate_relations(alg, kind, caps)
     if most == 0:
         res = enumerate_u(res.relations, res.exhaustive, caps)
     elif most == 2:
@@ -411,11 +423,14 @@ def _scan(alg, spec, names, pools):
     is none.
 
     One block per value of a prefix of the variables: the prefix is bound to
-    masks, each later variable i to an object array of its pool's masks that
-    has length 1 on every axis but its own, so the block evaluates all
+    masks, each later variable i to an array of its pool's masks that has
+    length 1 on every axis but its own, so the block evaluates all
     combinations of the later variables at once, and a subexpression once
     per combination of the axes it names.  The prefix is the shortest one
-    whose later pools span at most _BLOCK_CELLS assignments.
+    whose later pools span at most _BLOCK_CELLS assignments.  The arrays are
+    uint64 when n^2 <= 64, so that every mask and every product
+    compose_masks forms fits in one word, and object arrays of Python ints
+    otherwise.
     """
     sides = desugar(spec.lhs), desugar(spec.rhs)
     sizes = [len(pool) for pool in pools]
@@ -424,10 +439,10 @@ def _scan(alg, spec, names, pools):
         cut += 1
     inner = tuple(sizes[cut:])
     masks = [[_value_mask(value) for value in pool] for pool in pools]
+    dtype = np.uint64 if alg.size**2 <= 64 else object
     env = {}
     for axis, i in enumerate(range(cut, len(names))):
-        column = np.empty(sizes[i], dtype=object)
-        column[:] = masks[i]
+        column = np.array(masks[i], dtype=dtype)
         env[names[i]] = column.reshape([-1 if a == axis else 1 for a in range(len(inner))])
     for prefix in product(*map(range, sizes[:cut])):
         env.update((names[i], masks[i][j]) for i, j in enumerate(prefix))
@@ -460,11 +475,13 @@ def check_for_all(
     The exhaustive scan runs one block per value of the outermost variable
     (per value of a longer prefix when the later pools span more than
     _BLOCK_CELLS assignments).  The block binds each later variable to an
-    object array of its pool's union-view masks along its own broadcast
-    axis, so the identity is evaluated on all of the block's assignments at
-    once.  The first False of the first failing block in C order is the
-    lexicographically first counterexample; evaluate re-runs it for the
-    violating pair.
+    array of its pool's union-view masks (uint64 when n^2 <= 64, object
+    otherwise) along its own broadcast axis, so the identity is evaluated
+    on all of the block's assignments at once.  Each class's pool comes from
+    candidate_pool, so each relation kind is enumerated once per algebra
+    object, however many variables and checks use it.  The first False of
+    the first failing block in C order is the lexicographically first
+    counterexample; evaluate re-runs it for the violating pair.
     """
     classes = spec.classes(narrow, classes_override)
     if strategy == "principal":
@@ -695,6 +712,10 @@ def _check_principal(alg, spec, classes):
         return closures[key]
 
     def minimal(v, pairs, finest):
+        """The minimal members; a plain class's are kept for the check, a
+        family's are built per call (phase 1 rarely asks for one twice)."""
+        if classes[v] not in _PLAIN:
+            return _minimal_members(alg, classes[v], pairs, close, finest)
         key = (v, pairs, finest)
         if key not in members:
             members[key] = _minimal_members(alg, classes[v], pairs, close, finest)

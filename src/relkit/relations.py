@@ -6,17 +6,18 @@ mask with its universe size.
 
 The calculus is written once, on masks: compose_masks, converse_masks,
 star_masks (transitive closure) and bar_masks (admissible closure) take
-either an int or a numpy object array of ints, and on an array they act
+either an int or a numpy array of masks, and on an array they act
 elementwise, with numpy broadcasting between the two operands of
-compose_masks.  Intersection and union are & and |.  The object dtype keeps
-every mask an exact Python int, whatever n.  Composition uses the
-shift/multiply boolean-matrix trick, which has no data-dependent branch and
-so runs on arrays as it does on ints (each selected row lands in its own
-n-bit field, so the products never carry across fields).  The other three
-have no branch-free form; on an array they run their int kernel once per
-distinct mask.  compose and converse are their BinRel forms, and
-transitive_closure, a loop of compose on BinRel, is the int kernel of
-star_masks.
+compose_masks.  Intersection and union are & and |.  An array is uint64 when
+n^2 <= 64, so every mask fits in one machine word, and object (exact Python
+ints) otherwise.  Composition uses the shift/multiply boolean-matrix trick,
+which has no data-dependent branch and so runs on arrays as it does on ints
+(each selected row lands in its own n-bit field, so the products never carry
+across fields and stay below 2^(n^2), within uint64).  The other three have
+no branch-free form; on an array they run their int kernel once per distinct
+mask, as a Python int, and return an array of the input's dtype.  compose
+and converse are their BinRel forms, and transitive_closure, a loop of
+compose on BinRel, is the int kernel of star_masks.
 
 Closures.  admissible_closure, tolerance_gen and congruence_gen run one
 semi-naive loop (_close).  It keeps old, the pairs whose images are already
@@ -194,7 +195,7 @@ pairs_order = cmp_to_key(_pairs_cmp)  # sort key: same order as r.pairs()
 def compose_masks(m1, m2, n: int):
     """Mask of the composition: (a,c) iff a m1 b and b m2 c for some b.
 
-    Branch-free, so it acts on ints and elementwise on object arrays alike:
+    Branch-free, so it acts on ints and elementwise on arrays alike:
     the b-th column of m1 moved to bit column 0, times row b of m2, lays
     row b of m2 into every row a with (a,b) in m1.
     """
@@ -223,11 +224,13 @@ def union(r: BinRel, s: BinRel) -> BinRel:
 
 
 def _per_distinct(kernel, masks):
-    """kernel on an int, or on each distinct mask of an object array."""
+    """kernel on an int, or on each distinct mask of an array (uint64 or
+    object) as a Python int; the result array has the input's dtype."""
     if not isinstance(masks, np.ndarray):
         return kernel(masks)
-    values = {m: kernel(m) for m in set(masks.flat)}
-    return np.frompyfunc(values.__getitem__, 1, 1)(masks)
+    flat = masks.ravel().tolist()
+    values = {m: kernel(m) for m in set(flat)}
+    return np.array([values[m] for m in flat], dtype=masks.dtype).reshape(masks.shape)
 
 
 def _converse_mask(m: int, n: int) -> int:

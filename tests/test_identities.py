@@ -3,11 +3,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relkit.algebra import FiniteAlgebra, automorphisms
+import relkit.cli as cli
+from relkit.algebra import FiniteAlgebra, automorphisms, power
 from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
@@ -226,6 +228,74 @@ def test_candidate_pool_counts(lattice2):
         assert class_member(lattice2, RelClass.UAdmissible, value)
     pool2, exact = candidate_pool(lattice2, RelClass.U2Admissible, DEFAULT_CAPS)
     assert exact and all(len(f.components) <= 2 for f in pool2)
+
+
+# --- one enumeration per relation kind and algebra object ------------------
+
+
+def counted_enumerations(monkeypatch):
+    """The list of kinds candidate_pool passes to enumerate_relations, one
+    entry per call, from now until the test ends."""
+    kinds = []
+
+    def counted(alg, kind, caps, _original=identities.enumerate_relations):
+        kinds.append(kind)
+        return _original(alg, kind, caps)
+
+    monkeypatch.setattr(identities, "enumerate_relations", counted)
+    return kinds
+
+
+def test_candidate_pool_enumerates_each_kind_once_per_algebra(monkeypatch):
+    """cdist3 quantifies alpha over congruences and sigma over unions of two
+    congruences: one enumeration serves both variables and every later check
+    on the same object, and an algebra that resolve builds anew enumerates
+    again."""
+    kinds = counted_enumerations(monkeypatch)
+    z2cube = resolve("z2cube")
+    spec = builtin("cdist3", k=1)
+    first = check_for_all(z2cube, spec)
+    assert first.holds is False and kinds == ["congruence"]
+    again = check_for_all(z2cube, spec)
+    assert again.report_form() == first.report_form() and kinds == ["congruence"]
+    check_for_all(resolve("z2cube"), spec)
+    assert kinds == ["congruence", "congruence"]
+
+
+def test_candidate_pool_keeps_truncated_and_full_pools_apart(monkeypatch):
+    """A pool cut short by max_relations is never served for the default
+    caps, nor the full pool for the smaller caps, whichever comes first."""
+    kinds = counted_enumerations(monkeypatch)
+    small = Caps(max_relations=3)
+    for order in ((small, DEFAULT_CAPS), (DEFAULT_CAPS, small)):
+        alg = resolve("z2cube")
+        for caps in order + order:
+            pool, exact = candidate_pool(alg, RelClass.Congruence, caps)
+            if caps is small:
+                assert not exact and len(pool) == 4
+            else:
+                assert exact and len(pool) == 16
+    assert kinds == ["congruence"] * 4
+
+
+def test_candidate_pool_returns_a_new_list():
+    """Changing a returned pool changes no later pool on the same object."""
+    alg = resolve("lattice2")
+    pool, _ = candidate_pool(alg, RelClass.ReflexiveAdmissible, DEFAULT_CAPS)
+    want = list(pool)
+    pool.reverse()
+    pool.pop()
+    assert candidate_pool(alg, RelClass.ReflexiveAdmissible, DEFAULT_CAPS)[0] == want
+    assert len(candidate_pool(alg, RelClass.UAdmissible, DEFAULT_CAPS)[0]) == 4
+
+
+def test_search_mainp_enumerates_each_kind_once_per_algebra(monkeypatch, capsys):
+    """Four fixtures and six random algebras, five variants each, over two
+    relation kinds: 20 enumerations, one per algebra and kind."""
+    kinds = counted_enumerations(monkeypatch)
+    assert cli.main(["search-mainp", "--seed", "1", "--count", "6", "--max-size", "4"]) == 0
+    assert sorted(set(kinds)) == ["congruence", "reflexive_admissible"]
+    assert len(kinds) == 20
 
 
 def test_cdist2_holds_on_distributive_lattice(lattice2):
@@ -634,6 +704,32 @@ def test_scan_matches_plain_loop_on_refutations(monkeypatch, z2cube, lattice2):
         assert assert_scan_matches_plain(monkeypatch, LATE_REFUTATION, builtin(name))
     spec = parse_spec("cong:a & (adm:b ; adm:c) == b ; c")
     assert assert_scan_matches_plain(monkeypatch, lattice2, spec)
+
+
+def test_scan_matches_plain_loop_on_object_masks(monkeypatch):
+    """Past n^2 = 64 a mask does not fit one machine word and the scan binds
+    object arrays of Python ints.  On the square of the chain lattice
+    0 < 1 < 2 (9 elements): arith4, an equality refuted in the middle of
+    the scan; cor1pp, which holds through ^~ and ^*; and maj3, which holds
+    over two broadcast axes."""
+    chain = FiniteAlgebra(3, [
+        ("meet", 2, [min(a, b) for a in range(3) for b in range(3)]),
+        ("join", 2, [max(a, b) for a in range(3) for b in range(3)]),
+    ], name="chain3")
+    alg = power(chain, 2)
+    dtypes = set()
+
+    def spy(alg, sides, mode, env, _original=identities._holds_at):
+        dtypes.update(v.dtype for v in env.values() if isinstance(v, np.ndarray))
+        return _original(alg, sides, mode, env)
+
+    monkeypatch.setattr(identities, "_holds_at", spy)
+    assert assert_scan_matches_plain(monkeypatch, alg, builtin("arith4"))
+    for name in ("cor1pp", "maj3"):
+        assert assert_scan_matches_plain(monkeypatch, alg, builtin(name)) is None
+    assert dtypes == {np.dtype(object)}
+    assert_scan_matches_plain(monkeypatch, resolve("lattice_2x2"), builtin("cor1pp"))
+    assert dtypes == {np.dtype(object), np.dtype(np.uint64)}
 
 
 def test_scan_matches_plain_loop_on_search_mainp_variants(monkeypatch):

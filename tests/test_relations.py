@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +510,48 @@ def test_mask_kernels_act_elementwise():
             assert got.shape == grid.shape and got.dtype == object
             for idx, value in np.ndenumerate(got):
                 assert type(value) is int and value == kernel(grid[idx])
+
+
+def test_mask_kernels_on_uint64_arrays_match_int_kernels():
+    """The exhaustive scan binds masks as uint64 arrays when n^2 <= 64.  On
+    them every kernel gives its int kernel's value cell by cell and keeps the
+    uint64 dtype: compose_masks on 2-D operands broadcast as the scan's axes
+    are, and on an int bound against an array, as a prefix variable is.  The
+    masks include 0, the full relation and bit n^2 - 1 (bit 63 at n = 8),
+    and an overflow warning fails the test."""
+    rng = random.Random(15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 9):
+            alg = random_algebra(rng, n, (2,))
+            top = 1 << (n * n - 1)
+            masks = [0, (1 << (n * n)) - 1, top, top | 1]
+            masks += [rng.getrandbits(n * n) | top for _ in range(3)]
+            for k in (1, 2, n):  # sparse masks keep ^* and bar below the full relation
+                masks.append(BinRel.from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]).mask)
+            left = np.array(masks, dtype=np.uint64).reshape(-1, 1)
+            right = np.array(masks[::-1], dtype=np.uint64).reshape(1, -1)
+            got = compose_masks(left, right, n)
+            assert got.shape == (len(masks), len(masks)) and got.dtype == np.uint64
+            for (i, j), value in np.ndenumerate(got):
+                assert int(value) == compose_masks(masks[i], masks[-1 - j], n)
+            for m in masks:
+                got = compose_masks(m, right, n)
+                assert got.dtype == np.uint64
+                assert got.ravel().tolist() == [compose_masks(m, o, n) for o in masks[::-1]]
+                got = compose_masks(left, m, n)
+                assert got.dtype == np.uint64
+                assert got.ravel().tolist() == [compose_masks(o, m, n) for o in masks]
+            grid = np.array(masks[:8], dtype=np.uint64).reshape(2, -1)
+            for kernel in (
+                lambda m: converse_masks(m, n),
+                lambda m: star_masks(m, n),
+                lambda m: bar_masks(alg, m),
+            ):
+                got = kernel(grid)
+                assert got.shape == grid.shape and got.dtype == np.uint64
+                for idx, value in np.ndenumerate(got):
+                    assert int(value) == kernel(int(grid[idx]))
 
 
 @functools.lru_cache(maxsize=None)
