@@ -614,7 +614,7 @@ def _two_block_partitions(pairs: tuple):
     return out
 
 
-def _minimal_members(alg, cls, pairs: tuple, close, finest: bool):
+def _minimal_members(alg, cls, pairs, close, finest: bool):
     """Minimal members of cls containing all given pairs (may be several).
     With finest, a two-component class with two or more distinct pairs
     yields its two-block splits only."""
@@ -694,7 +694,6 @@ def _check_principal(alg, spec, classes):
     names = [v for v, _ in spec.variables]
     orbits = _OrbitClosures(alg)
     closures: dict = {}
-    members: dict = {}
 
     def close(gen, block):
         """gen's closure of the pair block, once per check: a single pair
@@ -711,23 +710,16 @@ def _check_principal(alg, spec, classes):
             closures[key] = gen(alg, BinRel(n, mask))
         return closures[key]
 
-    def minimal(v, pairs, finest):
-        """The minimal members; a plain class's are kept for the check, a
-        family's are built per call (phase 1 rarely asks for one twice)."""
-        if classes[v] not in _PLAIN:
-            return _minimal_members(alg, classes[v], pairs, close, finest)
-        key = (v, pairs, finest)
-        if key not in members:
-            members[key] = _minimal_members(alg, classes[v], pairs, close, finest)
-        return members[key]
-
     def first_violation(flat_pairs, finest):
         for a, c in (divmod(p, n) for p in flat_pairs):
             for atoms in _atom_sets(sides[0], a, c, n):
                 per_var = {v: [] for v in names}
                 for v, p in atoms:
                     per_var[v].append(p)
-                options = [minimal(v, tuple(per_var[v]), finest) for v in names]
+                options = [
+                    _minimal_members(alg, classes[v], per_var[v], close, finest)
+                    for v in names
+                ]
                 for values in product(*options):
                     env = dict(zip(names, map(_value_mask, values)))
                     if not _holds_at(alg, sides, spec.mode, env):
