@@ -59,11 +59,12 @@ class Operation:
 class FiniteAlgebra:
     """Universe {0..size-1} with named finitary operations.
 
-    _pools holds the relation enumerations identities.candidate_pool made on
-    this object, keyed by (kind, caps); it lives and dies with the algebra.
+    Two memos live and die with the algebra: _pools, the relation
+    enumerations of identities.candidate_pool by (kind, caps), and
+    _pair_closures, the single-pair closures of relations.pair_closure.
     """
 
-    __slots__ = ("size", "ops", "name", "_by_name", "_pools")
+    __slots__ = ("size", "ops", "name", "_by_name", "_pools", "_pair_closures")
 
     def __init__(self, size: int, ops, name: str | None = None):
         if size <= 0:
@@ -87,6 +88,7 @@ class FiniteAlgebra:
         self.name = name
         self._by_name = {op.name: op for op in ops}
         self._pools = {}
+        self._pair_closures = {}
 
     def op(self, name: str) -> Operation:
         try:

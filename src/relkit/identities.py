@@ -24,13 +24,10 @@ broadcast, so one call evaluates a whole block of assignments.  eval_expr
 and evaluate wrap its result in BinRel.
 
 The exhaustive strategy takes each variable's pool from candidate_pool,
-which enumerates each relation kind once per algebra object, and scans the
-product of the pools in blocks (_scan): a prefix of the variables is bound
-to masks and each later variable to its own array axis.  A subexpression is
-then computed once per combination of the pool values its variables take,
-not once per assignment.  The counterexample is the first violating
-assignment in the order of product(*pools), the lexicographically first
-one, with its least violating pair.
+which enumerates each relation kind once per algebra object (the uadm: pool
+joins principal relations instead), and scans the product of the pools in
+blocks (_scan).  Every single-pair closure, in pools, principal members and
+seed instances, comes from the algebra's memo (relations.pair_closure).
 """
 
 from __future__ import annotations
@@ -57,6 +54,9 @@ from .relations import (
     converse_masks,
     enumerate_relations,
     kind_functions,
+    pair_closure,
+    pairs_order,
+    principal_relations,
     star_masks,
 )
 from .uadmissible import UAdmRel, enumerate_u, pair_families
@@ -227,11 +227,6 @@ _SHAPES = {
 _PLAIN = tuple(cls for cls, (_, most) in _SHAPES.items() if most is None)
 
 
-def _generator(cls):
-    """The closure that gives the least relation of cls's kind."""
-    return kind_functions(_SHAPES[cls][0])[0]
-
-
 @dataclass
 class IdentitySpec:
     name: str
@@ -400,16 +395,20 @@ def candidate_pool(alg, cls: RelClass, caps: Caps):
     variable and every check on the same object reuses it, and it goes with
     the object (resolve builds a new algebra on each call).  The caller gets
     a new list each time.
+
+    The uadm: pool joins the principal relations adm(p) (uadmissible), so
+    a view's witness is its maximal adm(p), which every cover contains.
     """
     if cls not in _SHAPES:
         raise ValueError(f"unknown class {cls!r}")
     kind, most = _SHAPES[cls]
+    if most == 0:
+        res = enumerate_u(sorted(principal_relations(alg, kind), key=pairs_order), True, caps)
+        return list(res), res.exhaustive
     res = alg._pools.get((kind, caps))
     if res is None:
         res = alg._pools[kind, caps] = enumerate_relations(alg, kind, caps)
-    if most == 0:
-        res = enumerate_u(res.relations, res.exhaustive, caps)
-    elif most == 2:
+    if most == 2:
         res = pair_families(res.relations, res.exhaustive)
     return list(res), res.exhaustive
 
@@ -470,18 +469,8 @@ def check_for_all(
     Strategies: "exhaustive" (complete enumeration of every class, labelled
     truncated when caps.max_relations cuts it short), "sampled" (random
     closures, never reports holds), "principal" (point-principal reduction,
-    exact for star/bar-free inclusion left-hand sides).
-
-    The exhaustive scan runs one block per value of the outermost variable
-    (per value of a longer prefix when the later pools span more than
-    _BLOCK_CELLS assignments).  The block binds each later variable to an
-    array of its pool's union-view masks (uint64 when n^2 <= 64, object
-    otherwise) along its own broadcast axis, so the identity is evaluated
-    on all of the block's assignments at once.  Each class's pool comes from
-    candidate_pool, so each relation kind is enumerated once per algebra
-    object, however many variables and checks use it.  The first False of
-    the first failing block in C order is the lexicographically first
-    counterexample; evaluate re-runs it for the violating pair.
+    exact for star/bar-free inclusion left-hand sides).  The exhaustive
+    scan (_scan) reports the lexicographically first counterexample.
     """
     classes = spec.classes(narrow, classes_override)
     if strategy == "principal":
@@ -509,27 +498,22 @@ def check_for_all(
     return Verdict(None, "truncated", note="no counterexample found (truncated)")
 
 
-def _random_value(alg, cls, rng):
-    n = alg.size
-    def rnd_pairs(k):
-        return [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-    gen = _generator(cls)
-    if cls in _PLAIN:
-        return gen(alg, rnd_pairs(rng.randint(1, 2)))
-    if cls is RelClass.UnionOfTwoCongruences:
-        return UAdmRel([gen(alg, [p]) for p in rnd_pairs(2)])
-    k = 2 if cls is RelClass.U2Admissible else 3
-    return UAdmRel(
-        [gen(alg, [p]) for p in rnd_pairs(rng.randint(1, k))]
-    )
+def _random_value(alg, cls, rng, close):
+    """The finest member of cls holding one to three random pairs."""
+    n, most = alg.size, _SHAPES[cls][1]
+    k = 2 if cls is RelClass.UnionOfTwoCongruences else rng.randint(1, 3 if most == 0 else 2)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+    (value,) = _minimal_members(alg, cls, pairs, close, finest=True)
+    return value
 
 
 def _check_sampled(alg, spec, classes, samples, seed):
     rng = random.Random(seed)
     names = [v for v, _ in spec.variables]
     sides = desugar(spec.lhs), desugar(spec.rhs)
+    close = _OrbitClosures(alg, ()).block
     for _ in range(samples):
-        env = {v: _random_value(alg, classes[v], rng) for v in names}
+        env = {v: _random_value(alg, classes[v], rng, close) for v in names}
         if not _holds_at(alg, sides, spec.mode, {v: _value_mask(x) for v, x in env.items()}):
             lhs, rhs, _ = evaluate(alg, spec, env)
             cex = {"assignment": env, "pair": violation_pair(lhs, rhs, spec.mode)}
@@ -615,11 +599,11 @@ def _two_block_partitions(pairs: tuple):
 
 
 def _minimal_members(alg, cls, pairs, close, finest: bool):
-    """Minimal members of cls containing all given pairs (may be several).
-    With finest, a two-component class with two or more distinct pairs
-    yields its two-block splits only."""
+    """Minimal members of cls containing all given pairs (may be several),
+    from close(gen, block).  With finest, a two-component class with two or
+    more distinct pairs yields its two-block splits only."""
     pairs = tuple(dict.fromkeys(pairs))
-    gen, most = _generator(cls), _SHAPES[cls][1]
+    gen, most = kind_functions(_SHAPES[cls][0])[0], _SHAPES[cls][1]
     if most is None:
         return [close(gen, pairs)]
     if not pairs:
@@ -633,23 +617,25 @@ def _minimal_members(alg, cls, pairs, close, finest: bool):
 
 
 class _OrbitClosures:
-    """Single-pair closures on alg, each computed once, by flat index
-    p = a*n + c.
+    """Closures on alg of single pairs, by flat index p = a*n + c, and of
+    blocks of pairs (the closure of the join of their pairs' closures).
 
-    One pass over the automorphisms found gives each pair its least image
-    under one of them, least[p], and the index which[p] of the automorphism
-    g that reaches it.  A pair with least[p] == p (a representative) is
-    closed directly.  Any other pair takes the closure of q = g(p) and maps
-    it back, closure(p) = {x : g(x) ∈ closure(q)}, since g maps the least
-    relation of a class containing p onto the one containing g(p).  q is
-    itself closed through the memo, so the chain p > q > ... ends at a
-    representative even when the automorphisms found are not a group.
+    One pass over auts (by default the automorphisms found) gives each pair
+    its least image under one of them, least[p], and the index which[p] of
+    the one, g, that reaches it.  A representative, least[p] == p (every
+    pair when auts is empty), is closed directly.  Any other pair takes the
+    closure of q = g(p) and maps it back, closure(p) = {x : g(x) ∈
+    closure(q)}, since g maps the least relation of a class containing p
+    onto the one containing g(p).  That is exact for any automorphism, so
+    both go into the algebra's memo (relations.pair_closure).  q is closed
+    through the memo too, so the chain p > q > ... ends at a representative
+    or a memo entry even when the automorphisms are not a group.
     """
 
-    def __init__(self, alg):
+    def __init__(self, alg, auts=None):
         n = self.n = alg.size
         self.alg = alg
-        self.auts = automorphisms(alg)
+        self.auts = automorphisms(alg) if auts is None else auts
         least, which = np.arange(n * n), np.full(n * n, -1)
         for i, g in enumerate(self.auts):
             image = self._pair_image(g)
@@ -657,7 +643,7 @@ class _OrbitClosures:
             least[smaller], which[smaller] = image[smaller], i
         self.least, self.which = least.tolist(), which.tolist()
         self.pair_images: dict = {}
-        self.memo: dict = {}
+        self.joins: dict = {}
 
     def _pair_image(self, g) -> np.ndarray:
         """Flat index of g(a, c) at flat index a*n + c."""
@@ -671,19 +657,32 @@ class _OrbitClosures:
 
     def close(self, gen, p: int) -> BinRel:
         """gen's closure of the pair with flat index p."""
+        memo = self.alg._pair_closures
         chain, q = [], p
-        while (gen, q) not in self.memo and self.least[q] != q:
+        while (gen, q) not in memo and self.least[q] != q:
             chain.append(q)
             q = self.least[q]
-        if (gen, q) not in self.memo:
-            self.memo[gen, q] = gen(self.alg, [divmod(q, self.n)])
+        closed = pair_closure(self.alg, gen, q)
         for q in reversed(chain):
             i = self.which[q]
             if i not in self.pair_images:
                 self.pair_images[i] = self._pair_image(self.auts[i])
-            bits = _bits(self.memo[gen, self.least[q]].mask, self.n)
-            self.memo[gen, q] = BinRel(self.n, _mask_of(bits[self.pair_images[i]]))
-        return self.memo[gen, p]
+            bits = _bits(closed.mask, self.n)
+            closed = memo[gen, q] = BinRel(self.n, _mask_of(bits[self.pair_images[i]]))
+        return closed
+
+    def block(self, gen, block) -> BinRel:
+        """gen's closure of a block of pairs (a, c)."""
+        if len(block) == 1:
+            ((a, c),) = block
+            return self.close(gen, a * self.n + c)
+        key = (gen, frozenset(block))
+        if key not in self.joins:
+            mask = 0
+            for a, c in block:
+                mask |= self.close(gen, a * self.n + c).mask
+            self.joins[key] = gen(self.alg, BinRel(self.n, mask))
+        return self.joins[key]
 
 
 def _check_principal(alg, spec, classes):
@@ -693,22 +692,6 @@ def _check_principal(alg, spec, classes):
     n = alg.size
     names = [v for v, _ in spec.variables]
     orbits = _OrbitClosures(alg)
-    closures: dict = {}
-
-    def close(gen, block):
-        """gen's closure of the pair block, once per check: a single pair
-        from the orbit memo, a larger block from the join of its pairs'
-        closures."""
-        if len(block) == 1:
-            (a, c), = block
-            return orbits.close(gen, a * n + c)
-        key = (gen, frozenset(block))
-        if key not in closures:
-            mask = 0
-            for a, c in block:
-                mask |= orbits.close(gen, a * n + c).mask
-            closures[key] = gen(alg, BinRel(n, mask))
-        return closures[key]
 
     def first_violation(flat_pairs, finest):
         for a, c in (divmod(p, n) for p in flat_pairs):
@@ -717,7 +700,7 @@ def _check_principal(alg, spec, classes):
                 for v, p in atoms:
                     per_var[v].append(p)
                 options = [
-                    _minimal_members(alg, classes[v], per_var[v], close, finest)
+                    _minimal_members(alg, classes[v], per_var[v], orbits.block, finest)
                     for v in names
                 ]
                 for values in product(*options):
@@ -747,7 +730,8 @@ def free_seed_assignment(
     generators: tuple = (0, 1, 2),
     narrow: bool = True,
 ) -> dict:
-    """The generic principal-relation assignment on a 3-generated free algebra."""
+    """The generic principal-relation assignment on a 3-generated free algebra:
+    each variable's finest minimal member holding its seed pairs."""
     if spec.free_seeds is None:
         raise UnsupportedError(
             f"{spec.name}: no free-algebra seed instance (needs unbounded chains "
@@ -755,16 +739,14 @@ def free_seed_assignment(
         )
     letters = dict(zip("xyz", generators))
     classes = spec.classes(narrow)
+    close = _OrbitClosures(free_alg, ()).block
     out = {}
     for var, pairs in spec.free_seeds.items():
         pts = tuple((letters[p[0]], letters[p[1]]) for p in pairs)
-        gen, most = _generator(classes[var]), _SHAPES[classes[var]][1]
-        if most is None:
-            out[var] = gen(free_alg, pts)
-        elif 0 < most < len(pts):
+        most = _SHAPES[classes[var]][1]
+        if most and most < len(pts):
             raise UnsupportedError(f"{spec.name}: seed needs more than {most} components")
-        else:
-            out[var] = UAdmRel([gen(free_alg, [p]) for p in pts])
+        (out[var],) = _minimal_members(free_alg, classes[var], pts, close, finest=True)
     return out
 
 

@@ -38,10 +38,12 @@ memory of one tuple chunk; every other case, and every other arity, takes
 the tuple kernel.  Masks convert to and from bit arrays through
 int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
 
-Kinds.  KINDS names the three relation kinds.  kind_functions gives the
-closure and the membership test of a kind, read from the module at each
-call rather than from a table built at import, and enumerate_relations
-lists every relation of one.
+Kinds.  KINDS names the three relation kinds; kind_functions gives the
+closure and membership test of one, by name from the module at each call.
+A relation of each kind is the join of its principal relations, the
+closures of its single pairs.  pair_closure closes a pair once per algebra
+object, principal_relations lists a kind's distinct ones, and
+enumerate_relations joins them into every relation of the kind.
 """
 
 from __future__ import annotations
@@ -140,15 +142,6 @@ class BinRel:
     def _check(self, other: "BinRel"):
         if self.n != other.n:
             raise ValueError("universe size mismatch")
-
-    def __getstate__(self):
-        return (self.n, self.mask)
-
-    def __setstate__(self, state):
-        n, mask = state
-        self.n = n
-        self.mask = mask
-        self._flags = {}
 
     # cached shape flags; recomputation must agree (property-tested)
 
@@ -492,7 +485,12 @@ def is_reflexive_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-KINDS = ("congruence", "tolerance", "reflexive_admissible")
+_KIND_FUNCTIONS = {  # kind -> names of its closure and membership test
+    "congruence": ("congruence_gen", "is_congruence"),
+    "tolerance": ("tolerance_gen", "is_tolerance"),
+    "reflexive_admissible": ("admissible_closure", "is_reflexive_admissible"),
+}
+KINDS = tuple(_KIND_FUNCTIONS)
 
 
 @dataclass
@@ -516,11 +514,25 @@ def kind_functions(kind: str):
     """
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}; expected one of {KINDS}")
-    return {
-        "congruence": (congruence_gen, is_congruence),
-        "tolerance": (tolerance_gen, is_tolerance),
-        "reflexive_admissible": (admissible_closure, is_reflexive_admissible),
-    }[kind]
+    close, member = _KIND_FUNCTIONS[kind]
+    return globals()[close], globals()[member]
+
+
+def pair_closure(alg: FiniteAlgebra, close, p: int) -> BinRel:
+    """close's closure of the pair with flat index p = a*n + b, kept in
+    alg._pair_closures under (close, p)."""
+    memo = alg._pair_closures
+    if (close, p) not in memo:
+        memo[close, p] = close(alg, [divmod(p, alg.size)])
+    return memo[close, p]
+
+
+def principal_relations(alg: FiniteAlgebra, kind: str) -> list:
+    """The distinct closures of single pairs, in pair order; the first, of
+    (0, 0), is the least relation of kind."""
+    close = kind_functions(kind)[0]
+    closures = (pair_closure(alg, close, p) for p in range(alg.size**2))
+    return list({g.mask: g for g in closures}.values())
 
 
 def enumerate_relations(
@@ -530,11 +542,11 @@ def enumerate_relations(
 
     Every relation R of each kind is the join P1 v ... v Pk of the principal
     relations Pi = close({(a, b)}) over the pairs (a, b) in R.  So the
-    enumeration closes the empty seed, closes every off-diagonal pair outside
-    it (the generators), and then joins each relation it finds with each
-    generator, close(R | G): that reaches every relation one generator at a
-    time.  Only caps.max_relations can cut it short, and the result then says
-    truncated.
+    enumeration takes the distinct principal relations (principal_relations):
+    the least relation, then the generators.  It joins each relation it finds
+    with each generator, close(R | G): that reaches every relation one
+    generator at a time.  Only caps.max_relations can cut it short, and the
+    result then says truncated.
 
     method ("auto" or "generated") is kept for compatibility; both run the
     one algorithm.
@@ -543,20 +555,14 @@ def enumerate_relations(
     if method not in ("auto", "generated"):
         raise ValueError(f"unknown enumeration method {method!r}")
     n = alg.size
-    base = close(alg, [])
-    found = {base.mask: base}
-    gens = []
+    found = {}
     truncated = False
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and not base.contains(a, b)]
-    for pair in pairs:
-        g = close(alg, [pair])
-        if g.mask in found:
-            continue
+    for g in principal_relations(alg, kind):
         found[g.mask] = g
-        gens.append(g.mask)
         if len(found) > caps.max_relations:
             truncated = True
             break
+    gens = list(found)[1:]
     worklist = list(found.values())
     tried = set()
     while worklist and not truncated:

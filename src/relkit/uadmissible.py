@@ -10,7 +10,9 @@ masks.  The componentwise operators below (`compose_u` and friends) give
 the same union views; the evaluator does not use them.
 
 The quantifier pools `enumerate_u` (every union, up to caps.max_relations
-views) and `pair_families` (unions of at most two) share one join loop.
+views) and `pair_families` (unions of at most two) share one join loop.  A
+reflexive R is U-admissible iff adm(p) <= R for each p in R, so the uadm:
+pool joins the principal relations adm(p) (`relations.pair_closure`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .relations import (
     intersect,
     is_congruence,
     is_reflexive_admissible,
+    kind_functions,
+    pair_closure,
     pairs_order,
     transitive_closure,
 )
@@ -158,20 +162,25 @@ def bar_u(alg: FiniteAlgebra, sigma: UAdmRel) -> UAdmRel:
 # recognizing / decomposing plain relations
 
 
+def _principals(alg: FiniteAlgebra, rel: BinRel):
+    """The principal relations adm(p) of the pairs p of rel, from the memo."""
+    if rel.n != alg.size:
+        raise ValueError("relation universe does not match the algebra")
+    close = kind_functions("reflexive_admissible")[0]
+    return (pair_closure(alg, close, a * rel.n + b) for a, b in rel.pairs())
+
+
 def is_u_admissible(alg: FiniteAlgebra, rel: BinRel) -> bool:
     """rel is a union of reflexive-admissible relations iff it is reflexive
     and every principal closure <(a,b)> of one of its pairs stays inside it."""
-    return rel.is_reflexive() and all(
-        admissible_closure(alg, [p]).mask | rel.mask == rel.mask for p in rel.pairs()
-    )
+    return rel.is_reflexive() and all(c <= rel for c in _principals(alg, rel))
 
 
 def principal_decomposition(alg: FiniteAlgebra, rel: BinRel) -> UAdmRel:
     """Exact decomposition into principal components (fails if not U-admissible)."""
-    comps = [admissible_closure(alg, [p]) for p in rel.pairs()]
-    if any(c.mask | rel.mask != rel.mask for c in comps):
+    if not is_u_admissible(alg, rel):
         raise ValueError("relation is not U-admissible")
-    return UAdmRel(comps)
+    return UAdmRel(_principals(alg, rel))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,10 @@ from relkit.identities import (
 )
 import relkit.identities as identities
 from relkit.cli import _random_algebra
-from relkit.identities import _PLAIN, _atom_sets, _generator, _scan
+from relkit.identities import _atom_sets, _scan
 from relkit.maltsev import ExpansionSpec, enumerate_expansions
 from relkit.parser import CLASS_PREFIXES, SpecParseError, parse_spec
+import relkit.relations as relations
 from relkit.relations import (
     KINDS,
     BinRel,
@@ -57,6 +58,7 @@ from relkit.relations import (
     compose,
     congruence_gen,
     converse,
+    enumerate_relations,
     intersect,
     is_congruence,
     is_reflexive_admissible,
@@ -289,6 +291,41 @@ def test_candidate_pool_returns_a_new_list():
     assert len(candidate_pool(alg, RelClass.UAdmissible, DEFAULT_CAPS)[0]) == 4
 
 
+def test_single_pair_closures_are_shared_per_algebra(monkeypatch):
+    """Enumeration, principal checks and seed verdicts read one memo of
+    single-pair closures per algebra object: once every kind has been
+    enumerated, a second enumeration, principal checks and a seed verdict
+    close no single pair again.  An algebra that resolve builds anew closes
+    them again.  The fixtures are session-scoped, so the algebras here are
+    built in the test."""
+    calls = []
+    for name in ("congruence_gen", "tolerance_gen", "admissible_closure"):
+        def counted(alg, seed, _original=getattr(relations, name), _name=name):
+            if isinstance(seed, list) and len(seed) == 1:
+                calls.append(_name)
+            return _original(alg, seed)
+        monkeypatch.setattr(relations, name, counted)
+    alg = resolve("baker4")
+    for kind in KINDS:
+        enumerate_relations(alg, kind)
+    assert sorted(set(calls)) == ["admissible_closure", "congruence_gen", "tolerance_gen"]
+    calls.clear()
+    enumerate_relations(alg, "congruence")
+    for name in ("cdist2", "maj3"):
+        check_for_all(alg, builtin(name), strategy="principal")
+        free_seed_verdict(alg, builtin(name))
+    assert calls == []
+    enumerate_relations(resolve("baker4"), "congruence")
+    assert calls and set(calls) == {"congruence_gen"}
+
+
+def test_free_seed_with_more_pairs_than_components():
+    spec = builtin("cdist2")
+    spec.free_seeds = {**spec.free_seeds, "sigma": (("x", "y"), ("y", "z"), ("x", "z"))}
+    with pytest.raises(UnsupportedError, match=r"cdist2\(2\): seed needs more than 2 components"):
+        free_seed_assignment(resolve("baker4"), spec)
+
+
 def test_search_mainp_enumerates_each_kind_once_per_algebra(monkeypatch, capsys):
     """Four fixtures and six random algebras, five variants each, over two
     relation kinds: 20 enumerations, one per algebra and kind."""
@@ -447,6 +484,13 @@ def test_left_alternating_composition_literal():
 # --- principal strategy against the plain ordered scan ----------------------
 
 
+PLAIN_CLOSURES = {
+    RelClass.Congruence: congruence_gen,
+    RelClass.Tolerance: tolerance_gen,
+    RelClass.ReflexiveAdmissible: admissible_closure,
+}
+
+
 def plain_principal(alg, spec, narrow=True):
     """The principal strategy as one ordered scan, without orbits and with
     every minimal member: each point pair in order, each atom set, each
@@ -468,8 +512,8 @@ def plain_principal(alg, spec, narrow=True):
 
     def members(cls, pairs):
         pairs = tuple(dict.fromkeys(pairs))
-        if cls in _PLAIN:
-            return [close(_generator(cls), pairs)]
+        if cls in PLAIN_CLOSURES:
+            return [close(PLAIN_CLOSURES[cls], pairs)]
         if not pairs:
             return [UAdmRel([BinRel.diagonal(n)])]
         if cls is RelClass.UAdmissible:

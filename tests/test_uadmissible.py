@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import relkit.uadmissible as uadmissible
 from relkit.algebra import FiniteAlgebra, power
-from relkit.caps import Caps
+from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
+from relkit.identities import RelClass, candidate_pool
 from relkit.relations import (
     BinRel,
     admissible_closure,
@@ -14,6 +16,7 @@ from relkit.relations import (
     converse,
     enumerate_relations,
     intersect,
+    pair_closure,
     transitive_closure,
     union,
 )
@@ -355,3 +358,44 @@ def test_join_loop_forms_each_subset_once(z2cube):
     # each view is joined once with each base relation after its witness,
     # and with no other
     assert _CountingMask.joins == sum(len(masks) - 1 - w[-1] for w in views.values())
+
+
+def test_uadm_pool_joins_principal_relations():
+    """The uadm: pool, the unions of the principal relations adm(p) and the
+    least relation, has the views, order and exhaustive flag of the unions of
+    every reflexive admissible relation.  Each witness component is the
+    algebra memo's closure of one of its own pairs, no component lies inside
+    another, and the components are the maximal adm(p) inside the view."""
+    for alg in differential_algebras():
+        n = alg.size
+        base = enumerate_relations(alg, "reflexive_admissible")
+        want = enumerate_u(base.relations, base.exhaustive)
+        pool, exhaustive = candidate_pool(alg, RelClass.UAdmissible, DEFAULT_CAPS)
+        assert exhaustive == want.exhaustive, alg.name
+        assert [u.union_view for u in pool] == [u.union_view for u in want], alg.name
+        for u in pool:
+            comps = u.components
+            principal = {(a, b): pair_closure(alg, admissible_closure, a * n + b)
+                         for a, b in u.union_view.pairs()}
+            assert all(any(principal[p] == c for p in c.pairs()) for c in comps), alg.name
+            assert not any(c <= d for c, d in itertools.permutations(comps, 2)), alg.name
+            maximal = {c.mask for c in principal.values()
+                       if not any(c.mask != d.mask and c <= d for d in principal.values())}
+            assert {c.mask for c in comps} == maximal, alg.name
+
+
+def test_uadm_pool_of_the_identity_algebra_joins_principal_relations_only(monkeypatch):
+    """On four elements with only the identity operation, every reflexive
+    relation is U-admissible: 4,096 views, reached from 12 principal
+    relations and the diagonal rather than from all 4,096 reflexive
+    admissible relations (about 8.4 million joins)."""
+    alg = FiniteAlgebra(4, [("e", 1, [0, 1, 2, 3])])
+
+    def counted(masks, depth, bound, _unions=uadmissible._unions):
+        return _unions([_CountingMask(m) for m in masks], depth, bound)
+
+    monkeypatch.setattr(uadmissible, "_unions", counted)
+    _CountingMask.joins = 0
+    pool, exhaustive = candidate_pool(alg, RelClass.UAdmissible, DEFAULT_CAPS)
+    assert exhaustive and len(pool) == 4096
+    assert 0 < _CountingMask.joins <= 10**5
