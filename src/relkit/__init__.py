@@ -26,8 +26,6 @@ from .freeclone import (
     free_relations,
     generate_clone,
     identity_holds,
-    principal_sigma_4ary,
-    restrict_table,
     slot_identifications,
     table_of_term,
 )

@@ -13,11 +13,11 @@ class Caps:
     max_universe: int = 10**6
     # largest total table size (cells) allowed when materializing an algebra
     max_table_cells: int = 10**7
-    # relation enumeration: the only bound.  Every relation of a kind is the
-    # join of the principal relations it contains, so joining with the
-    # principal generators is complete unless it finds more than this many
-    # relations; the result is then labelled truncated.  It bounds the
-    # U-admissible pool (the unions of reflexive-admissible relations) too.
+    # relation pools: the only bound.  One join loop builds every pool from
+    # principal relations: each relation kind by closed joins, the
+    # U-admissible pools by plain unions.  It is complete unless it finds
+    # more than this many; the result then holds the first max_relations + 1
+    # it found and is labelled truncated.
     max_relations: int = 100_000
     # clone generation caps by arity
     clone_cap_3: int = 50_000

@@ -329,13 +329,6 @@ def identity_holds(alg: FiniteAlgebra, lhs: Term, rhs: Term, pattern: str) -> bo
     return bool(np.array_equal(table_of_term(alg, lhs, k)[cells], table_of_term(alg, rhs, k)[cells]))
 
 
-def restrict_table(table: np.ndarray, n: int, k: int, slot: int) -> np.ndarray:
-    """Identify the last argument with argument `slot`: a (k-1)-ary table."""
-    if not 0 <= slot < k - 1:
-        raise ValueError("slot must name one of the first k-1 arguments")
-    return np.asarray(table)[pattern_cells(n, [*range(k - 1), slot])]
-
-
 def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, int]]:
     """For each 4-ary element u, the 3-ary clone ids of u with its last
     argument identified with x, y, z respectively.
@@ -354,13 +347,6 @@ def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, i
             raise CapExceeded("restricted table missing from 3-ary clone")
         columns.append(ids.tolist())
     return list(zip(*columns))
-
-
-def principal_sigma_4ary(clone4: Clone, clone3: Clone) -> BinRel:
-    """The relation {(u@x, u@z) : u 4-ary} on the 3-generated free algebra."""
-    m = len(clone3)
-    pairs = [(a, c) for (a, _b, c) in slot_identifications(clone4, clone3)]
-    return BinRel.from_pairs(m, pairs)
 
 
 def dump_clone(clone: Clone) -> dict:

@@ -42,8 +42,13 @@ Kinds.  KINDS names the three relation kinds; kind_functions gives the
 closure and membership test of one, by name from the module at each call.
 A relation of each kind is the join of its principal relations, the
 closures of its single pairs.  pair_closure closes a pair once per algebra
-object, principal_relations lists a kind's distinct ones, and
-enumerate_relations joins them into every relation of the kind.
+object (every diagonal pair reads the closure of (0, 0), the least
+relation), and principal_relations lists a kind's distinct ones.
+
+Pools.  One join loop, joins, builds every relation pool, with or without a
+closure: enumerate_relations runs it over the principal relations with the
+kind's closure, and the U-admissible pools of uadmissible (plain unions) run
+it without one.
 """
 
 from __future__ import annotations
@@ -520,7 +525,10 @@ def kind_functions(kind: str):
 
 def pair_closure(alg: FiniteAlgebra, close, p: int) -> BinRel:
     """close's closure of the pair with flat index p = a*n + b, kept in
-    alg._pair_closures under (close, p)."""
+    alg._pair_closures under (close, p).  A diagonal pair (a, a) closes to
+    the least relation of its kind, so every one reads the entry of (0, 0)."""
+    if p % (alg.size + 1) == 0:
+        p = 0
     memo = alg._pair_closures
     if (close, p) not in memo:
         memo[close, p] = close(alg, [divmod(p, alg.size)])
@@ -535,6 +543,53 @@ def principal_relations(alg: FiniteAlgebra, kind: str) -> list:
     return list({g.mask: g for g in closures}.values())
 
 
+def joins(masks, close=None, depth=None, bound=None):
+    """({view: witness}, truncated) for the joins of the masks: a view is the
+    union of the masks at the indices of its witness, or its closure under
+    close, a mask -> mask closure operator under which every mask is closed.
+
+    Level 1 is the distinct masks; level k+1 extends each view new at level
+    k by the masks after the last index of its witness.  So no subset is
+    joined twice, a witness is the lexicographically first shortest index
+    tuple of its view, and a level that adds nothing ends the fixpoint.
+    With close that stays complete, since close(close(A) | B) = close(A | B)
+    makes every prefix of a first witness the first witness of its own
+    view; a union that is already a view, or was closed before, is not
+    closed again.  The loop stops after depth levels, or (truncated) when
+    it inserts view bound + 1.
+    """
+    views = {}
+    tried = set()
+
+    def insert(m, wit):
+        views[m] = wit
+        return bound is not None and len(views) > bound
+
+    for i, m in enumerate(masks):
+        if m not in views and insert(m, (i,)):
+            return views, True
+    frontier = list(views.items())
+    level = 1
+    while frontier and level != depth:
+        level += 1
+        new = []
+        for view, wit in frontier:
+            for j in range(wit[-1] + 1, len(masks)):
+                m = view | masks[j]
+                if m in views or m in tried:
+                    continue
+                if close is not None:
+                    tried.add(m)
+                    m = close(m)
+                    if m in views:
+                        continue
+                new.append((m, wit + (j,)))
+                if insert(*new[-1]):
+                    return views, True
+        frontier = new
+    return views, False
+
+
 def enumerate_relations(
     alg: FiniteAlgebra, kind: str, caps: Caps = DEFAULT_CAPS, method: str = "auto"
 ) -> EnumResult:
@@ -542,11 +597,10 @@ def enumerate_relations(
 
     Every relation R of each kind is the join P1 v ... v Pk of the principal
     relations Pi = close({(a, b)}) over the pairs (a, b) in R.  So the
-    enumeration takes the distinct principal relations (principal_relations):
-    the least relation, then the generators.  It joins each relation it finds
-    with each generator, close(R | G): that reaches every relation one
-    generator at a time.  Only caps.max_relations can cut it short, and the
-    result then says truncated.
+    enumeration is joins over the distinct principal relations
+    (principal_relations) with the kind's closure.  Only caps.max_relations
+    can cut it short: the result then holds the first max_relations + 1
+    relations the join loop found, and says truncated.
 
     method ("auto" or "generated") is kept for compatibility; both run the
     one algorithm.
@@ -555,29 +609,10 @@ def enumerate_relations(
     if method not in ("auto", "generated"):
         raise ValueError(f"unknown enumeration method {method!r}")
     n = alg.size
-    found = {}
-    truncated = False
-    for g in principal_relations(alg, kind):
-        found[g.mask] = g
-        if len(found) > caps.max_relations:
-            truncated = True
-            break
-    gens = list(found)[1:]
-    worklist = list(found.values())
-    tried = set()
-    while worklist and not truncated:
-        cur = worklist.pop()
-        for gm in gens:
-            um = cur.mask | gm
-            if um in found or um in tried:
-                continue
-            tried.add(um)
-            joined = close(alg, BinRel(n, um))
-            if joined.mask not in found:
-                found[joined.mask] = joined
-                worklist.append(joined)
-                if len(found) > caps.max_relations:
-                    truncated = True
-                    break
-    rels = sorted(found.values(), key=pairs_order)
+    views, truncated = joins(
+        [g.mask for g in principal_relations(alg, kind)],
+        lambda m: close(alg, BinRel(n, m)).mask,
+        bound=caps.max_relations,
+    )
+    rels = sorted((BinRel(n, m) for m in views), key=pairs_order)
     return EnumResult(kind, rels, exhaustive=not truncated)

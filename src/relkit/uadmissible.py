@@ -10,9 +10,11 @@ masks.  The componentwise operators below (`compose_u` and friends) give
 the same union views; the evaluator does not use them.
 
 The quantifier pools `enumerate_u` (every union, up to caps.max_relations
-views) and `pair_families` (unions of at most two) share one join loop.  A
-reflexive R is U-admissible iff adm(p) <= R for each p in R, so the uadm:
-pool joins the principal relations adm(p) (`relations.pair_closure`).
+views) and `pair_families` (unions of at most two) run `relations.joins`,
+the join loop that also builds each relation kind with its closure; here it
+takes no closure, so a view is a plain union.  A reflexive R is U-admissible
+iff adm(p) <= R for each p in R, so the uadm: pool joins the principal
+relations adm(p) (`relations.pair_closure`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .relations import (
     intersect,
     is_congruence,
     is_reflexive_admissible,
+    joins,
     kind_functions,
     pair_closure,
     pairs_order,
@@ -187,41 +190,12 @@ def principal_decomposition(alg: FiniteAlgebra, rel: BinRel) -> UAdmRel:
 # enumeration of candidate families for quantifiers
 
 
-def _unions(masks, depth, bound):
-    """({view: witness}, truncated) for the unions of the masks.
-
-    Level 1 is the distinct masks; level k+1 extends each view new at level
-    k by the masks after the last index of its witness.  So no subset is
-    joined twice, a witness is the lexicographically first minimal index
-    tuple of its view, and a level that adds nothing ends the fixpoint.  It
-    also stops after depth levels, or (truncated) past bound views.
-    """
-    views = {}
-    for i, m in enumerate(masks):
-        views.setdefault(m, (i,))
-    frontier = list(views.items())
-    level = 1
-    while frontier and level != depth:
-        level += 1
-        new = []
-        for view, wit in frontier:
-            for j in range(wit[-1] + 1, len(masks)):
-                m = view | masks[j]
-                if m not in views:
-                    views[m] = wit + (j,)
-                    new.append((m, views[m]))
-            if bound is not None and len(views) > bound:
-                return views, True
-        frontier = new
-    return views, False
-
-
 def _pool(base, kind: str, exhaustive: bool, depth=None, bound=None) -> EnumResult:
     """One witness family per union view of the base relations."""
     base = list(base)
     if not base:
         raise ValueError("empty base for U-enumeration")
-    views, truncated = _unions([b.mask for b in base], depth, bound)
+    views, truncated = joins([b.mask for b in base], depth=depth, bound=bound)
     families = sorted(
         (UAdmRel([base[i] for i in wit]) for wit in views.values()),
         key=lambda u: pairs_order(u.union_view),

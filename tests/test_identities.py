@@ -633,26 +633,36 @@ def free_algebra(name):
 
 
 # F(lattice2,3) (|Aut| = 6, with 3-cycles), F(z2,3) (|Aut| = 168) and random
-# equivariant algebras under permutations of order 3, 4, 5 and 6.
-TRANSPORT_CASES = ["lattice2", "z2", ((1, 2, 0, 3), (2,)), ((1, 2, 3, 0), (2,)),
-                   ((1, 2, 3, 4, 0), (1, 2)), ((1, 2, 0, 4, 3), (2,)), ((1, 2, 0, 4, 5, 3), (1, 1))]
+# equivariant algebras (permutation, arities[, rng seed, 10 if not given])
+# under permutations of order 3, 4, 5 and 6.  With seed 10, every moved pair
+# of the order-4 and order-5 cases closes like its least image.
+TRANSPORT_CASES = ["lattice2", "z2", ((1, 2, 0, 3), (2,)), ((1, 2, 3, 0), (2,), 15),
+                   ((1, 2, 3, 4, 0), (1, 2), 15), ((1, 2, 0, 4, 3), (2,)),
+                   ((1, 2, 0, 4, 5, 3), (1, 1))]
 
 
 @pytest.mark.parametrize("case", TRANSPORT_CASES, ids=str)
 def test_transported_closures_match_direct(case):
     """Every pair's closure from the orbit memo, for each closure kind, is the
     closure computed from the pair itself; some pairs are transported along
-    an automorphism of order >= 3, where g and its inverse differ."""
+    an automorphism of order >= 3, where g and its inverse differ, and some
+    moved pair's closure is not its least image's, so the transport map
+    shows."""
     if isinstance(case, str):
         alg = free_algebra(case)
     else:
-        perm, arities = case
-        alg = equivariant_algebra(random.Random(10), len(perm), arities, list(perm))
+        perm, arities, seed = (*case, 10)[:3]
+        alg = equivariant_algebra(random.Random(seed), len(perm), arities, list(perm))
     n = alg.size
     orbits = identities._OrbitClosures(alg)
     assert max(map(order, orbits.auts)) >= 3
     moved = [p for p in range(n * n) if orbits.least[p] != p]
     assert any(order(orbits.auts[orbits.which[p]]) >= 3 for p in moved)
+    assert any(
+        gen(alg, [divmod(p, n)]) != gen(alg, [divmod(orbits.least[p], n)])
+        for gen in (admissible_closure, tolerance_gen, congruence_gen)
+        for p in moved
+    )
     for gen in (admissible_closure, tolerance_gen, congruence_gen):
         for p in range(n * n):
             assert orbits.close(gen, p) == gen(alg, [divmod(p, n)]), (gen.__name__, divmod(p, n))

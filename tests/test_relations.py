@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import relkit.relations as relations
 from relkit.algebra import FiniteAlgebra
-from relkit.caps import Caps
+from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
 from relkit.relations import (
+    KINDS,
     BinRel,
     _image_mask,
     _pairs_cmp,
@@ -31,7 +32,9 @@ from relkit.relations import (
     is_congruence,
     is_reflexive_admissible,
     is_tolerance,
+    joins,
     pairs_order,
+    principal_relations,
     rel_power,
     star_masks,
     symmetric_closure,
@@ -39,6 +42,9 @@ from relkit.relations import (
     transitive_closure,
     union,
 )
+from relkit.uadmissible import enumerate_u
+
+from test_uadmissible import differential_algebras
 
 
 def brute_compose(r, s):
@@ -335,6 +341,127 @@ def test_enumeration_truncation_flag(lattice_n5):
     out = enumerate_relations(lattice_n5, "reflexive_admissible", caps=tight)
     assert not out.exhaustive
     assert len(out.relations) < 25  # the true count; the cap cut generation short
+
+
+# ---------------------------------------------------------------------------
+# the worklist enumeration the join loop replaced
+
+REF_CLOSURES = {
+    "congruence": congruence_gen,
+    "tolerance": tolerance_gen,
+    "reflexive_admissible": admissible_closure,
+}
+
+
+def ref_enumerate_relations(alg, kind, caps=DEFAULT_CAPS):
+    """(relations, exhaustive, join closures) of the worklist enumeration:
+    each relation found is joined with each principal relation but the least,
+    and the union is closed unless it is a relation found or a union closed
+    before."""
+    close, n = REF_CLOSURES[kind], alg.size
+    principal = {}
+    for a in range(n):
+        for b in range(n):
+            g = close(alg, [(a, b)])
+            principal.setdefault(g.mask, g)
+    found = {}
+    truncated = False
+    for g in principal.values():
+        found[g.mask] = g
+        if len(found) > caps.max_relations:
+            truncated = True
+            break
+    gens = list(found)[1:]
+    worklist = list(found.values())
+    tried = set()
+    while worklist and not truncated:
+        cur = worklist.pop()
+        for gm in gens:
+            um = cur.mask | gm
+            if um in found or um in tried:
+                continue
+            tried.add(um)
+            joined = close(alg, BinRel(n, um))
+            if joined.mask not in found:
+                found[joined.mask] = joined
+                worklist.append(joined)
+                if len(found) > caps.max_relations:
+                    truncated = True
+                    break
+    return sorted(found.values(), key=pairs_order), not truncated, len(tried)
+
+
+def counted_join_closures(monkeypatch):
+    """The unions the three closures are asked to close, as they are asked
+    (single-pair closures, whose seed is a list, are not counted)."""
+    joined = []
+    for name in ("congruence_gen", "tolerance_gen", "admissible_closure"):
+        def counted(alg, seed, _original=getattr(relations, name)):
+            if isinstance(seed, BinRel):
+                joined.append(seed.mask)
+            return _original(alg, seed)
+        monkeypatch.setattr(relations, name, counted)
+    return joined
+
+
+def test_join_loop_matches_the_worklist(monkeypatch):
+    """The join loop finds the worklist's relations, in the same order and
+    with the same flag, and never closes more unions."""
+    joined = counted_join_closures(monkeypatch)
+    ours = theirs = cases = 0
+    for alg in differential_algebras():
+        for kind in KINDS:
+            want, exhaustive, ref_closures = ref_enumerate_relations(alg, kind)
+            joined.clear()
+            got = enumerate_relations(alg, kind)
+            assert got.relations == want and got.exhaustive == exhaustive, (alg.name, kind)
+            assert len(joined) <= ref_closures, (alg.name, kind)
+            ours, theirs, cases = ours + len(joined), theirs + ref_closures, cases + 1
+    assert (cases, theirs, ours) == (114, 471, 390)
+
+
+def test_join_loop_closures_on_z2cube(monkeypatch):
+    """z2cube has 16 relations of each kind (they are its congruences), 8 of
+    them principal; the join loop closes 33 unions for each kind, the
+    worklist 49."""
+    joined = counted_join_closures(monkeypatch)
+    for kind in KINDS:
+        alg = resolve("z2cube")
+        joined.clear()
+        assert len(enumerate_relations(alg, kind)) == 16
+        assert len(principal_relations(alg, kind)) == 8
+        assert len(joined) == len(set(joined)) == 33
+        assert ref_enumerate_relations(alg, kind)[2] == 49
+
+
+def test_truncated_pools_hold_the_first_views_of_the_join_loop(z2cube):
+    """A pool cut by max_relations during the joins holds exactly the first
+    max_relations + 1 views that the uncapped loop finds."""
+    n = z2cube.size
+    principal = [g.mask for g in principal_relations(z2cube, "congruence")]
+
+    def close(m):
+        return congruence_gen(z2cube, BinRel(n, m)).mask
+
+    order = list(joins(principal, close)[0])
+    assert len(principal) < 11 < len(order)
+    capped, truncated = joins(principal, close, bound=10)
+    assert truncated and list(capped) == order[:11]
+    out = enumerate_relations(z2cube, "congruence", Caps(max_relations=10))
+    assert not out.exhaustive
+    assert out.relations == sorted((BinRel(n, m) for m in order[:11]), key=pairs_order)
+
+    base = enumerate_relations(z2cube, "reflexive_admissible").relations
+    masks = [b.mask for b in base]
+    order = list(joins(masks)[0])
+    assert len(base) < 101 < len(order)
+    capped, truncated = joins(masks, bound=100)
+    assert truncated and list(capped) == order[:101]
+    full = {u.union_view.mask: u for u in enumerate_u(base, True)}
+    out = enumerate_u(base, True, Caps(max_relations=100))
+    assert not out.exhaustive
+    want = sorted((full[m] for m in order[:101]), key=lambda u: pairs_order(u.union_view))
+    assert out.relations == want
 
 
 def test_kinds_reach_closures_through_module_bindings(monkeypatch, baker4):

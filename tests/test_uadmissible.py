@@ -16,13 +16,13 @@ from relkit.relations import (
     converse,
     enumerate_relations,
     intersect,
+    joins,
     pair_closure,
     transitive_closure,
     union,
 )
 from relkit.uadmissible import (
     UAdmRel,
-    _unions,
     bar_u,
     enumerate_u,
     from_components,
@@ -353,7 +353,7 @@ def test_join_loop_forms_each_subset_once(z2cube):
     base = enumerate_relations(z2cube, "reflexive_admissible").relations
     masks = [_CountingMask(b.mask) for b in base]
     _CountingMask.joins = 0
-    views, truncated = _unions(masks, None, None)
+    views, truncated = joins(masks)
     assert not truncated and len(views) == 128
     # each view is joined once with each base relation after its witness,
     # and with no other
@@ -391,10 +391,10 @@ def test_uadm_pool_of_the_identity_algebra_joins_principal_relations_only(monkey
     admissible relations (about 8.4 million joins)."""
     alg = FiniteAlgebra(4, [("e", 1, [0, 1, 2, 3])])
 
-    def counted(masks, depth, bound, _unions=uadmissible._unions):
-        return _unions([_CountingMask(m) for m in masks], depth, bound)
+    def counted(masks, close=None, depth=None, bound=None, _joins=uadmissible.joins):
+        return _joins([_CountingMask(m) for m in masks], close, depth, bound)
 
-    monkeypatch.setattr(uadmissible, "_unions", counted)
+    monkeypatch.setattr(uadmissible, "joins", counted)
     _CountingMask.joins = 0
     pool, exhaustive = candidate_pool(alg, RelClass.UAdmissible, DEFAULT_CAPS)
     assert exhaustive and len(pool) == 4096
