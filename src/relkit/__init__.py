@@ -13,7 +13,6 @@ from .algebra import (
     parse_term,
     power,
     product,
-    save_algebra,
 )
 from .caps import DEFAULT_CAPS, Caps, caps_from_env
 from .fixtures import FIXTURES, resolve
@@ -75,7 +74,6 @@ from .relations import (
     is_congruence,
     is_reflexive_admissible,
     is_tolerance,
-    rel_power,
     symmetric_closure,
     tolerance_gen,
     transitive_closure,
@@ -86,7 +84,6 @@ from .uadmissible import (
     bar_u,
     enumerate_u,
     from_components,
-    from_congruences,
     is_u_admissible,
     pair_families,
     principal_decomposition,

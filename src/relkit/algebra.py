@@ -178,12 +178,6 @@ def load_algebra(path: str) -> FiniteAlgebra:
     return FiniteAlgebra.from_json(data)
 
 
-def save_algebra(alg: FiniteAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(alg.to_json(), fh, indent=1)
-        fh.write("\n")
-
-
 def _flat_index(n: int, args, dtype=np.intp):
     flat = None
     for a in args:

@@ -8,7 +8,8 @@ map_children(e, f) rebuilds e with f applied to its arg, left and right
 fields, left before right; a node's other fields (a name, a constant, m, h)
 are kept.  desugar, expr_vars, expr_str (through the _FORMS print table) and
 the expansions of maltsev are written on these two.  Only the evaluators,
-_eval_masks and _atom_sets, dispatch on the node class themselves.
+_eval_masks, _Rows and _atom_sets, and _converses_at_leaves dispatch on the
+node class themselves.
 
 The variable classes are one table, _SHAPES: for each class, the kind of
 relation (relations.KINDS) its values or their components are, and the most
@@ -16,7 +17,8 @@ components a value has (None for a plain relation).  Pools, membership,
 minimal members, random values and seed instances read it, and get a kind's
 closure and membership test from relations.kind_functions.
 
-One evaluator, _eval_masks, works on relation masks.  Each check desugars
+One evaluator, _eval_masks, works on whole relation masks; the principal
+strategy's row test (_Rows) evaluates a single row.  Each check desugars
 Pow/AltR/AltL into composition chains once.  A variable is bound to a mask,
 or to a numpy array of masks (uint64 when every mask fits in one machine
 word, n^2 <= 64, object otherwise), and the mask kernels of relations.py
@@ -313,6 +315,110 @@ def _eval_masks(alg: FiniteAlgebra, e: RelExpr, env: dict):
     return compose_masks(l, r, n)
 
 
+def _converses_at_leaves(e: RelExpr, flip: bool = False, done: dict | None = None) -> RelExpr:
+    """The desugared e (its converse when flip) with every converse moved
+    onto a variable: (l ∘ r)^⌣ = r^⌣ ∘ l^⌣, and ∩, ∪ and ^* commute with it.
+    A bar node is kept whole, under its converse when flipped.  A subtree
+    shared in e stays shared in the result (done memoizes by node)."""
+    done = {} if done is None else done
+    key = (id(e), flip)
+    if key not in done:
+        if isinstance(e, Conv):
+            out = _converses_at_leaves(e.arg, not flip, done)
+        elif isinstance(e, (RVar, BarOp)):
+            out = Conv(e) if flip else e
+        elif flip and isinstance(e, Comp):
+            right, left = (_converses_at_leaves(x, True, done) for x in (e.right, e.left))
+            out = Comp(right, left)
+        else:
+            out = map_children(e, lambda x: _converses_at_leaves(x, flip, done))
+        done[key] = out
+    return done[key]
+
+
+class _Rows:
+    """Rows of a desugared expression's value: row a is the n-bit int whose
+    bit c says whether (a, c) lies in the value.
+
+    The expression is kept with its converses on variables
+    (_converses_at_leaves).  ∘ ORs the right side's rows at the set bits of
+    the left side's row, ^* is a breadth-first search over rows, and ∩ and ∪
+    over them act bitwise on rows.  Every other node takes its whole mask
+    and is shifted to the row: ∩ and ∪ over such nodes by bitwise mask
+    operations, a variable's converse from a memo per mask kept for the
+    object's life, and anything else (a constant, bar) from _eval_masks.
+    Within one call, masks are memoized per node and walked rows per node
+    and row, so a node shared in a chain is evaluated once.
+    """
+
+    def __init__(self, alg: FiniteAlgebra, e: RelExpr):
+        self.alg, self.n = alg, alg.size
+        self.full = (1 << alg.size) - 1
+        self.e = _converses_at_leaves(e)
+        self.walked = set()  # ids of the nodes evaluated by rows
+        self._mark(self.e)
+        self.converses = {}  # mask -> its converse
+
+    def _mark(self, e) -> bool:
+        """Whether rows walk e: a ∘ or ^*, or a ∩ or ∪ over one."""
+        kids = [self._mark(getattr(e, k)) for k in _CHILDREN if hasattr(e, k)]
+        walked = isinstance(e, (Comp, Star)) or (isinstance(e, (Inter, UnionOp)) and any(kids))
+        if walked:
+            self.walked.add(id(e))
+        return walked
+
+    def row(self, env: dict, a: int) -> int:
+        """Row a of the value under env, which binds each variable to a mask."""
+        n, full, walked = self.n, self.full, self.walked
+        masks, rows = {}, {}
+
+        def mask(e):
+            if id(e) not in masks:
+                if isinstance(e, RVar):
+                    masks[id(e)] = env[e.name]
+                elif isinstance(e, Conv) and isinstance(e.arg, RVar):
+                    m = env[e.arg.name]
+                    if m not in self.converses:
+                        self.converses[m] = converse_masks(m, n)
+                    masks[id(e)] = self.converses[m]
+                elif isinstance(e, Inter):
+                    masks[id(e)] = mask(e.left) & mask(e.right)
+                elif isinstance(e, UnionOp):
+                    masks[id(e)] = mask(e.left) | mask(e.right)
+                else:
+                    masks[id(e)] = _eval_masks(self.alg, e, env)
+            return masks[id(e)]
+
+        def row(e, a):
+            if id(e) not in walked:
+                return (mask(e) >> (a * n)) & full
+            key = (id(e), a)
+            if key in rows:
+                return rows[key]
+            if isinstance(e, Comp):
+                out, left = 0, row(e.left, a)
+                while left:
+                    low = left & -left
+                    out |= row(e.right, low.bit_length() - 1)
+                    left ^= low
+            elif isinstance(e, Star):
+                out = todo = row(e.arg, a)
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    new = row(e.arg, low.bit_length() - 1) & ~out
+                    out |= new
+                    todo |= new
+            elif isinstance(e, Inter):
+                out = row(e.left, a) & row(e.right, a)
+            else:
+                out = row(e.left, a) | row(e.right, a)
+            rows[key] = out
+            return out
+
+        return row(self.e, a)
+
+
 def _holds_at(alg: FiniteAlgebra, sides: tuple, mode: str, env: dict):
     """Whether the identity with desugared sides holds at env: a bool, or a
     bool array over the broadcast axes of env's mask arrays."""
@@ -551,11 +657,24 @@ def _check_sampled(alg, spec, classes, samples, seed):
 #   itself; any other pair's closure is the closure of its least image,
 #   mapped back by a bit permutation (_OrbitClosures).
 #
+# - Rows.  A minimal assignment of (a, c) puts (a, c) in the left side by
+#   construction.  A violation at a pair q, under any assignment, is one
+#   under some minimal assignment of q too (the right side is monotone),
+#   and an automorphism moves that to a representative's own pair.  So
+#   phase 1 only asks whether (a, c) lies in the right side, and evaluates
+#   row a of it alone (_Rows): ∘ walks the set bits of a row, ^* searches
+#   rows breadth-first, and converses sit on the variables, memoized per
+#   member mask.
+#
 # So phase 1 finds a violation iff the full assignment set has one, and its
 # "holds" is exhaustive.  After phase 1 refutes at a representative P,
-# phase 2 runs the plain ordered scan over every member, bounded by P: the
-# plain scan holds phase 1's violation at P, so it refutes at or before P,
-# and the first counterexample is the one the plain scan alone reports.
+# phase 2 runs the plain ordered scan over every member, bounded by P, with
+# the whole test (_holds_at) at each assignment: the plain scan holds phase
+# 1's violation at P, so it refutes at or before P, and the first
+# counterexample is the one the plain scan alone reports.  A plain class's
+# minimal member is memoized per pair set for the check; a family is built
+# anew on each request, since a check on F(lattice_n5,3) asks for about
+# 177,000 distinct ones.
 
 
 def _atom_sets(e: RelExpr, a: int, c: int, n: int):
@@ -689,31 +808,42 @@ def _check_principal(alg, spec, classes):
     if spec.mode != "inclusion":
         raise UnsupportedError("principal strategy handles inclusions only")
     sides = desugar(spec.lhs), desugar(spec.rhs)
+    rhs = _Rows(alg, sides[1])
     n = alg.size
     names = [v for v, _ in spec.variables]
     orbits = _OrbitClosures(alg)
+    plain = {}  # (class, pair set) -> minimal members of a plain class
 
-    def first_violation(flat_pairs, finest):
+    def members(cls, pairs, finest):
+        if cls not in _PLAIN:
+            return _minimal_members(alg, cls, pairs, orbits.block, finest)
+        key = (cls, frozenset(pairs))
+        if key not in plain:
+            plain[key] = _minimal_members(alg, cls, pairs, orbits.block, finest)
+        return plain[key]
+
+    def first_violation(flat_pairs, phase1):
         for a, c in (divmod(p, n) for p in flat_pairs):
             for atoms in _atom_sets(sides[0], a, c, n):
                 per_var = {v: [] for v in names}
                 for v, p in atoms:
                     per_var[v].append(p)
-                options = [
-                    _minimal_members(alg, classes[v], per_var[v], orbits.block, finest)
-                    for v in names
-                ]
+                options = [members(classes[v], per_var[v], phase1) for v in names]
                 for values in product(*options):
                     env = dict(zip(names, map(_value_mask, values)))
-                    if not _holds_at(alg, sides, spec.mode, env):
+                    if phase1:
+                        holds = rhs.row(env, a) >> c & 1
+                    else:
+                        holds = _holds_at(alg, sides, spec.mode, env)
+                    if not holds:
                         return dict(zip(names, values)), (a, c)
         return None
 
-    hit = first_violation(orbits.representatives(), finest=True)
+    hit = first_violation(orbits.representatives(), phase1=True)
     if hit is None:
         return Verdict(True, "exhaustive")
     a, c = hit[1]
-    first = first_violation(range(a * n + c + 1), finest=False)
+    first = first_violation(range(a * n + c + 1), phase1=False)
     if first is None:
         raise RuntimeError(f"principal scan found no violation up to {hit[1]}")
     env, pair = first

@@ -30,13 +30,13 @@ is_admissible images the whole relation (old = 0).
 
 An image is computed by one of two kernels.  The tuple kernel builds the flat
 table indices of the tuples in numpy, in chunks of at most _CHUNK tuples.
-The dense kernel images a binary operation on the whole relation with three
-float32 matrix products, about n^4 multiply-adds.  _image_mask takes the
-dense kernel for a binary operation when the tuples outnumber _SMALL,
-_DENSE_RATIO times their count exceeds n^4, and its n^3 arrays fit in the
-memory of one tuple chunk; every other case, and every other arity, takes
-the tuple kernel.  Masks convert to and from bit arrays through
-int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
+The dense kernel images a binary operation on the whole relation with two
+float32 matrix products, about 2 n^4 multiply-adds, and a sort of the
+table.  _image_mask takes the dense kernel for a binary operation when the
+tuples outnumber _SMALL, _DENSE_RATIO times their count exceeds n^3, and
+its n^3 arrays fit in the memory of one tuple chunk; every other case, and
+every other arity, takes the tuple kernel.  Masks convert to and from bit
+arrays through int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
 
 Kinds.  KINDS names the three relation kinds; kind_functions gives the
 closure and membership test of one, by name from the module at each call.
@@ -59,7 +59,7 @@ from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _index_dtype
 from .caps import DEFAULT_CAPS, Caps
 
 
@@ -249,16 +249,6 @@ def converse(r: BinRel) -> BinRel:
     return BinRel(r.n, converse_masks(r.mask, r.n))
 
 
-def rel_power(r: BinRel, h: int) -> BinRel:
-    """h-fold relational composition of r with itself (h >= 1)."""
-    if h < 1:
-        raise ValueError("relation power needs h >= 1")
-    out = r
-    for _ in range(h - 1):
-        out = compose(out, r)
-    return out
-
-
 def compose_alt(s: BinRel, t: BinRel, m: int, side: str = "right") -> BinRel:
     """Alternating composition with m factors.
 
@@ -307,11 +297,15 @@ _CHUNK = 1 << 21
 # Up to this many tuples, one product over the whole relation is cheapest:
 # the semi-naive split and the dense kernel only pay off above it.
 _SMALL = 1 << 12
-# The dense kernel costs about n^4 multiply-adds; the tuple kernel breaks
-# even with it at about n^4 / 128 tuples (measured for n from 18 to 99).
-# The dense kernel holds three n^3 float32 arrays, so it runs only while
-# n^3 <= 2 * _CHUNK, within the memory of one tuple chunk.
-_DENSE_RATIO = 128
+# The tuple kernel breaks even with the dense kernel at about n^3 / 2
+# tuples.  Measured on random binary tables for n from 18 to 99 (a 2-vCPU
+# Xeon virtual machine, OpenBLAS), the break-even lies at about n^4 / 20
+# tuples for n = 18, n^4 / 90 for n = 45 and n^4 / 180 to n^4 / 230 for
+# n = 99: its ratio to n^4 grows about as 2n.
+# The dense kernel holds 10 n^3 bytes (two n^3 float32 arrays, two n^3 bool
+# ones), so it runs only while n^3 <= 2 * _CHUNK, within the memory of one
+# tuple chunk.
+_DENSE_RATIO = 2
 
 
 def _bits(mask: int, n: int) -> np.ndarray:
@@ -353,16 +347,39 @@ def _tuple_chunks(factors, n):
 
 
 def _dense_image(tab: np.ndarray, mask: int, n: int) -> np.ndarray:
-    """The image of a binary operation on the whole relation, as matrix
-    products: Img[c, d] = sum W[a1 a2, c] R[a1, b1] R[a2, b2] W[b1 b2, d]
-    with W the one-hot matrix of the table.  Every term is >= 0, so float
-    rounding never turns a nonzero sum into 0."""
+    """The image of a binary operation on the whole relation.
+
+    Two float32 matrix products, each of an n x n matrix by an n x n^2 one,
+    give X[a1, a2, d] = sum R[a1, b1] R[a2, b2] W[b1, b2, d] with W the
+    one-hot table, W[b1, b2, d] = [f(b1, b2) = d]: first Z, the sum over
+    b1, then, after a transposing copy of Z, the sum over b2.  Row c of the
+    image is the OR of the rows X[a1, a2] > 0 with f(a1, a2) = c: sorted
+    stably by table value, the rows form one run per value the table takes,
+    and a value it never takes keeps an empty row.  Every term is >= 0, so
+    float rounding never turns a nonzero sum into 0.
+
+    W, Z, the copy and X share one block of two n^3 float32 arrays.  Once
+    the first such block is freed, glibc's malloc raises its mmap threshold
+    above it and serves the later ones from its heap without mapping fresh
+    pages: on F(lattice_n5,3) loaded into a fresh process, about 150 page
+    faults per image against 2,800 for three separate arrays.
+    """
     rel = _bits(mask, n).reshape(n, n).astype(np.float32)
-    onehot = np.zeros((n * n, n), dtype=np.float32)
-    onehot[np.arange(n * n), tab] = 1.0
-    t1 = rel @ onehot.reshape(n, n, n)  # [b1, a2, d]: sum over b2
-    t2 = rel @ t1.reshape(n, n * n)  # [a1, a2 d]: sum over b1
-    return (onehot.T @ t2.reshape(n * n, n) > 0).ravel()
+    w, z = np.empty((2, n, n * n), dtype=np.float32)
+    w.fill(0.0)
+    w.reshape(n * n, n)[np.arange(n * n), tab] = 1.0
+    np.matmul(rel, w, out=z)  # [a1, b2 d]: sum over b1
+    np.copyto(w.reshape(n, n, n), z.reshape(n, n, n).transpose(1, 0, 2))  # [b2, a1 d]
+    x = np.matmul(rel, w, out=z)  # [a2, a1 d]: sum over b2
+    # f(a1, a2) at a2*n + a1, the row of X[a1, a2]
+    key = tab.reshape(n, n).T.astype(_index_dtype(n), order="C").ravel()
+    counts = np.bincount(key, minlength=n)
+    values = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[values]
+    runs = (x.reshape(n * n, n) > 0)[np.argsort(key, kind="stable")]
+    img = np.zeros((n, n), dtype=bool)
+    img[values] = np.logical_or.reduceat(runs, starts, axis=0)
+    return img.ravel()
 
 
 def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0) -> int:
@@ -371,7 +388,7 @@ def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0) -> int:
 
     For arity r those tuples are the union over i of old^i x new x all^(r-1-i).
     Up to _SMALL tuples in all, one product over all^r is cheaper than the
-    split.  A binary operation with more than n^4 / _DENSE_RATIO tuples
+    split.  A binary operation with more than n^3 / _DENSE_RATIO tuples
     takes the dense kernel, which images the whole relation.
     """
     n = alg.size
@@ -396,7 +413,7 @@ def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0) -> int:
         if cells == 0:
             continue
         tab = op.array()
-        dense = cells > _SMALL and _DENSE_RATIO * cells > n**4 and n**3 <= 2 * _CHUNK
+        dense = cells > _SMALL and _DENSE_RATIO * cells > n**3 and n**3 <= 2 * _CHUNK
         if r == 2 and dense:
             hit |= _dense_image(tab, mask, n)
             continue

@@ -28,7 +28,6 @@ from .relations import (
     compose,
     converse,
     intersect,
-    is_congruence,
     is_reflexive_admissible,
     joins,
     kind_functions,
@@ -91,13 +90,6 @@ def from_components(alg: FiniteAlgebra, components) -> UAdmRel:
         if not is_reflexive_admissible(alg, c):
             raise ValueError(f"component is not reflexive-admissible: {c!r}")
     return UAdmRel(components)
-
-
-def from_congruences(alg: FiniteAlgebra, beta: BinRel, gamma: BinRel) -> UAdmRel:
-    for r in (beta, gamma):
-        if not is_congruence(alg, r):
-            raise ValueError(f"not a congruence: {r!r}")
-    return UAdmRel([beta, gamma])
 
 
 def as_u(value) -> UAdmRel:

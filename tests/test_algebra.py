@@ -17,7 +17,6 @@ from relkit.algebra import (
     parse_term,
     power,
     product,
-    save_algebra,
 )
 from relkit.caps import Caps
 
@@ -102,6 +101,12 @@ def test_fingerprint_shape_and_stability(lattice2):
     other = FiniteAlgebra(2, lattice2.ops)  # same tables, no name
     assert other.fingerprint() == fp
     assert power(lattice2, 2).fingerprint() != fp
+
+
+def save_algebra(alg, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(alg.to_json(), fh, indent=1)
+        fh.write("\n")
 
 
 def test_json_roundtrip(tmp_path, baker4):

@@ -615,6 +615,68 @@ def test_principal_matches_plain_scan_on_symmetric_random_algebras():
         assert_principal_matches_plain(alg, cases)
 
 
+# --- phase 1's row test against whole evaluation -----------------------------
+
+
+# Right sides beyond the builtins': converses over ∘, ∩ and ^*, ^* along
+# paths of three steps, ∩ and ∪ over chains, constants, and bar (which the
+# row test takes whole, converse included)
+ROW_SPECS = [
+    "adm:r & (u2:s ; adm:t) <= ((r ; s)^~ ; t^~)^~",
+    "cong:a & (adm:r ; r) <= (a ; (r^~ & a)^*)^~ ; id",
+    "adm:x & (adm:r ; adm:s ; adm:t) <= (r | s | t)^* & x",
+    "tol:t & (adm:r ; r) <= ((t & r)^* ; all)^~ & (r ; t^~ ; r) | (r ; r)^~",
+    "adm:r & (adm:s ; adm:t) <= bar(s ; t)^~ ; r | bar(r & s) & (r ; t)^*",
+]
+
+
+def assert_rows_match_whole(alg, cases):
+    """At every pair (a, c) and each of its minimal assignments with finest
+    members (those phase 1 visits), row a of the right side from the row
+    test is row a of eval_expr's right side; so the bit at (a, c) is its
+    membership."""
+    n = alg.size
+    close = identities._OrbitClosures(alg, ()).block
+    for spec, narrow in cases:
+        classes = spec.classes(narrow)
+        names = [v for v, _ in spec.variables]
+        rows = identities._Rows(alg, desugar(spec.rhs))
+        for a, c in itertools.product(range(n), repeat=2):
+            for atoms in _atom_sets(desugar(spec.lhs), a, c, n):
+                options = [
+                    identities._minimal_members(
+                        alg, classes[v], [p for w, p in atoms if w == v], close, finest=True
+                    )
+                    for v in names
+                ]
+                for values in itertools.product(*options):
+                    env = dict(zip(names, values))
+                    whole = eval_expr(alg, spec.rhs, env).mask >> (a * n) & ((1 << n) - 1)
+                    masks = {v: identities._value_mask(x) for v, x in env.items()}
+                    assert rows.row(masks, a) == whole, (alg.name, spec.name, narrow, (a, c))
+
+
+def test_row_test_matches_whole_evaluation_on_fixtures():
+    """The fixtures, and a 4-element algebra without operations, where every
+    reflexive relation is admissible and so ^* can need three steps."""
+    cases = principal_specs() + [(parse_spec(text), narrow) for text in ROW_SPECS for narrow in (True, False)]
+    for alg in [resolve(name) for name in sorted(FIXTURES)] + [FiniteAlgebra(4, [], name="bare4")]:
+        assert_rows_match_whole(alg, cases)
+
+
+def test_row_test_matches_whole_evaluation_on_symmetric_random_algebras():
+    """The equivariant algebras of the principal-against-plain test above
+    (same seed, shapes and permutations)."""
+    rng = random.Random(6)
+    cases = principal_specs() + [(parse_spec(text), True) for text in ROW_SPECS]
+    for n, arities in [(3, (2,)), (3, (1, 2)), (4, (2,)), (4, (1, 2)), (4, (2, 2)), (4, (3,)),
+                      (5, (2,)), (5, (1, 2)), (6, (2,)), (6, (1, 1))]:
+        perm = list(range(n))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        assert_rows_match_whole(equivariant_algebra(rng, n, arities, perm), cases)
+
+
 # --- transported closures against direct ones --------------------------------
 
 

@@ -13,6 +13,7 @@ from relkit.algebra import FiniteAlgebra
 from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
+from relkit.identities import Pow, RVar, eval_expr
 from relkit.relations import (
     KINDS,
     BinRel,
@@ -35,7 +36,6 @@ from relkit.relations import (
     joins,
     pairs_order,
     principal_relations,
-    rel_power,
     star_masks,
     symmetric_closure,
     tolerance_gen,
@@ -115,13 +115,15 @@ def test_compose_alt_factor_conventions():
 
 
 def test_rel_power():
+    """pow(r, h) evaluates to the h-fold composition of r."""
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randrange(1, 5)
+        alg = FiniteAlgebra(n, [])
         r = rand_rel(rng, n)
         acc = r
         for h in range(1, 5):
-            assert rel_power(r, h) == acc
+            assert eval_expr(alg, Pow(RVar("r"), h), {"r": r}) == acc
             acc = compose(acc, r)
 
 
@@ -750,6 +752,33 @@ def test_dense_and_tuple_kernels_agree(monkeypatch):
                 images[mode] = [_image_mask(alg, r.mask) for r in rels]
         assert images["tuples"] == images["dense"], alg.name
         assert images["tuples"] == [ref_image_mask(alg, r) for r in rels]
+
+
+def test_dense_kernel_on_tables_that_miss_values(monkeypatch):
+    """Binary tables that never take some values: a constant operation (its
+    value never 0) and operations into {0, 1}.  The dense kernel, forced for
+    every relation, gives each value the table misses an empty row and puts
+    the others at their own value."""
+    rng = random.Random(71)
+    dense_calls = []
+    dense = relations._dense_image
+    monkeypatch.setattr(relations, "_dense_image", lambda *a: dense_calls.append(1) or dense(*a))
+    for name, value in KERNEL_SETTINGS["dense"].items():
+        monkeypatch.setattr(relations, name, value)
+    for size in (5, 7, 11):
+        tables = {
+            "const": [rng.randrange(1, size)] * size**2,
+            "bit": [rng.randrange(2) for _ in range(size**2)],
+            "and": [min(a, b, 1) for a in range(size) for b in range(size)],
+        }
+        for op, table in tables.items():
+            alg = FiniteAlgebra(size, [(op, 2, table)], name=f"{op}{size}")
+            rels = [rand_rel(rng, size) for _ in range(6)]
+            rels += [BinRel.diagonal(size), BinRel.full(size), BinRel.from_pairs(size, [(1, 2)])]
+            dense_calls.clear()
+            for r in rels:
+                assert _image_mask(alg, r.mask) == ref_image_mask(alg, r), (alg.name, r)
+            assert len(dense_calls) == len(rels), alg.name
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,7 @@ from relkit.relations import (
     converse,
     enumerate_relations,
     intersect,
+    is_congruence,
     joins,
     pair_closure,
     transitive_closure,
@@ -26,12 +27,19 @@ from relkit.uadmissible import (
     bar_u,
     enumerate_u,
     from_components,
-    from_congruences,
     is_u_admissible,
     pair_families,
     principal_decomposition,
     transitive_closure_u,
 )
+
+
+def from_congruences(alg, beta, gamma):
+    """The two-component family of the congruences beta and gamma."""
+    for r in (beta, gamma):
+        if not is_congruence(alg, r):
+            raise ValueError(f"not a congruence: {r!r}")
+    return UAdmRel([beta, gamma])
 
 
 def eta_union(alg):
