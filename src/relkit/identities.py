@@ -8,8 +8,7 @@ map_children(e, f) rebuilds e with f applied to its arg, left and right
 fields, left before right; a node's other fields (a name, a constant, m, h)
 are kept.  desugar, expr_vars, expr_str (through the _FORMS print table) and
 the expansions of maltsev are written on these two.  Only the evaluators,
-_eval_masks, _Rows and _atom_sets, and _converses_at_leaves dispatch on the
-node class themselves.
+_eval_masks, _Rows and _atom_sets, dispatch on the node class themselves.
 
 The variable classes are one table, _SHAPES: for each class, the kind of
 relation (relations.KINDS) its values or their components are, and the most
@@ -315,54 +314,30 @@ def _eval_masks(alg: FiniteAlgebra, e: RelExpr, env: dict):
     return compose_masks(l, r, n)
 
 
-def _converses_at_leaves(e: RelExpr, flip: bool = False, done: dict | None = None) -> RelExpr:
-    """The desugared e (its converse when flip) with every converse moved
-    onto a variable: (l ∘ r)^⌣ = r^⌣ ∘ l^⌣, and ∩, ∪ and ^* commute with it.
-    A bar node is kept whole, under its converse when flipped.  A subtree
-    shared in e stays shared in the result (done memoizes by node)."""
-    done = {} if done is None else done
-    key = (id(e), flip)
-    if key not in done:
-        if isinstance(e, Conv):
-            out = _converses_at_leaves(e.arg, not flip, done)
-        elif isinstance(e, (RVar, BarOp)):
-            out = Conv(e) if flip else e
-        elif flip and isinstance(e, Comp):
-            right, left = (_converses_at_leaves(x, True, done) for x in (e.right, e.left))
-            out = Comp(right, left)
-        else:
-            out = map_children(e, lambda x: _converses_at_leaves(x, flip, done))
-        done[key] = out
-    return done[key]
-
-
 class _Rows:
     """Rows of a desugared expression's value: row a is the n-bit int whose
     bit c says whether (a, c) lies in the value.
 
-    The expression is kept with its converses on variables
-    (_converses_at_leaves).  ∘ ORs the right side's rows at the set bits of
-    the left side's row, ^* is a breadth-first search over rows, and ∩ and ∪
-    over them act bitwise on rows.  Every other node takes its whole mask
-    and is shifted to the row: ∩ and ∪ over such nodes by bitwise mask
-    operations, a variable's converse from a memo per mask kept for the
-    object's life, and anything else (a constant, bar) from _eval_masks.
-    Within one call, masks are memoized per node and walked rows per node
-    and row, so a node shared in a chain is evaluated once.
+    ∘ ORs the right side's rows at the set bits of the left side's row, and
+    ∩ and ∪ over a ∘ act bitwise on rows.  Every other node takes its whole
+    mask from _eval_masks and is shifted to the row.  Within one call, masks
+    are memoized per node and walked rows per node and row, so a node shared
+    in a chain is evaluated once.
     """
 
     def __init__(self, alg: FiniteAlgebra, e: RelExpr):
         self.alg, self.n = alg, alg.size
         self.full = (1 << alg.size) - 1
-        self.e = _converses_at_leaves(e)
+        self.e = e
         self.walked = set()  # ids of the nodes evaluated by rows
-        self._mark(self.e)
-        self.converses = {}  # mask -> its converse
+        self._mark(e)
 
     def _mark(self, e) -> bool:
-        """Whether rows walk e: a ∘ or ^*, or a ∩ or ∪ over one."""
-        kids = [self._mark(getattr(e, k)) for k in _CHILDREN if hasattr(e, k)]
-        walked = isinstance(e, (Comp, Star)) or (isinstance(e, (Inter, UnionOp)) and any(kids))
+        """Whether rows walk e: a ∘, or a ∩ or ∪ over one."""
+        if not isinstance(e, (Comp, Inter, UnionOp)):
+            return False
+        kids = [self._mark(e.left), self._mark(e.right)]
+        walked = isinstance(e, Comp) or any(kids)
         if walked:
             self.walked.add(id(e))
         return walked
@@ -372,26 +347,11 @@ class _Rows:
         n, full, walked = self.n, self.full, self.walked
         masks, rows = {}, {}
 
-        def mask(e):
-            if id(e) not in masks:
-                if isinstance(e, RVar):
-                    masks[id(e)] = env[e.name]
-                elif isinstance(e, Conv) and isinstance(e.arg, RVar):
-                    m = env[e.arg.name]
-                    if m not in self.converses:
-                        self.converses[m] = converse_masks(m, n)
-                    masks[id(e)] = self.converses[m]
-                elif isinstance(e, Inter):
-                    masks[id(e)] = mask(e.left) & mask(e.right)
-                elif isinstance(e, UnionOp):
-                    masks[id(e)] = mask(e.left) | mask(e.right)
-                else:
-                    masks[id(e)] = _eval_masks(self.alg, e, env)
-            return masks[id(e)]
-
         def row(e, a):
             if id(e) not in walked:
-                return (mask(e) >> (a * n)) & full
+                if id(e) not in masks:
+                    masks[id(e)] = _eval_masks(self.alg, e, env)
+                return (masks[id(e)] >> (a * n)) & full
             key = (id(e), a)
             if key in rows:
                 return rows[key]
@@ -401,14 +361,6 @@ class _Rows:
                     low = left & -left
                     out |= row(e.right, low.bit_length() - 1)
                     left ^= low
-            elif isinstance(e, Star):
-                out = todo = row(e.arg, a)
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    new = row(e.arg, low.bit_length() - 1) & ~out
-                    out |= new
-                    todo |= new
             elif isinstance(e, Inter):
                 out = row(e.left, a) & row(e.right, a)
             else:
@@ -662,9 +614,9 @@ def _check_sampled(alg, spec, classes, samples, seed):
 #   under some minimal assignment of q too (the right side is monotone),
 #   and an automorphism moves that to a representative's own pair.  So
 #   phase 1 only asks whether (a, c) lies in the right side, and evaluates
-#   row a of it alone (_Rows): ∘ walks the set bits of a row, ^* searches
-#   rows breadth-first, and converses sit on the variables, memoized per
-#   member mask.
+#   row a of it alone (_Rows): ∘ walks the set bits of a row, ∩ and ∪ over
+#   a ∘ act on rows, and every other node (^*, ^⌣, bar) takes its whole
+#   value.
 #
 # So phase 1 finds a violation iff the full assignment set has one, and its
 # "holds" is exhaustive.  After phase 1 refutes at a representative P,

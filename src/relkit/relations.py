@@ -297,11 +297,14 @@ _CHUNK = 1 << 21
 # Up to this many tuples, one product over the whole relation is cheapest:
 # the semi-naive split and the dense kernel only pay off above it.
 _SMALL = 1 << 12
-# The tuple kernel breaks even with the dense kernel at about n^3 / 2
-# tuples.  Measured on random binary tables for n from 18 to 99 (a 2-vCPU
-# Xeon virtual machine, OpenBLAS), the break-even lies at about n^4 / 20
-# tuples for n = 18, n^4 / 90 for n = 45 and n^4 / 180 to n^4 / 230 for
-# n = 99: its ratio to n^4 grows about as 2n.
+# The tuple kernel breaks even with the dense kernel at n^3 / _DENSE_RATIO
+# tuples for n >= 45.  Measured on random binary tables for n from 18 to 99
+# (a 2-vCPU Xeon virtual machine, OpenBLAS), the break-even lies at about
+# n^4 / 20 tuples for n = 18 (about 0.9 n^3), n^4 / 90 for n = 45 (n^3 / 2)
+# and n^4 / 180 to n^4 / 230 for n = 99 (0.55 to 0.43 n^3).  At n = 18,
+# n^3 / 2 is below _SMALL, so the _SMALL gate decides there, and images of
+# 4,097 to about 5,200 tuples take the dense kernel though the tuple kernel
+# is faster for them.
 # The dense kernel holds 10 n^3 bytes (two n^3 float32 arrays, two n^3 bool
 # ones), so it runs only while n^3 <= 2 * _CHUNK, within the memory of one
 # tuple chunk.
