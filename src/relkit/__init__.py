@@ -8,7 +8,6 @@ from .algebra import (
     Operation,
     Term,
     Var,
-    eval_term,
     load_algebra,
     parse_term,
     power,
@@ -65,7 +64,6 @@ from .relations import (
     BinRel,
     admissible_closure,
     compose,
-    compose_alt,
     congruence_gen,
     converse,
     enumerate_relations,

@@ -457,22 +457,6 @@ def var_index(name: str) -> int | None:
     return None
 
 
-def term_arity(t: Term) -> int:
-    """1 + the largest variable index used."""
-    if isinstance(t, Var):
-        return t.index + 1
-    return max((term_arity(a) for a in t.args), default=0)
-
-
-def eval_term(alg: FiniteAlgebra, t: Term, args) -> int:
-    if isinstance(t, Var):
-        if t.index >= len(args):
-            raise ValueError(f"term uses variable {var_name(t.index)} beyond args")
-        return args[t.index]
-    vals = tuple(eval_term(alg, a, args) for a in t.args)
-    return alg.apply(t.op, vals)
-
-
 def parse_term(text: str) -> Term:
     """Parse prefix notation: `f(x,g(y,z))`; variables x,y,z,w or v<i>; a
     nullary operation c as `c()` (the form str prints) or `c`."""

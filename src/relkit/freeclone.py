@@ -23,7 +23,7 @@ from .algebra import (
     pattern_cells,
 )
 from .caps import DEFAULT_CAPS, Caps
-from .relations import BinRel, admissible_closure, congruence_gen
+from .relations import BinRel, congruence_gen
 
 # Cells per chunk of argument tuples (tuples times table cells), as in the
 # tuple kernel of relations.
@@ -269,13 +269,10 @@ class FreeRelations:
     alpha: BinRel  # Cg(x,z)
     beta: BinRel  # Cg(x,y)
     gamma: BinRel  # Cg(y,z)
-    r_xy: BinRel
-    r_yz: BinRel
-    r_xz: BinRel
 
 
 def free_relations(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FreeRelations:
-    """Generators and principal relations inside the clone-as-algebra."""
+    """Generators and their principal congruences inside the clone-as-algebra."""
     if clone.arity != 3:
         raise ValueError("free relations are defined on the 3-generated clone")
     free = clone_as_algebra(clone, caps)
@@ -288,9 +285,6 @@ def free_relations(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FreeRelations:
         alpha=congruence_gen(free, [(x, z)]),
         beta=congruence_gen(free, [(x, y)]),
         gamma=congruence_gen(free, [(y, z)]),
-        r_xy=admissible_closure(free, [(x, y)]),
-        r_yz=admissible_closure(free, [(y, z)]),
-        r_xz=admissible_closure(free, [(x, z)]),
     )
 
 
@@ -333,8 +327,9 @@ def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, i
     """For each 4-ary element u, the 3-ary clone ids of u with its last
     argument identified with x, y, z respectively.
 
-    The pair (u@x, u@z) over all u is exactly the principal admissible
-    relation generated by (x,z) on the 3-generated free algebra.
+    The pairs (u@x, u@z) over all u are exactly the principal admissible
+    relation generated by (x,z) on the 3-generated free algebra, and
+    likewise (u@x, u@y) for (x,y) and (u@y, u@z) for (y,z).
     """
     if clone4.arity != 4 or clone3.arity != 3:
         raise ValueError("expected a 4-ary and a 3-ary clone")

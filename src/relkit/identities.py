@@ -620,13 +620,14 @@ def _check_sampled(alg, spec, classes, samples, seed):
 #
 # So phase 1 finds a violation iff the full assignment set has one, and its
 # "holds" is exhaustive.  After phase 1 refutes at a representative P,
-# phase 2 runs the plain ordered scan over every member, bounded by P, with
-# the whole test (_holds_at) at each assignment: the plain scan holds phase
-# 1's violation at P, so it refutes at or before P, and the first
-# counterexample is the one the plain scan alone reports.  A plain class's
-# minimal member is memoized per pair set for the check; a family is built
-# anew on each request, since a check on F(lattice_n5,3) asks for about
-# 177,000 distinct ones.
+# phase 2 runs the plain ordered scan over every pair up to P, with every
+# minimal member (a two-component class's one-block member first), and asks
+# phase 1's row question of each assignment: is the pair itself outside the
+# right side?  The pair lies in the left side, so the first such (assignment,
+# pair) is a violation that verify confirms, and phase 1's violation at P
+# bounds the scan.  A plain class's minimal member is memoized per pair set
+# for the check; a family is built anew on each request, since a check on
+# F(lattice_n5,3) asks for about 177,000 distinct ones.
 
 
 def _atom_sets(e: RelExpr, a: int, c: int, n: int):
@@ -774,28 +775,24 @@ def _check_principal(alg, spec, classes):
             plain[key] = _minimal_members(alg, cls, pairs, orbits.block, finest)
         return plain[key]
 
-    def first_violation(flat_pairs, phase1):
+    def first_violation(flat_pairs, finest):
         for a, c in (divmod(p, n) for p in flat_pairs):
             for atoms in _atom_sets(sides[0], a, c, n):
                 per_var = {v: [] for v in names}
                 for v, p in atoms:
                     per_var[v].append(p)
-                options = [members(classes[v], per_var[v], phase1) for v in names]
+                options = [members(classes[v], per_var[v], finest) for v in names]
                 for values in product(*options):
                     env = dict(zip(names, map(_value_mask, values)))
-                    if phase1:
-                        holds = rhs.row(env, a) >> c & 1
-                    else:
-                        holds = _holds_at(alg, sides, spec.mode, env)
-                    if not holds:
+                    if not rhs.row(env, a) >> c & 1:
                         return dict(zip(names, values)), (a, c)
         return None
 
-    hit = first_violation(orbits.representatives(), phase1=True)
+    hit = first_violation(orbits.representatives(), finest=True)
     if hit is None:
         return Verdict(True, "exhaustive")
     a, c = hit[1]
-    first = first_violation(range(a * n + c + 1), phase1=False)
+    first = first_violation(range(a * n + c + 1), finest=False)
     if first is None:
         raise RuntimeError(f"principal scan found no violation up to {hit[1]}")
     env, pair = first

@@ -23,8 +23,10 @@ from .freeclone import (
 )
 from .identities import (
     _PLAIN,
+    AltR,
     BarOp,
     IdentitySpec,
+    Inter,
     RVar,
     RelClass,
     Star,
@@ -32,11 +34,11 @@ from .identities import (
     Verdict,
     check_for_all,
     desugar,
+    eval_expr,
     map_children,
     nodes,
     UnsupportedError,
 )
-from .relations import compose_alt, intersect
 
 
 def subst_vars(t: Term, mapping: dict) -> Term:
@@ -284,129 +286,123 @@ def find_directed_jonsson(
 
 # ---------------------------------------------------------------------------
 # chain searches in the free algebra (VR and MalF systems)
+#
+# Both searches read F(A,3) off the 4-ary clone.  A 4-ary element u has the
+# slots (u@x, u@y, u@z), the 3-ary ids of u with its last argument
+# identified with x, y and z (freeclone.slot_identifications).  The pairs
+# (u@x, u@z) over all u are the principal admissible relation σ = adm(x,z)
+# of F(A,3), (u@x, u@y) are τ = adm(x,y) and (u@y, u@z) are υ = adm(y,z),
+# so each pair of them comes with the 4-ary terms that put it there.  A
+# system is a path x -> z (clone ids 0 -> 2) of h steps whose edges are
+# labelled with those terms, found by one layered search (_layered_reach).
+# VR walks σ∩τ and σ∩υ in turn, each edge labelled with the first u giving
+# it in σ and the first s giving it in τ or υ.  MalF walks, for each f in
+# lexicographic order, the edges (u@w_{f(i)}, u@w'_{f(i)}) labelled u,
+# keeping at step i > 0 only the u that meet the side condition of f(i-1).
 
 
-def _layered_reach(edges_by_pos, start, goal, h):
-    """Frontiers under position-dependent edge relations; returns the node
-    path of length h or None.  edges_by_pos(i) -> dict node -> sorted targets."""
+def _chain_prelude(alg: FiniteAlgebra, h: int, caps: Caps):
+    """(clone3, clone4, slots) of a chain search, or None when either clone
+    is capped: without the 4-ary witnesses there is no verdict either way."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    clone3 = generate_clone(alg, 3, caps=caps)
+    if not clone3.complete:
+        return None
+    clone4 = generate_clone(alg, 4, caps=caps)
+    if not clone4.complete:
+        return None
+    return clone3, clone4, slot_identifications(clone4, clone3)
+
+
+def _edges(triples) -> dict:
+    """node -> [(target, label)] from (node, target, label) triples, in
+    their order."""
+    out: dict[int, list] = {}
+    for a, b, label in triples:
+        out.setdefault(a, []).append((b, label))
+    return out
+
+
+def _layered_reach(edges_at, start: int, goal: int, h: int):
+    """The first path of h steps from start to goal, step i along the edges
+    edges_at(i) (see _edges): each layer keeps, for each node, the first
+    edge into it from the least node of the layer before.  Returns the
+    path's h + 1 nodes and h labels, or None."""
     layers = [{start: None}]
     for i in range(h):
-        eh = edges_by_pos(i)
-        cur: dict[int, int] = {}
+        edges = edges_at(i)
+        cur: dict[int, tuple] = {}
         for node in sorted(layers[-1]):
-            for t in eh.get(node, ()):
+            for t, label in edges.get(node, ()):
                 if t not in cur:
-                    cur[t] = node
-        layers.append(cur)
+                    cur[t] = (node, label)
         if not cur:
             return None
+        layers.append(cur)
     if goal not in layers[h]:
         return None
-    path = [goal]
-    for i in range(h, 0, -1):
-        path.append(layers[i][path[-1]])
-    return list(reversed(path))
-
-
-def _adjacency(rel):
-    out: dict[int, list[int]] = {}
-    for a, b in rel.pairs():
-        out.setdefault(a, []).append(b)
-    for v in out.values():
-        v.sort()
-    return out
+    nodes, labels = [goal], []
+    for layer in reversed(layers[1:]):
+        node, label = layer[nodes[-1]]
+        nodes.append(node)
+        labels.append(label)
+    return nodes[::-1], labels[::-1]
 
 
 def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
     """Chain x -> z through σ∩τ (even steps) and σ∩υ (odd steps) in the free
     algebra, with 4-ary witnesses read off the clone."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    clone3 = generate_clone(alg, 3, caps=caps)
-    if not clone3.complete:
+    prelude = _chain_prelude(alg, h, caps)
+    if prelude is None:
         return SearchResult(False, None, h, False)
-    clone4 = generate_clone(alg, 4, caps=caps)
-    if not clone4.complete:  # no witnesses, so no verdict either way
-        return SearchResult(False, None, h, False)
-    fr = free_relations(clone3, caps)
-    sigma, tau, ups = fr.r_xz, fr.r_xy, fr.r_yz
-    even_adj = _adjacency(intersect(sigma, tau))
-    odd_adj = _adjacency(intersect(sigma, ups))
-
-    path = _layered_reach(
-        lambda i: even_adj if i % 2 == 0 else odd_adj, fr.x, fr.z, h
+    clone3, clone4, slots = prelude
+    sigma, tau, ups = {}, {}, {}  # pair -> first 4-ary id giving it
+    for uid, (ax, ay, az) in enumerate(slots):
+        sigma.setdefault((ax, az), uid)
+        tau.setdefault((ax, ay), uid)
+        ups.setdefault((ay, az), uid)
+    even, odd = (
+        _edges((a, b, (u, other[a, b])) for (a, b), u in sorted(sigma.items()) if (a, b) in other)
+        for other in (tau, ups)
     )
+    path = _layered_reach(lambda i: odd if i % 2 else even, 0, 2, h)
     if path is None:
         return SearchResult(False, None, h, True)
-    slots = slot_identifications(clone4, clone3)
-    sig_wit: dict[tuple, int] = {}
-    tau_wit: dict[tuple, int] = {}
-    ups_wit: dict[tuple, int] = {}
-    for uid, (ax, ay, az) in enumerate(slots):
-        sig_wit.setdefault((ax, az), uid)
-        tau_wit.setdefault((ax, ay), uid)
-        ups_wit.setdefault((ay, az), uid)
-
-    terms = {f"t{i}": clone3.witness(e) for i, e in enumerate(path)}
-    for i in range(h):
-        step = (path[i], path[i + 1])
-        terms[f"u{i}"] = clone4.witness(sig_wit[step])
-        terms[f"s{i}"] = clone4.witness((tau_wit if i % 2 == 0 else ups_wit)[step])
-    return SearchResult(True, _system("VR", {"h": h}, terms), h, True, shortest=len(path) - 1)
+    nodes, labels = path
+    terms = {f"t{i}": clone3.witness(e) for i, e in enumerate(nodes)}
+    for i, (u, s) in enumerate(labels):
+        terms[f"u{i}"] = clone4.witness(u)
+        terms[f"s{i}"] = clone4.witness(s)
+    return SearchResult(True, _system("VR", {"h": h}, terms), h, True, shortest=h)
 
 
 def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
     """Search all f: {0..h-1} -> {1,2} (lexicographic) for 4-ary witnesses
     s_i chaining x to z through α∩R_{f(i)} with the x = s_{i+1}(x,y,x;w'_{f(i)})
     side conditions."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    clone3 = generate_clone(alg, 3, caps=caps)
-    if not clone3.complete:
+    prelude = _chain_prelude(alg, h, caps)
+    if prelude is None:
         return SearchResult(False, None, h, False)
-    clone4 = generate_clone(alg, 4, caps=caps)
-    if not clone4.complete:
-        return SearchResult(False, None, h, False)
-    slots = slot_identifications(clone4, clone3)
+    _, clone4, slots = prelude
     tm4 = clone4.matrix()
-    side_ok = {v: _satisfies(tm4, alg.size, [cond]) for v, cond in _MAL_SIDE.items()}
-
-    # transitions[v]: start id -> [(element id, end id)] sorted
-    transitions: dict[int, dict[int, list]] = {1: {}, 2: {}}
-    for uid, ids in enumerate(slots):
-        for v in (1, 2):
-            key = ids[_W_SLOT[v]]
-            transitions[v].setdefault(key, []).append((uid, ids[_WP_SLOT[v]]))
-
-    x_id, z_id = 0, 2
+    side_ok = {v: _satisfies(tm4, alg.size, [cond]).tolist() for v, cond in _MAL_SIDE.items()}
+    side_ok[None] = [True] * len(slots)
+    # (f(i), f(i-1)) -> the edges of step i
+    steps = {
+        (v, prev): _edges(
+            (ids[_W_SLOT[v]], ids[_WP_SLOT[v]], uid)
+            for uid, ids in enumerate(slots)
+            if side_ok[prev][uid]
+        )
+        for v in (1, 2)
+        for prev in side_ok
+    }
     for f in product((1, 2), repeat=h):
-        layers: list[dict[int, tuple]] = [{x_id: None}]
-        dead = False
-        for i in range(h):
-            cur: dict[int, tuple] = {}
-            allowed = None if i == 0 else side_ok[f[i - 1]]
-            for node in sorted(layers[-1]):
-                for uid, end in transitions[f[i]].get(node, ()):
-                    if allowed is not None and not allowed[uid]:
-                        continue
-                    if end not in cur:
-                        cur[end] = (node, uid)
-            layers.append(cur)
-            if not cur:
-                dead = True
-                break
-        if dead or z_id not in layers[h]:
-            continue
-        # walk back for the witness elements
-        chain = []
-        node = z_id
-        for i in range(h, 0, -1):
-            prev, uid = layers[i][node]
-            chain.append(uid)
-            node = prev
-        chain.reverse()
-        terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(chain)}
-        return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)
+        path = _layered_reach(lambda i: steps[f[i], f[i - 1] if i else None], 0, 2, h)
+        if path is not None:
+            terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(path[1])}
+            return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)
     return SearchResult(False, None, h, True)
 
 
@@ -424,12 +420,11 @@ class Dichotomy:
 def slmore_dichotomy(alg: FiniteAlgebra, k: int, caps: Caps = DEFAULT_CAPS) -> Dichotomy:
     if k < 1:
         raise ValueError("k must be >= 1")
-    clone = generate_clone(alg, 3, caps=caps)
-    fr = free_relations(clone, caps)
-    ab = intersect(fr.alpha, fr.beta)
-    ag = intersect(fr.alpha, fr.gamma)
-    left = compose_alt(ab, ag, k, "right").contains(fr.x, fr.z)
-    right = compose_alt(ag, ab, k, "right").contains(fr.x, fr.z)
+    fr = free_relations(generate_clone(alg, 3, caps=caps), caps)
+    env = {"alpha": fr.alpha, "beta": fr.beta, "gamma": fr.gamma}
+    ab, ag = Inter(RVar("alpha"), RVar("beta")), Inter(RVar("alpha"), RVar("gamma"))
+    left = eval_expr(fr.free, AltR(ab, ag, k), env).contains(fr.x, fr.z)
+    right = eval_expr(fr.free, AltR(ag, ab, k), env).contains(fr.x, fr.z)
     verdict = "Left" if left else ("Right" if right else "Neither")
     return Dichotomy(left, right, verdict)
 

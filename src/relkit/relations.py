@@ -84,7 +84,7 @@ def _full_mask(n: int) -> int:
 
 
 class BinRel:
-    __slots__ = ("n", "mask", "_flags")
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int):
         if n <= 0:
@@ -93,7 +93,6 @@ class BinRel:
             raise ValueError("mask out of range for universe size")
         self.n = n
         self.mask = mask
-        self._flags = {}
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "BinRel":
@@ -148,23 +147,15 @@ class BinRel:
         if self.n != other.n:
             raise ValueError("universe size mismatch")
 
-    # cached shape flags; recomputation must agree (property-tested)
-
     def is_reflexive(self) -> bool:
-        if "refl" not in self._flags:
-            d = _diag_mask(self.n)
-            self._flags["refl"] = self.mask & d == d
-        return self._flags["refl"]
+        d = _diag_mask(self.n)
+        return self.mask & d == d
 
     def is_symmetric(self) -> bool:
-        if "sym" not in self._flags:
-            self._flags["sym"] = self.mask == converse(self).mask
-        return self._flags["sym"]
+        return self.mask == converse(self).mask
 
     def is_transitive(self) -> bool:
-        if "trans" not in self._flags:
-            self._flags["trans"] = compose(self, self).mask | self.mask == self.mask
-        return self._flags["trans"]
+        return compose(self, self).mask | self.mask == self.mask
 
 
 def _pairs_cmp(r: BinRel, s: BinRel) -> int:
@@ -247,26 +238,6 @@ def converse_masks(masks, n: int):
 
 def converse(r: BinRel) -> BinRel:
     return BinRel(r.n, converse_masks(r.mask, r.n))
-
-
-def compose_alt(s: BinRel, t: BinRel, m: int, side: str = "right") -> BinRel:
-    """Alternating composition with m factors.
-
-    side="right": s o t o s ... starting from s.
-    side="left":  ... t o s o t ending at t; equals the right form on (s, t)
-    for even m and on (t, s) for odd m.
-    """
-    if m < 1:
-        raise ValueError("alternating composition needs m >= 1")
-    if side == "left":
-        return compose_alt(s, t, m, "right") if m % 2 == 0 else compose_alt(t, s, m, "right")
-    if side != "right":
-        raise ValueError(f"side must be left or right, not {side!r}")
-    out = s
-    cur = (s, t)
-    for i in range(1, m):
-        out = compose(out, cur[i % 2])
-    return out
 
 
 def star_masks(masks, n: int):

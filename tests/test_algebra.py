@@ -12,13 +12,21 @@ from relkit.algebra import (
     Operation,
     Var,
     automorphisms,
-    eval_term,
     load_algebra,
     parse_term,
     power,
     product,
 )
 from relkit.caps import Caps
+
+
+def eval_term(alg, t, args):
+    """The value of the term t at the argument tuple args, by recursion."""
+    if isinstance(t, Var):
+        if t.index >= len(args):
+            raise ValueError(f"term uses variable {t} beyond args")
+        return args[t.index]
+    return alg.apply(t.op, tuple(eval_term(alg, a, args) for a in t.args))
 
 
 def mod3_alg():

@@ -324,6 +324,21 @@ def test_verify_equality_refutation_checks_pair(tmp_path, capsys):
     assert code == 1 and "violating pair" in err
 
 
+def test_verify_principal_refutation_pair(tmp_path, capsys):
+    """A principal refutation reports a pair outside the right side, even
+    where the first failing assignment also fails at a smaller pair."""
+    alg = tmp_path / "a.json"
+    alg.write_text(json.dumps(
+        {"size": 3, "ops": [{"name": "f", "arity": 2, "table": [0, 1, 2, 0, 1, 1, 0, 1, 2]}]}
+    ))
+    rpt = tmp_path / "p.json"
+    argv = ["check", str(alg), "adm:r ; adm:s <= s ; r", "--strategy", "principal"]
+    assert run(capsys, *argv, "--out", str(rpt))[0] == 1
+    assert json.loads(rpt.read_text())["result"]["counterexample"]["pair"] != [0, 0]
+    code, _, err = run(capsys, "verify", str(rpt))
+    assert code == 0, err
+
+
 def test_verify_non_object_report_exit3(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -129,7 +129,7 @@ def test_free_relations_basics(lattice2):
     fr = free_relations(generate_clone(lattice2, 3))
     assert (fr.x, fr.y, fr.z) == (0, 1, 2)
     assert fr.alpha.contains(fr.x, fr.z) and fr.alpha.is_transitive()
-    assert fr.r_xy.contains(fr.x, fr.y) and fr.r_xy.is_reflexive()
+    assert fr.beta.contains(fr.x, fr.y) and fr.beta.is_reflexive()
     # the distributive-lattice middle element joins x to z through both sides
     mid = intersect(compose(intersect(fr.alpha, fr.beta), intersect(fr.alpha, fr.gamma)), fr.alpha)
     assert mid.contains(fr.x, fr.z)
@@ -175,15 +175,20 @@ def test_slot_identifications(lattice2):
         assert by_key[ref_restrict_table(tab, 2, 4, 2).tobytes()] == az
 
 
-def test_principal_sigma_dual_route(lattice2, baker4):
-    """The 4-ary slot relation equals the admissible closure of {(x,z)} in the
-    free algebra — two independent constructions of the same object."""
-    for alg in (lattice2, baker4):
+def test_principal_sigma_dual_route():
+    """The 4-ary slot relations σ = {(u@x, u@z)}, τ = {(u@x, u@y)} and
+    υ = {(u@y, u@z)} equal the admissible closures of {(x,z)}, {(x,y)} and
+    {(y,z)} in the free algebra: two independent constructions of the
+    relations find_vr walks."""
+    for name in ("lattice2", "z2", "baker4", "lattice_2x2"):
+        alg = resolve(name)
         c3 = generate_clone(alg, 3)
-        c4 = generate_clone(alg, 4)
         fr = free_relations(c3)
-        sigma = BinRel.from_pairs(len(c3), [(a, c) for a, _b, c in slot_identifications(c4, c3)])
-        assert sigma == admissible_closure(fr.free, [(fr.x, fr.z)])
+        slots = slot_identifications(generate_clone(alg, 4), c3)
+        gens = (fr.x, fr.y, fr.z)
+        for i, j in ((0, 2), (0, 1), (1, 2)):
+            rel = BinRel.from_pairs(len(c3), [(ids[i], ids[j]) for ids in slots])
+            assert rel == admissible_closure(fr.free, [(gens[i], gens[j])]), (name, i, j)
 
 
 def test_dump_clone_format(z2):

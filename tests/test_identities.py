@@ -495,7 +495,8 @@ def plain_principal(alg, spec, narrow=True):
     """The principal strategy as one ordered scan, without orbits and with
     every minimal member: each point pair in order, each atom set, each
     combination of minimal members (the one-block member of a
-    two-component class first, then its splits)."""
+    two-component class first, then its splits), until the pair itself
+    lies outside the whole right side."""
     if spec.mode != "inclusion":
         raise UnsupportedError("principal strategy handles inclusions only")
     classes = spec.classes(narrow)
@@ -532,7 +533,7 @@ def plain_principal(alg, spec, narrow=True):
                 options = [members(classes[v], [p for w, p in atoms if w == v]) for v in names]
                 for values in itertools.product(*options):
                     env = dict(zip(names, values))
-                    if not evaluate(alg, spec, env)[2]:
+                    if not eval_expr(alg, spec.rhs, env).contains(a, c):
                         return Verdict(False, "exhaustive", {"assignment": env, "pair": (a, c)})
     return Verdict(True, "exhaustive")
 
@@ -749,6 +750,26 @@ def test_principal_matches_plain_scan_with_partial_automorphisms(monkeypatch):
                 monkeypatch.setattr(identities, "automorphisms", lambda _alg, s=subset: list(s))
                 got = check_for_all(alg, spec, strategy="principal", narrow=narrow)
                 assert got.report_form() == want, (alg.name, spec.name, narrow, subset)
+    assert refuted
+
+
+def test_principal_refutations_report_violating_pairs():
+    """On random binary algebras of 3 and 4 elements, every principal
+    refutation's pair lies in the left side and outside the right side under
+    its assignment, as verify requires."""
+    rng = random.Random(2)
+    algebras = [_random_algebra(rng.randrange(3, 5), rng, f"rnd{i}") for i in range(100)]
+    refuted = 0
+    for text in ["adm:r ; adm:s <= s ; r", "cong:a ; adm:r <= r ; a",
+                 "adm:r & (adm:s ; adm:t) <= r & s ; r & t"]:
+        spec = parse_spec(text)
+        for alg in algebras:
+            v = check_for_all(alg, spec, strategy="principal")
+            if v.holds is False:
+                refuted += 1
+                lhs, rhs, _ = evaluate(alg, spec, v.counterexample["assignment"])
+                pair = v.counterexample["pair"]
+                assert lhs.contains(*pair) and not rhs.contains(*pair), (alg.name, text, pair)
     assert refuted
 
 

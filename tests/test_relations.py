@@ -13,7 +13,7 @@ from relkit.algebra import FiniteAlgebra
 from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone
-from relkit.identities import Pow, RVar, eval_expr
+from relkit.identities import AltL, AltR, Pow, RVar, eval_expr
 from relkit.relations import (
     KINDS,
     BinRel,
@@ -22,7 +22,6 @@ from relkit.relations import (
     admissible_closure,
     bar_masks,
     compose,
-    compose_alt,
     compose_masks,
     congruence_gen,
     converse,
@@ -99,6 +98,21 @@ def test_compose_associative_converse_antihom():
         assert converse(intersect(r, s)) == intersect(converse(r), converse(s))
 
 
+def compose_alt(s, t, m, side="right"):
+    """Alternating composition with m factors, as an explicit chain.
+
+    side="right": s o t o s ... starting from s.
+    side="left":  ... t o s o t ending at t; equals the right form on (s, t)
+    for even m and on (t, s) for odd m.
+    """
+    if side == "left" and m % 2:
+        s, t = t, s
+    out = s
+    for i in range(1, m):
+        out = compose(out, (s, t)[i % 2])
+    return out
+
+
 def test_compose_alt_factor_conventions():
     rng = random.Random(3)
     for _ in range(40):
@@ -112,6 +126,19 @@ def test_compose_alt_factor_conventions():
         assert compose_alt(s, t, 3, "left") == compose(compose(t, s), t)
         assert compose_alt(s, t, 2, "left") == compose(s, t)
         assert compose_alt(s, t, 4, "left") == compose_alt(s, t, 4, "right")
+
+
+def test_alternating_compositions_evaluate_to_explicit_chains():
+    """eval_expr of s ;^m t and s m^; t is the explicit chain of m factors."""
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        alg = FiniteAlgebra(n, [])
+        env = {"s": rand_rel(rng, n), "t": rand_rel(rng, n)}
+        for m in range(1, 6):
+            for alt, side in ((AltR, "right"), (AltL, "left")):
+                got = eval_expr(alg, alt(RVar("s"), RVar("t"), m), env)
+                assert got == compose_alt(env["s"], env["t"], m, side), (n, m, side)
 
 
 def test_rel_power():

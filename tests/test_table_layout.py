@@ -18,7 +18,6 @@ from relkit.algebra import (
     parse_term,
     pattern_cells,
     product,
-    term_arity,
 )
 from relkit.caps import DEFAULT_CAPS
 from relkit.fixtures import FIXTURES, resolve
@@ -36,6 +35,13 @@ PATTERNS = ("aab", "aba", "abb", "abc", "aaa")
 
 # ---------------------------------------------------------------------------
 # reference code: flat indices written out by hand
+
+
+def term_arity(t):
+    """1 + the largest variable index used."""
+    if isinstance(t, Var):
+        return t.index + 1
+    return max((term_arity(a) for a in t.args), default=0)
 
 
 def ref_product(a, b, caps=DEFAULT_CAPS):
