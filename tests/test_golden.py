@@ -1,5 +1,6 @@
 """Golden guard for the builtin library, the checker's verdicts, the CLI
-reports of the README examples and the term-search and free-algebra reports.
+reports and plain-text output of the README examples and the term-search and
+free-algebra reports.
 
 The expected values in ``tests/golden/`` were recorded from the code and
 must not move when the implementation is restructured.  Re-record them only
@@ -136,6 +137,19 @@ def cli_snapshots() -> dict:
     return {" ".join(argv): cli_json(argv) for argv in README_COMMANDS}
 
 
+def cli_text(argv) -> dict:
+    """The human output, exit code and stderr, without the wall-time line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    lines = [line for line in out.getvalue().splitlines(True) if not line.startswith("wall-time:")]
+    return {"exit": code, "stdout": "".join(lines), "stderr": err.getvalue()}
+
+
+def text_snapshots() -> dict:
+    return {" ".join(argv): cli_text(argv) for argv in README_COMMANDS}
+
+
 def cli_digest(argv) -> dict:
     out = cli_json(argv)
     return {"exit": out["exit"], "sha256": hashlib.sha256(out["stdout"].encode()).hexdigest()}
@@ -176,6 +190,14 @@ def test_readme_cli_reports_golden():
         assert cli_json(argv) == want[key], key
 
 
+def test_readme_cli_text_golden():
+    want = _load("text.json")
+    assert sorted(want) == sorted(" ".join(argv) for argv in README_COMMANDS)
+    for argv in README_COMMANDS:
+        key = " ".join(argv)
+        assert cli_text(argv) == want[key], key
+
+
 def test_term_search_reports_golden():
     want = _load("terms.json")
     assert len(want) == len(TERMS_COMMANDS) + len(FREE_ALGEBRA_COMMANDS) == 41
@@ -198,6 +220,7 @@ SNAPSHOTS = {
     "builtins.json": builtin_snapshots,
     "verdicts.json": verdict_snapshots,
     "cli.json": cli_snapshots,
+    "text.json": text_snapshots,
     "terms.json": terms_snapshots,
 }
 
