@@ -1,9 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 holds/found/ok, 1 refuted/absent, 2 truncated with no
-counterexample (or cap-hit), 3 usage or parse errors.  The machine-readable
-report (``--json`` / ``--out``) is deterministic for a fixed command and
-seed; wall time appears only in the human-readable text.
+Every subcommand but ``verify`` computes its report and hands it to one run
+path, which adds the algebra, writes ``--out`` and prints ``--json`` or the
+human lines.  The machine-readable report is deterministic for a fixed
+command and seed; wall time appears only in the human-readable text.
+
+Exit codes, the same for every subcommand: 0 holds, found or ok; 1 refuted,
+conclusively absent, or a replay that fails; 2 truncated with no
+counterexample, which ``--allow-truncated`` turns into 0, and a construction
+too large for its cap, which exits 2 whatever ``--allow-truncated`` says;
+3 usage, parse and input errors, an unwritable ``--out`` and an expression
+that nests too deeply to evaluate.
 """
 
 from __future__ import annotations
@@ -58,31 +65,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _machine(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(report: dict, human_lines: list, args, started: float) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_machine(report))
-    if getattr(args, "json", False):
-        sys.stdout.write(_machine(report))
-    else:
-        for line in human_lines:
-            print(line)
-        print(f"wall-time: {time.time() - started:.2f}s")
-
-
-def _algebra_block(alg: FiniteAlgebra) -> dict:
-    return {"name": alg.name, "fingerprint": alg.fingerprint(), "data": alg.to_json()}
-
-
 def _caps(args) -> Caps:
     caps = caps_from_env()
-    if getattr(args, "caps", None):
+    if args.caps:
         caps = caps_from_env(caps, env=args.caps)
     return caps
+
+
+def _run(args) -> int:
+    """Run a reporting subcommand.  Its ``compute`` takes the caps when the
+    subcommand has ``--caps`` and the algebra when it has one, and returns
+    its command fields, its report blocks, its human lines and its exit code
+    (2 for truncated)."""
+    started = time.time()
+    inputs, command, report, lines = {}, {"subcommand": args.subcommand}, {}, []
+    if "caps" in args:
+        inputs["caps"] = _caps(args)
+    if "algebra" in args:
+        alg = inputs["alg"] = resolve(args.algebra, inputs["caps"])
+        fingerprint = alg.fingerprint()
+        command["algebra"] = args.algebra
+        report["algebra"] = {"name": alg.name, "fingerprint": fingerprint, "data": alg.to_json()}
+        lines.append(f"algebra: {alg.name} [{fingerprint}]")
+    fields, blocks, body, code = args.compute(args, **inputs)
+    report.update(blocks, format=REPORT_FORMAT, command={**command, **fields})
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    if args.json:
+        sys.stdout.write(text)
+    else:
+        for line in lines + body:
+            print(line)
+        print(f"wall-time: {time.time() - started:.2f}s")
+    return 0 if code == 2 and args.allow_truncated else code
 
 
 def _parse_classes(text: str) -> dict:
@@ -103,17 +120,12 @@ def _parse_classes(text: str) -> dict:
 
 
 def _collect_params(args) -> dict:
-    params = {}
-    for key in ("h", "k", "m", "n"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    f = getattr(args, "f", None)
-    if f is not None:
+    params = {key: getattr(args, key) for key in ("h", "k", "m", "n") if getattr(args, key) is not None}
+    if args.f is not None:
         try:
-            params["f"] = tuple(int(t) for t in f.split(","))
+            params["f"] = tuple(int(t) for t in args.f.split(","))
         except ValueError:
-            raise UnsupportedError(f"bad --f value {f!r}; want e.g. 1,2") from None
+            raise UnsupportedError(f"bad --f value {args.f!r}; want e.g. 1,2") from None
     return params
 
 
@@ -144,10 +156,7 @@ def _spec_block(spec: IdentitySpec, desc: dict, classes: dict) -> dict:
 # subcommands
 
 
-def _cmd_check(args) -> int:
-    started = time.time()
-    caps = _caps(args)
-    alg = resolve(args.algebra, caps)
+def _cmd_check(args, alg, caps):
     spec, desc = _resolve_spec(args.spec, args)
     override = _parse_classes(args.classes) if args.classes else None
     verdict = check_for_all(
@@ -161,21 +170,7 @@ def _cmd_check(args) -> int:
         seed=args.seed,
     )
     classes = spec.classes(not args.no_narrow, override)
-    report = {
-        "format": REPORT_FORMAT,
-        "command": {
-            "subcommand": "check",
-            "algebra": args.algebra,
-            "spec": args.spec,
-            "strategy": args.strategy,
-            "seed": args.seed,
-        },
-        "algebra": _algebra_block(alg),
-        "spec": _spec_block(spec, desc, classes),
-        "result": verdict.report_form(),
-    }
     lines = [
-        f"algebra: {alg.name} [{alg.fingerprint()}]",
         f"identity: {spec.name}: {spec.describe()}",
         "classes: " + ", ".join(f"{v}:{c.name}" for v, c in classes.items()),
     ]
@@ -195,82 +190,54 @@ def _cmd_check(args) -> int:
         lines.append(f"verdict: no counterexample found, coverage {verdict.coverage}")
     if verdict.note:
         lines.append(f"note: {verdict.note}")
-    _emit(report, lines, args, started)
-    if verdict.holds is True:
-        return 0
-    if verdict.holds is False:
-        return 1
-    return 0 if args.allow_truncated else 2
+    command = {"spec": args.spec, "strategy": args.strategy, "seed": args.seed}
+    blocks = {"spec": _spec_block(spec, desc, classes), "result": verdict.report_form()}
+    return command, blocks, lines, {True: 0, False: 1}.get(verdict.holds, 2)
 
 
-_SCHEMAS = ("jonsson", "directed-jonsson", "majority", "pixley", "vr", "mal")
+def _chain_length(args) -> int:
+    if args.h is None:
+        raise UnsupportedError(f"{args.schema} needs --h")
+    return args.h
 
 
-def _cmd_find_terms(args) -> int:
-    started = time.time()
-    caps = _caps(args)
-    alg = resolve(args.algebra, caps)
+# schema -> search; "directed" is short for "directed-jonsson"
+_SEARCHES = {
+    "jonsson": lambda args, alg, caps: find_jonsson(alg, max_k=args.max, caps=caps),
+    "directed-jonsson": lambda args, alg, caps: find_directed_jonsson(alg, max_n=args.max, caps=caps),
+    "majority": lambda args, alg, caps: find_majority(alg, caps=caps),
+    "pixley": lambda args, alg, caps: find_pixley(alg, caps=caps),
+    "vr": lambda args, alg, caps: find_vr(alg, _chain_length(args), caps=caps),
+    "mal": lambda args, alg, caps: find_mal_f(alg, _chain_length(args), caps=caps),
+}
+
+
+def _cmd_find_terms(args, alg, caps):
     schema = {"directed": "directed-jonsson"}.get(args.schema, args.schema)
-    if schema not in _SCHEMAS:
-        raise UnsupportedError(f"unknown schema {args.schema!r}; one of {', '.join(_SCHEMAS)}")
-    if schema == "jonsson":
-        res = find_jonsson(alg, max_k=args.max, caps=caps)
-    elif schema == "directed-jonsson":
-        res = find_directed_jonsson(alg, max_n=args.max, caps=caps)
-    elif schema == "majority":
-        res = find_majority(alg, caps=caps)
-    elif schema == "pixley":
-        res = find_pixley(alg, caps=caps)
-    elif schema == "vr":
-        if args.h is None:
-            raise UnsupportedError("vr needs --h")
-        res = find_vr(alg, args.h, caps=caps)
-    else:
-        if args.h is None:
-            raise UnsupportedError("mal needs --h")
-        res = find_mal_f(alg, args.h, caps=caps)
+    if schema not in _SEARCHES:
+        raise UnsupportedError(f"unknown schema {args.schema!r}; one of {', '.join(_SEARCHES)}")
+    res = _SEARCHES[schema](args, alg, caps)
     result = res.report_form()
+    lines = [f"schema: {schema}"]
     if res.found:
         result["certificate_ok"] = res.system.check(alg)
-    report = {
-        "format": REPORT_FORMAT,
-        "command": {"subcommand": "find-terms", "algebra": args.algebra, "schema": schema},
-        "algebra": _algebra_block(alg),
-        "result": result,
-    }
-    lines = [f"algebra: {alg.name} [{alg.fingerprint()}]", f"schema: {schema}"]
-    if res.found:
         lines.append("found: yes" + (f" (params {res.system.params})" if res.system.params else ""))
         for name in sorted(res.system.terms):
             lines.append(f"  {name} = {res.system.terms[name]}")
         lines.append(f"certificate: {'replays' if result['certificate_ok'] else 'FAILS'}")
+        code = 0 if result["certificate_ok"] else 1
     else:
         kind = "conclusive" if res.conclusive else "inconclusive (cap hit)"
         lines.append(f"found: no ({kind})")
         if res.shortest is not None:
             lines.append(f"shortest system beyond bound: {res.shortest}")
-    _emit(report, lines, args, started)
-    if res.found:
-        return 0 if result["certificate_ok"] else 1
-    if res.conclusive:
-        return 1
-    return 0 if args.allow_truncated else 2
+        code = 1 if res.conclusive else 2
+    return {"schema": schema}, {"result": result}, lines, code
 
 
-def _cmd_free_algebra(args) -> int:
-    started = time.time()
-    caps = _caps(args)
-    alg = resolve(args.algebra, caps)
-    clone = generate_clone(alg, args.arity, cap=args.cap, caps=caps)
-    dump = dump_clone(clone)
-    report = {
-        "format": REPORT_FORMAT,
-        "command": {"subcommand": "free-algebra", "algebra": args.algebra, "arity": args.arity},
-        "algebra": _algebra_block(alg),
-        "result": dump,
-    }
+def _cmd_free_algebra(args, alg, caps):
+    dump = dump_clone(generate_clone(alg, args.arity, cap=args.cap, caps=caps))
     lines = [
-        f"algebra: {alg.name} [{alg.fingerprint()}]",
         f"free algebra on {args.arity} generators: {dump['count']} elements"
         + ("" if dump["complete"] else " (cap hit, incomplete)"),
     ]
@@ -278,10 +245,7 @@ def _cmd_free_algebra(args) -> int:
         lines.append(f"  #{el['id']} depth {el['depth']}: {el['witness']}")
     if dump["count"] > args.show:
         lines.append(f"  ... {dump['count'] - args.show} more")
-    _emit(report, lines, args, started)
-    if not dump["complete"]:
-        return 0 if args.allow_truncated else 2
-    return 0
+    return {"arity": args.arity}, {"result": dump}, lines, 0 if dump["complete"] else 2
 
 
 def _blocks(rel: BinRel) -> list:
@@ -312,10 +276,7 @@ def _hasse(rels: list) -> list:
     return edges
 
 
-def _cmd_congruences(args) -> int:
-    started = time.time()
-    caps = _caps(args)
-    alg = resolve(args.algebra, caps)
+def _cmd_congruences(args, alg, caps):
     enum = enumerate_relations(alg, "congruence", caps)
     rels = enum.relations
     edges = _hasse(rels)
@@ -330,14 +291,7 @@ def _cmd_congruences(args) -> int:
         ],
         "hasse_covers": [[i, j] for i, j in edges],
     }
-    report = {
-        "format": REPORT_FORMAT,
-        "command": {"subcommand": "congruences", "algebra": args.algebra},
-        "algebra": _algebra_block(alg),
-        "result": result,
-    }
     lines = [
-        f"algebra: {alg.name} [{alg.fingerprint()}]",
         f"congruences: {len(rels)}" + ("" if enum.exhaustive else " (truncated)"),
         "ordering by inclusion (each line lists the congruences it covers):",
     ]
@@ -345,30 +299,21 @@ def _cmd_congruences(args) -> int:
         blocks = " | ".join(" ".join(map(str, b)) for b in _blocks(r))
         cov = ", ".join(f"c{k}" for k in covers[i]) or "-"
         lines.append(f"  c{i}: {blocks}   covers: {cov}")
-    _emit(report, lines, args, started)
-    return 0 if enum.exhaustive else (0 if args.allow_truncated else 2)
+    return {}, {"result": result}, lines, 0 if enum.exhaustive else 2
 
 
-def _cmd_expansions(args) -> int:
-    started = time.time()
+def _cmd_expansions(args):
     spec, desc = _resolve_spec(args.spec, args)
     expansions = enumerate_expansions(spec)
-    result = {
-        "count": len(expansions),
-        "expansions": [e.report_form() for e in expansions],
-    }
-    report = {
-        "format": REPORT_FORMAT,
-        "command": {"subcommand": "expansions", "spec": args.spec},
+    blocks = {
         "spec": _spec_block(spec, desc, spec.classes(narrow=False)),
-        "result": result,
+        "result": {"count": len(expansions), "expansions": [e.report_form() for e in expansions]},
     }
     lines = [f"source: {spec.describe()}", f"expansions: {len(expansions)}"]
     for e in expansions:
         choice = ", ".join(f"{v}->{list(c)}" for v, c in e.rhs_choice.items())
         lines.append(f"  [{choice or 'unique'}] {e.spec.describe()}")
-    _emit(report, lines, args, started)
-    return 0
+    return {"spec": args.spec}, blocks, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +340,7 @@ def _rebuild_spec(block: dict) -> IdentitySpec:
     return relparser.parse_spec(block["source"])
 
 
-def _replay_check(report: dict, alg, caps) -> None:
+def _replay_check(report: dict, alg) -> None:
     result = report["result"]
     if result["holds"] is not False:
         return  # nothing to replay
@@ -418,8 +363,7 @@ def _replay_check(report: dict, alg, caps) -> None:
         raise _ReplayError("recorded violating pair does not witness the failure")
 
 
-def _replay_find_terms(report: dict, alg, caps) -> None:
-    result = report["result"]
+def _replay_find_terms(result: dict, alg) -> None:
     if not result["found"]:
         return
     system = result["system"]
@@ -433,8 +377,7 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
             raise _ReplayError(f"equation {lhs} = {rhs} [{pattern}] fails")
 
 
-def _replay_congruences(report: dict, alg, caps) -> None:
-    result = report["result"]
+def _replay_congruences(result: dict, alg, caps) -> None:
     listed = set()
     for c in result["congruences"]:
         rel = BinRel.from_pairs(alg.size, [tuple(p) for p in c["pairs"]])
@@ -453,12 +396,23 @@ def _replay_congruences(report: dict, alg, caps) -> None:
         )
 
 
-def _replay_free_algebra(report: dict, alg, caps) -> None:
-    arity = report["result"]["arity"]
-    for el in report["result"]["elements"]:
+def _replay_free_algebra(result: dict, alg) -> None:
+    arity = result["arity"]
+    for el in result["elements"]:
         table = table_of_term(alg, parse_term(el["witness"]), arity)
         if table.tolist() != el["table"]:
             raise _ReplayError(f"element #{el['id']} table does not match its witness")
+
+
+# subcommand -> replay of its report, or None when it has nothing to replay
+_REPLAYS = {
+    "check": lambda report, alg, caps: _replay_check(report, alg),
+    "find-terms": lambda report, alg, caps: _replay_find_terms(report["result"], alg),
+    "congruences": lambda report, alg, caps: _replay_congruences(report["result"], alg, caps),
+    "free-algebra": lambda report, alg, caps: _replay_free_algebra(report["result"], alg),
+    "expansions": None,
+    "search-mainp": None,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -480,18 +434,10 @@ def _cmd_verify(args) -> int:
             if alg.fingerprint() != report["algebra"]["fingerprint"]:
                 raise _ReplayError("stale algebra fingerprint")
         sub = report["command"]["subcommand"]
-        if sub == "check":
-            _replay_check(report, alg, caps)
-        elif sub == "find-terms":
-            _replay_find_terms(report, alg, caps)
-        elif sub == "congruences":
-            _replay_congruences(report, alg, caps)
-        elif sub == "free-algebra":
-            _replay_free_algebra(report, alg, caps)
-        elif sub in ("expansions", "search-mainp"):
-            pass  # nothing replayable beyond structure
-        else:
+        if sub not in _REPLAYS:
             raise _ReplayError(f"unknown subcommand {sub!r} in report")
+        if _REPLAYS[sub]:
+            _REPLAYS[sub](report, alg, caps)
     except (_ReplayError, KeyError, ValueError, TypeError, AttributeError, IndexError) as exc:
         # a malformed report (a field of the wrong type or shape) fails the
         # replay like a wrong one does
@@ -510,9 +456,7 @@ def _random_algebra(size: int, rng: random.Random, tag: str) -> FiniteAlgebra:
     return FiniteAlgebra(size, [("f", 2, table)], name=tag)
 
 
-def _cmd_search_mainp(args) -> int:
-    started = time.time()
-    caps = _caps(args)
+def _cmd_search_mainp(args, caps):
     fixtures = ("lattice2", "z2", "baker4", "lattice_2x2")
     algebras = [resolve(n, caps) for n in fixtures]
     rng = random.Random(args.seed)
@@ -539,42 +483,42 @@ def _cmd_search_mainp(args) -> int:
                     "coverage": v.coverage,
                 }
             )
-    report = {
-        "format": REPORT_FORMAT,
-        "command": {"subcommand": "search-mainp", "seed": args.seed, "count": args.count},
-        "result": {"observations": rows, "note": "observations only; absence of a counterexample proves nothing"},
-    }
+    result = {"observations": rows, "note": "observations only; absence of a counterexample proves nothing"}
     lines = ["observations (replacing the tolerance with wider classes):"]
     for r in rows:
         h = {True: "holds", False: "refuted", None: "open"}[r["holds"]]
         lines.append(f"  {r['algebra']:<14} {r['variant']:<24} {h} ({r['coverage']})")
-    _emit(report, lines, args, started)
-    return 0
+    return {"seed": args.seed, "count": args.count}, {"result": result}, lines, 0
 
 
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, caps=True):
+def _add_common(p, compute, caps=True):
+    """The report options, and ``compute`` as what the run path runs."""
     p.add_argument("--json", action="store_true", help="print the machine-readable report")
     p.add_argument("--out", help="also write the machine-readable report to a file")
     p.add_argument("--allow-truncated", action="store_true", help="exit 0 even when coverage is truncated")
     if caps:
         p.add_argument("--caps", help="JSON object overriding caps (same shape as RELKIT_CAPS)")
+    p.set_defaults(func=_run, compute=compute)
+
+
+def _add_params(p):
+    """The builtin parameter flags."""
+    for key in ("h", "k", "m", "n"):
+        p.add_argument(f"--{key}", type=int)
+    p.add_argument("--f", help="comma-separated values in {1,2} for malA")
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="relkit", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("check", parents=[], help="quantified identity check on one algebra")
+    p = sub.add_parser("check", help="quantified identity check on one algebra")
     p.add_argument("algebra", help=f"bundled name ({', '.join(sorted(FIXTURES))}), NAME^k, or a file")
     p.add_argument("spec", help=f"builtin ({', '.join(builtin_names())}) or literal like 'uadm:s ; uadm:s == uadm:s'")
-    p.add_argument("--h", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--f", help="comma-separated values in {1,2} for malA")
+    _add_params(p)
     p.add_argument("--classes", help="override classes, e.g. theta=adm,sigma=u2")
     p.add_argument(
         "--strategy",
@@ -586,39 +530,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-narrow", action="store_true", help="quantify the wide classes, ignoring marked narrowings")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
+    _add_common(p, _cmd_check)
 
     p = sub.add_parser("find-terms", help="search the clone for a term system")
     p.add_argument("algebra")
-    p.add_argument("schema", help="jonsson | directed-jonsson | majority | pixley | vr | mal")
+    p.add_argument("schema", help=" | ".join(_SEARCHES))
     p.add_argument("--max", type=int, default=8, help="ladder length bound")
     p.add_argument("--h", type=int, help="chain length for vr/mal")
-    _add_common(p)
-    p.set_defaults(func=_cmd_find_terms)
+    _add_common(p, _cmd_find_terms)
 
     p = sub.add_parser("free-algebra", help="dump the k-generated free algebra")
     p.add_argument("algebra")
     p.add_argument("--arity", type=int, default=3)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--show", type=int, default=10, help="elements to print in the human output")
-    _add_common(p)
-    p.set_defaults(func=_cmd_free_algebra)
+    _add_common(p, _cmd_free_algebra)
 
     p = sub.add_parser("congruences", help="list congruences with the inclusion ordering")
     p.add_argument("algebra")
-    _add_common(p)
-    p.set_defaults(func=_cmd_congruences)
+    _add_common(p, _cmd_congruences)
 
     p = sub.add_parser("expansions", help="list the expansions of an inclusion over union-variables")
     p.add_argument("spec")
-    p.add_argument("--h", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--f")
-    _add_common(p, caps=False)
-    p.set_defaults(func=_cmd_expansions)
+    _add_params(p)
+    _add_common(p, _cmd_expansions, caps=False)
 
     p = sub.add_parser("verify", help="replay counterexamples/certificates from a report file")
     p.add_argument("report")
@@ -629,23 +564,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=4, help="random algebras to draw")
     p.add_argument("--max-size", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_search_mainp)
+    _add_common(p, _cmd_search_mainp)
     return top
 
 
 def main(argv=None) -> int:
-    top = build_parser()
-    args = top.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        return args.func(args)
     except CapExceeded as exc:
         print(f"relkit: cap exceeded: {exc}", file=sys.stderr)
         return 2
     except (UnsupportedError, relparser.SpecParseError, KeyError, ValueError, OSError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return 3
-    return code
+    except RecursionError:
+        print("relkit: error: the expression nests too deeply to evaluate", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from relkit.cli import main
+from relkit.cli import _REPLAYS, build_parser, main
+from relkit.identities import builtin_names
 
 
 def run(capsys, *argv):
@@ -406,3 +413,131 @@ def test_verify_rejects_operation_arity_mismatch(tmp_path, capsys):
 
     code, _, err = _tampered_terms_report(tmp_path, capsys, ["lattice2", "majority"], wrap)
     assert code == 1 and err.startswith("verify: FAIL:") and "arity" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "lattice2", "cdist2", "--h", "3000"),
+        ("check", "lattice2", "(" * 1200 + "adm:r" + ")" * 1200 + " <= adm:r"),
+        ("expansions", "malIncl", "--h", "3000"),
+    ],
+    ids=["builtin", "literal", "expansions"],
+)
+def test_deep_expressions_exit3_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "nests too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "lattice2", "cdist2", "--strategy", "sampled"),
+        ("find-terms", "lattice2", "jonsson", "--caps", '{"clone_cap_3": 5}'),
+        ("free-algebra", "lattice2", "--cap", "5"),
+        ("congruences", "z2cube", "--caps", '{"max_relations": 2}'),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_truncated_exits_2_and_0_when_allowed(capsys, argv):
+    assert run(capsys, *argv)[0] == 2
+    assert run(capsys, *argv, "--allow-truncated")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("find-terms", "z2", "majority"), 1),
+        (("check", "lattice2", "cdist2", "--h", "0"), 3),
+        (("check", "z2^30", "cdist2", "--h", "2"), 2),  # a cap exceeded is not a truncation
+    ],
+)
+def test_allow_truncated_keeps_other_exit_codes(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+    assert run(capsys, *argv, "--allow-truncated")[0] == code
+
+
+def test_every_report_type_has_a_replay_entry(tmp_path, capsys):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_REPLAYS) == set(subparsers.choices) - {"verify"}
+    code, out, _ = run(capsys, "expansions", "malIncl", "--json")
+    assert code == 0
+    report = json.loads(out)
+    report["command"]["subcommand"] = "no-such-command"
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(report))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 1 and "unknown subcommand" in err
+
+
+# each builtin's parameter flags; the others take none
+BUILTIN_PARAMS = {
+    "cdist2": "h", "cdist3": "k", "modular2": "k", "vrIncl": "h", "malIncl": "h",
+    "p12b1": "mn", "p12b2": "mn", "p12c2": "mk", "malA": "f",
+}
+
+
+@st.composite
+def _builtin_args(draw, long_chains):
+    """A builtin, half the time one with parameters, and values for its
+    flags.  The number of expansions grows exponentially with the chain
+    length, so ``expansions`` gets short chains."""
+    name = draw(st.sampled_from(sorted(BUILTIN_PARAMS)) | st.sampled_from(builtin_names()))
+    argv = [name]
+    for key in BUILTIN_PARAMS.get(name, ""):
+        if key == "f":
+            value = ",".join(map(str, draw(st.lists(st.integers(0, 3), max_size=4))))
+        elif key in "hk":
+            value = draw(st.integers(-2, 4000 if long_chains else 4))
+        else:
+            value = draw(st.integers(-2, 8 if long_chains else 3))
+        argv += [f"--{key}", str(value)]
+    return argv
+
+
+_ALGEBRAS = st.sampled_from(["lattice2", "z2"])
+_CHECK_ARGV = st.tuples(
+    st.just(["check"]), _ALGEBRAS.map(lambda a: [a]), _builtin_args(long_chains=True),
+    st.sampled_from(["exhaustive", "sampled", "principal"]).map(lambda s: ["--strategy", s]),
+)
+# check, the subcommand with the most inputs, is drawn a third of the time
+_CHEAP_ARGV = st.one_of(
+    _CHECK_ARGV,
+    _CHECK_ARGV,
+    st.tuples(
+        st.just(["find-terms"]), _ALGEBRAS.map(lambda a: [a]),
+        st.sampled_from(["jonsson", "directed", "directed-jonsson", "majority", "pixley", "vr", "mal", "nope"]).map(lambda s: [s]),
+        st.one_of(st.just([]), st.integers(-2, 3).map(lambda h: ["--h", str(h)])),
+    ),
+    st.tuples(
+        st.just(["free-algebra"]), _ALGEBRAS.map(lambda a: [a]),
+        st.integers(-2, 4).map(lambda k: ["--arity", str(k)]),
+    ),
+    st.tuples(st.just(["congruences"]), _ALGEBRAS.map(lambda a: [a])),
+    st.tuples(st.just(["expansions"]), _builtin_args(long_chains=False)),
+    st.tuples(
+        st.just(["search-mainp"]), st.integers(-2, 1).map(lambda c: ["--count", str(c)]),
+        st.integers(0, 9).map(lambda s: ["--seed", str(s)]),
+    ),
+).map(lambda parts: [word for part in parts for word in part])
+
+
+@seed(21)
+@settings(max_examples=60, deadline=None)
+@given(_CHEAP_ARGV)
+def test_cli_fuzz_exit_codes_without_traceback(argv):
+    """Every cheap command line ends in an exit code, never in a traceback."""
+    err = io.StringIO()
+    # hypothesis raises the recursion limit while it runs a test; run the
+    # command under the interpreter's default, as the program runs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
