@@ -40,15 +40,6 @@ def test_check_algebra_power_grammar(capsys):
     assert code == 1  # three-atom congruence lattice defeats the chain
 
 
-def test_check_sampled_is_open(capsys):
-    code, out, _ = run(capsys, "check", "lattice2", "cdist2", "--strategy", "sampled")
-    assert code == 2
-    code, _, _ = run(
-        capsys, "check", "lattice2", "cdist2", "--strategy", "sampled", "--allow-truncated"
-    )
-    assert code == 0
-
-
 def test_check_json_deterministic(capsys):
     outs = []
     for _ in range(2):
