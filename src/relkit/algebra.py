@@ -3,8 +3,9 @@
 Tables are row-major with the LAST argument varying fastest, so the index of
 (a_1, ..., a_r) is a_1*n^(r-1) + ... + a_r.  Elements are dense ints 0..n-1.
 Two helpers own this layout: ``apply_table`` looks a table up at argument
-arrays, and ``pattern_cells`` lists the cells whose arguments repeat as an
-identification pattern such as ``"aba"`` prescribes.
+arrays, with ``bytes.translate`` for a uint8 table of at most 256 cells and
+with ``take`` otherwise, and ``pattern_cells`` lists the cells whose
+arguments repeat as an identification pattern such as ``"aba"`` prescribes.
 """
 
 from __future__ import annotations
@@ -206,9 +207,21 @@ def apply_table(table: np.ndarray, n: int, args) -> np.ndarray:
     Every argument must lie in {0..n-1}: the flat index is built in the
     narrowest unsigned dtype that holds len(table) - 1 = n^r - 1, and an
     argument of n or more would wrap it.  Tables of a FiniteAlgebra hold
-    only such values, so composing them keeps to this condition."""
+    only such values, so composing them keeps to this condition.
+
+    A uint8 table of at most 256 cells, as freeclone passes every operation
+    of the fixtures, gets a uint8 index, and bytes.translate looks it up
+    through the table padded to 256 bytes; take would first copy the index
+    to intp, eight bytes a cell.  Either way an array result is fresh and writable."""
     flat = _flat_index(n, args, _index_dtype(table.size))
-    return table[0] if flat is None else table.take(flat)
+    if flat is None:
+        return table[0]
+    if flat.dtype == np.uint8 and table.dtype == np.uint8:
+        # flat.data, not flat: bytearray reads a 0-d array as a length
+        lut = table.tobytes().ljust(256, b"\0")
+        out = bytearray(flat.data).translate(lut)
+        return np.frombuffer(out, dtype=np.uint8).reshape(flat.shape)
+    return table.take(flat)
 
 
 def pattern_cells(n: int, pattern) -> np.ndarray:

@@ -17,7 +17,8 @@ class Caps:
     # principal relations: each relation kind by closed joins, the
     # U-admissible pools by plain unions.  It is complete unless it finds
     # more than this many; the result then holds the first max_relations + 1
-    # it found and is labelled truncated.
+    # it found and is labelled truncated.  An inclusion with more expansions
+    # than this is refused before they are listed.
     max_relations: int = 100_000
     # clone generation caps by arity
     clone_cap_3: int = 50_000

@@ -73,14 +73,12 @@ def _caps(args) -> Caps:
 
 
 def _run(args) -> int:
-    """Run a reporting subcommand.  Its ``compute`` takes the caps when the
-    subcommand has ``--caps`` and the algebra when it has one, and returns
-    its command fields, its report blocks, its human lines and its exit code
-    (2 for truncated)."""
+    """Run a reporting subcommand.  Its ``compute`` takes the caps, and the
+    algebra when the subcommand has one, and returns its command fields, its
+    report blocks, its human lines and its exit code (2 for truncated)."""
     started = time.time()
-    inputs, command, report, lines = {}, {"subcommand": args.subcommand}, {}, []
-    if "caps" in args:
-        inputs["caps"] = _caps(args)
+    inputs = {"caps": _caps(args)}
+    command, report, lines = {"subcommand": args.subcommand}, {}, []
     if "algebra" in args:
         alg = inputs["alg"] = resolve(args.algebra, inputs["caps"])
         fingerprint = alg.fingerprint()
@@ -302,9 +300,9 @@ def _cmd_congruences(args, alg, caps):
     return {}, {"result": result}, lines, 0 if enum.exhaustive else 2
 
 
-def _cmd_expansions(args):
+def _cmd_expansions(args, caps):
     spec, desc = _resolve_spec(args.spec, args)
-    expansions = enumerate_expansions(spec)
+    expansions = enumerate_expansions(spec, caps)
     blocks = {
         "spec": _spec_block(spec, desc, spec.classes(narrow=False)),
         "result": {"count": len(expansions), "expansions": [e.report_form() for e in expansions]},
@@ -494,13 +492,12 @@ def _cmd_search_mainp(args, caps):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, compute, caps=True):
+def _add_common(p, compute):
     """The report options, and ``compute`` as what the run path runs."""
     p.add_argument("--json", action="store_true", help="print the machine-readable report")
     p.add_argument("--out", help="also write the machine-readable report to a file")
     p.add_argument("--allow-truncated", action="store_true", help="exit 0 even when coverage is truncated")
-    if caps:
-        p.add_argument("--caps", help="JSON object overriding caps (same shape as RELKIT_CAPS)")
+    p.add_argument("--caps", help="JSON object overriding caps (same shape as RELKIT_CAPS)")
     p.set_defaults(func=_run, compute=compute)
 
 
@@ -553,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expansions", help="list the expansions of an inclusion over union-variables")
     p.add_argument("spec")
     _add_params(p)
-    _add_common(p, _cmd_expansions, caps=False)
+    _add_common(p, _cmd_expansions)
 
     p = sub.add_parser("verify", help="replay counterexamples/certificates from a report file")
     p.add_argument("report")

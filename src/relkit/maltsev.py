@@ -7,13 +7,14 @@ generation reached its fixpoint under the cap.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
 import numpy as np
 
-from .algebra import App, FiniteAlgebra, Term, Var, pattern_cells
+from .algebra import App, CapExceeded, FiniteAlgebra, Term, Var, pattern_cells
 from .caps import DEFAULT_CAPS, Caps
 from .freeclone import (
     free_relations,
@@ -461,10 +462,12 @@ def _renamed(e, names, pick):
     return rename(e)
 
 
-def enumerate_expansions(spec: IdentitySpec) -> list[ExpansionSpec]:
+def enumerate_expansions(spec: IdentitySpec, caps: Caps = DEFAULT_CAPS) -> list[ExpansionSpec]:
     """All expansions: the left side renames every occurrence of each
     U-variable to a distinct fresh admissible variable; the right side maps
-    each occurrence to any variable of the matching group."""
+    each occurrence to any variable of the matching group.  There are
+    (left occurrences)^(right occurrences) of them for each variable, and
+    more than caps.max_relations raises CapExceeded before any is built."""
     if spec.mode != "inclusion":
         raise UnsupportedError("expansions are defined for inclusions")
     lhs, rhs = desugar(spec.lhs), desugar(spec.rhs)
@@ -494,8 +497,11 @@ def enumerate_expansions(spec: IdentitySpec) -> list[ExpansionSpec]:
     plain = [(v, c) for v, c in spec.variables if c in _PLAIN]
     narrow = {v: c for v, c in spec.narrow.items() if v in dict(plain)}
 
-    choice_space = []
     active = [v for v in u_vars if rhs_counts[v] > 0]
+    count = math.prod(lhs_counts[v] ** rhs_counts[v] for v in active)
+    if count > caps.max_relations:
+        raise CapExceeded(f"{count} expansions exceed max_relations = {caps.max_relations}")
+    choice_space = []
     for v in active:
         choice_space.append(
             list(product(range(1, lhs_counts[v] + 1), repeat=rhs_counts[v]))
@@ -545,7 +551,7 @@ def check_any_expansion(
     """Whether some expansion holds over plain admissible quantification,
     cross-validated against the U-quantified verdict of the source."""
     u_verdict = check_for_all(alg, spec, strategy, caps, narrow=narrow)
-    expansions = enumerate_expansions(spec)
+    expansions = enumerate_expansions(spec, caps)
     verdicts = []
     witness = None
     any_holds: bool | None = False

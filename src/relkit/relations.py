@@ -335,8 +335,10 @@ def _dense_image(tab: np.ndarray, mask: int, n: int) -> np.ndarray:
     W, Z, the copy and X share one block of two n^3 float32 arrays.  Once
     the first such block is freed, glibc's malloc raises its mmap threshold
     above it and serves the later ones from its heap without mapping fresh
-    pages: on F(lattice_n5,3) loaded into a fresh process, about 150 page
-    faults per image against 2,800 for three separate arrays.
+    pages.  A fresh process that builds F(lattice_n5,3) from its clone takes
+    about 4,700 minor page faults (getrusage's ru_minflt) in the first seed
+    verdict on it, 1,500 of them in its first two images, and none in any
+    later image or closure.
     """
     rel = _bits(mask, n).reshape(n, n).astype(np.float32)
     w, z = np.empty((2, n, n * n), dtype=np.float32)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, seed, settings
@@ -418,6 +419,19 @@ def test_verify_rejects_operation_arity_mismatch(tmp_path, capsys):
 def test_deep_expressions_exit3_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3 and "nests too deeply" in err and "Traceback" not in err
+
+
+def test_expansions_over_cap_exit2_before_listing(capsys, monkeypatch):
+    """2^300 expansions of cdist2 are counted, not built, and exceed
+    max_relations; expansions reads caps as every subcommand does."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "expansions", "cdist2", "--h", "300")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == "" and "cap exceeded" in err and "Traceback" not in err
+    code, _, err = run(capsys, "expansions", "malIncl", "--h", "2", "--caps", '{"max_relations": 3}')
+    assert code == 2 and "4 expansions exceed max_relations = 3" in err
+    monkeypatch.setenv("RELKIT_CAPS", "nope")
+    assert run(capsys, "expansions", "malIncl", "--h", "2")[0] == 3
 
 
 @pytest.mark.parametrize(

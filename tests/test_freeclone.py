@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -70,6 +71,18 @@ def test_clone_counts_regression(baker4, lattice_2x2):
     assert len(generate_clone(baker4, 4)) == 53
     # same variety as the 2-chain, so the same free algebra size
     assert len(generate_clone(lattice_2x2, 3)) == 18
+
+
+def test_capped_4ary_clone_of_lattice_n5_is_pinned():
+    """The tables, their BFS order and the witnesses of the capped clone
+    that the terms benchmark's lattice_n5 searches stop at."""
+    c = generate_clone(resolve("lattice_n5"), 4, cap=20000)
+    assert len(c) == 20000 and not c.complete
+    assert max(e.depth for e in c.elements) == 4
+    tables = hashlib.sha256(c.matrix().tobytes()).hexdigest()
+    witnesses = hashlib.sha256("\n".join(str(e.witness) for e in c.elements).encode()).hexdigest()
+    assert tables == "6486bc20c4ab332d4cba9b56b547c37a5e22dfebcf9b4103ac3a45ab5be2e49e"
+    assert witnesses == "57350a5270b8a1f0ac19ee09b89e34fea50a827ff98aee231729084c534ddcfd"
 
 
 def test_projections_and_witness_depths(lattice2):

@@ -276,24 +276,30 @@ def test_apply_table_and_pattern_cells_against_enumeration(n):
 )
 def test_apply_table_narrow_index_matches_intp(n, r):
     """n^r = 256 fills the uint8 index, 257 needs uint16; every argument
-    dtype and shape a caller passes, the all-(n-1) tuple included."""
+    dtype and shape a caller passes, the all-(n-1) tuple included.  The
+    narrowest table up to 256 cells takes the bytes.translate gather; a
+    larger one and the intp table of Operation.array() go through take."""
     rng = np.random.default_rng(n * 10 + r)
-    table = rng.integers(0, max(n, 2), size=n**r).astype(np.min_scalar_type(max(n, 2) - 1))
-    shapes = [(), (1,), (7,), (3, 5)]
-    for shape in shapes:
-        for dtype in (np.uint8, np.uint16, np.intp):
-            if n - 1 > np.iinfo(dtype).max:
-                continue
-            args = [rng.integers(0, n, size=shape).astype(dtype) for _ in range(r)]
-            for a in args:
-                a.reshape(-1)[-1:] = n - 1
-            want = ref_apply_table(table, n, args)
-            got = apply_table(table, n, iter(args))
-            assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (shape, dtype)
-            assert np.asarray(got).dtype == table.dtype
-    # scalars as FiniteAlgebra.apply passes them
-    last = (n - 1,) * r
-    assert apply_table(table, n, last) == ref_apply_table(table, n, last)
+    values = rng.integers(0, max(n, 2), size=n**r)
+    for table in (values.astype(np.min_scalar_type(max(n, 2) - 1)), Operation("f", r, values).array()):
+        before = table.copy()
+        for shape in [(), (1,), (7,), (3, 5)]:
+            for dtype in (np.uint8, np.uint16, np.intp):
+                if n - 1 > np.iinfo(dtype).max:
+                    continue
+                args = [rng.integers(0, n, size=shape).astype(dtype) for _ in range(r)]
+                for a in args:
+                    a.reshape(-1)[-1:] = n - 1
+                want = ref_apply_table(table, n, args)
+                got = apply_table(table, n, iter(args))
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (shape, dtype)
+                assert np.asarray(got).dtype == table.dtype
+                if isinstance(got, np.ndarray):  # take gives a scalar for a 0-d index
+                    got[...] = 0  # writable, and no view of the table
+                    assert np.array_equal(table, before)
+        # scalars as FiniteAlgebra.apply passes them
+        last = (n - 1,) * r
+        assert int(apply_table(table, n, last)) == int(ref_apply_table(table, n, last))
 
 
 def test_index_dtype_is_narrowest():
