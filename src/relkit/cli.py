@@ -11,6 +11,12 @@ counterexample, which ``--allow-truncated`` turns into 0, and a construction
 too large for its cap, which exits 2 whatever ``--allow-truncated`` says;
 3 usage, parse and input errors, an unwritable ``--out`` and an expression
 that nests too deeply to evaluate.
+
+``main`` may be called any number of times in one process.  It builds its
+argument parser on the first call and reuses it after; the parser is the
+only object kept between calls, so no algebra, caps, result or report
+carries over from one call to the next.  ``build_parser`` returns a fresh
+parser each time, and importing the module builds none.
 """
 
 from __future__ import annotations
@@ -302,15 +308,15 @@ def _cmd_congruences(args, alg, caps):
 
 def _cmd_expansions(args, caps):
     spec, desc = _resolve_spec(args.spec, args)
-    expansions = enumerate_expansions(spec, caps)
+    forms = [e.report_form() for e in enumerate_expansions(spec, caps)]
     blocks = {
         "spec": _spec_block(spec, desc, spec.classes(narrow=False)),
-        "result": {"count": len(expansions), "expansions": [e.report_form() for e in expansions]},
+        "result": {"count": len(forms), "expansions": forms},
     }
-    lines = [f"source: {spec.describe()}", f"expansions: {len(expansions)}"]
-    for e in expansions:
-        choice = ", ".join(f"{v}->{list(c)}" for v, c in e.rhs_choice.items())
-        lines.append(f"  [{choice or 'unique'}] {e.spec.describe()}")
+    lines = [f"source: {spec.describe()}", f"expansions: {len(forms)}"]
+    for form in forms:
+        choice = ", ".join(f"{v}->{c}" for v, c in form["rhs_choice"].items())
+        lines.append(f"  [{choice or 'unique'}] {form['identity']}")
     return {"spec": args.spec}, blocks, lines, 0
 
 
@@ -394,12 +400,25 @@ def _replay_congruences(result: dict, alg, caps) -> None:
         )
 
 
-def _replay_free_algebra(result: dict, alg) -> None:
+def _replay_free_algebra(result: dict, alg, caps) -> None:
     arity = result["arity"]
+    listed = set()
     for el in result["elements"]:
         table = table_of_term(alg, parse_term(el["witness"]), arity)
         if table.tolist() != el["table"]:
             raise _ReplayError(f"element #{el['id']} table does not match its witness")
+        listed.add(tuple(el["table"]))
+    if result["complete"] is not True:
+        return  # a truncated listing claims soundness only
+    clone = generate_clone(alg, arity, caps=caps)
+    if not clone.complete:
+        raise _ReplayError("cannot re-derive the complete clone within the caps")
+    tables = {tuple(e.table.tolist()) for e in clone.elements}
+    if listed != tables or result["count"] != len(clone) or len(result["elements"]) != len(clone):
+        raise _ReplayError(
+            f"report lists {len(result['elements'])} elements (count {result['count']}), "
+            f"the clone has {len(clone)}"
+        )
 
 
 # subcommand -> replay of its report, or None when it has nothing to replay
@@ -407,7 +426,7 @@ _REPLAYS = {
     "check": lambda report, alg, caps: _replay_check(report, alg),
     "find-terms": lambda report, alg, caps: _replay_find_terms(report["result"], alg),
     "congruences": lambda report, alg, caps: _replay_congruences(report["result"], alg, caps),
-    "free-algebra": lambda report, alg, caps: _replay_free_algebra(report["result"], alg),
+    "free-algebra": lambda report, alg, caps: _replay_free_algebra(report["result"], alg, caps),
     "expansions": None,
     "search-mainp": None,
 }
@@ -565,8 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the parser main() parses with, built on its first call; it holds only the
+# static grammar (subcommands, flags, help and the func/compute defaults)
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -6,9 +6,11 @@ family evaluates to its union view.  The builtins are parse_spec literals.
 The AST is walked in one way.  nodes(e) yields e's nodes in preorder, and
 map_children(e, f) rebuilds e with f applied to its arg, left and right
 fields, left before right; a node's other fields (a name, a constant, m, h)
-are kept.  desugar, expr_vars, expr_str (through the _FORMS print table) and
-the expansions of maltsev are written on these two.  Only the evaluators,
-_eval_masks, _Rows and _atom_sets, dispatch on the node class themselves.
+are kept.  desugar, expr_vars and the expansions of maltsev are written on
+these two.  expr_str fills the _FORMS print table from a node's own fields,
+its children printed, without building a copy of the node.  Only the
+evaluators, _eval_masks, _Rows and _atom_sets, dispatch on the node class
+themselves.
 
 The variable classes are one table, _SHAPES: for each class, the kind of
 relation (relations.KINDS) its values or their components are, and the most
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import reduce
 from itertools import product
@@ -155,6 +157,7 @@ _FORMS = {  # node class -> printed form over its fields; these are the node cla
     Pow: "pow({arg},{h})",
 }
 _CHILDREN = ("arg", "left", "right")
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _FORMS}
 
 
 def _node(e) -> RelExpr:
@@ -199,7 +202,12 @@ def expr_vars(e: RelExpr) -> list[str]:
 
 
 def expr_str(e: RelExpr) -> str:
-    return _FORMS[type(_node(e))].format_map(vars(map_children(e, expr_str)))
+    # getattr, not vars(e): vars would attach a __dict__ to every node printed
+    values = {
+        name: expr_str(getattr(e, name)) if name in _CHILDREN else getattr(e, name)
+        for name in _FIELDS[type(_node(e))]
+    }
+    return _FORMS[type(e)].format_map(values)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import relkit
+from relkit import cli
 from relkit.cli import _REPLAYS, build_parser, main
 from relkit.identities import builtin_names
+from test_golden import README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -285,6 +290,32 @@ def test_verify_free_algebra_report(tmp_path, capsys):
     assert code == 1 and "#25" in err
 
 
+def test_verify_free_algebra_rederives_completeness(tmp_path, capsys):
+    rpt = tmp_path / "free3.json"
+    assert run(capsys, "free-algebra", "lattice2", "--out", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    assert data["result"]["complete"] is True and data["result"]["count"] == 18
+    forged = tmp_path / "forged.json"
+    for recount in (False, True):  # the last three elements deleted
+        data = json.loads(rpt.read_text())
+        del data["result"]["elements"][-3:]
+        data["result"]["count"] -= 3 * recount
+        forged.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(forged))
+        assert code == 1 and out == "" and "the clone has 18" in err, recount
+    data = json.loads(rpt.read_text())
+    data["result"]["elements"][-1] = dict(data["result"]["elements"][-2], id=17)  # a duplicate
+    forged.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(forged))[0] == 1
+    # a complete listing the caps cannot re-derive fails; --caps lifts them
+    code, _, err = run(capsys, "verify", str(rpt), "--caps", '{"clone_cap_3": 17}')
+    assert code == 1 and "cannot re-derive" in err
+    assert run(capsys, "verify", str(rpt), "--caps", '{"clone_cap_3": 18}')[0] == 0
+    # a truncated listing claims soundness only
+    assert run(capsys, "free-algebra", "lattice2", "--cap", "5", "--out", str(rpt))[0] == 2
+    assert run(capsys, "verify", str(rpt))[0] == 0
+
+
 def test_verify_free_algebra_report_with_constant(tmp_path, capsys):
     # a meet semilattice on {0, 1} with the constant 0: witnesses print c()
     alg = tmp_path / "semilattice0.json"
@@ -473,6 +504,104 @@ def test_every_report_type_has_a_replay_entry(tmp_path, capsys):
     path.write_text(json.dumps(report))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1 and "unknown subcommand" in err
+
+
+def _parser_corpus(tmp_path):
+    """Command lines whose output must not depend on the parser having
+    parsed others before them: the README commands, usage errors, every
+    --help, a cap exceeded, truncated runs, a verify, and pairs whose second
+    member drops an option the first one set."""
+    report = tmp_path / "refutation.json"
+    subcommands = ("check", "find-terms", "free-algebra", "congruences", "expansions", "verify", "search-mainp")
+    return [
+        *README_COMMANDS,
+        ("check", "z2cube", "cdist3", "--k", "2", "--out", str(report)),
+        ("verify", str(report)),
+        ("check", "lattice2", "cdist2", "--caps", '{"max_relations": 1}'),
+        ("check", "lattice2", "cdist2"),
+        ("check", "lattice2", "cdist2", "--strategy", "sampled", "--samples", "5", "--seed", "3"),
+        ("check", "lattice2", "cdist2", "--strategy", "sampled"),
+        ("free-algebra", "lattice2", "--cap", "5", "--allow-truncated"),
+        ("free-algebra", "lattice2", "--cap", "5"),
+        ("free-algebra", "lattice2", "--arity", "2", "--json"),
+        ("free-algebra", "lattice2", "--arity", "2"),
+        ("find-terms", "lattice2", "jonsson", "--caps", '{"clone_cap_3": 5}'),
+        ("find-terms", "lattice2", "jonsson"),
+        ("check", "z2^30", "cdist2", "--h", "2"),
+        ("check", "lattice2", "modular2", "--k", "2", "--classes", "theta=adm"),
+        ("check", "lattice2", "modular2", "--k", "2"),
+        ("check", "lattice2"),
+        ("check", "lattice2", "cdist2", "--strategy", "generated"),
+        ("check", "lattice2", "cdist2", "--h", "two"),
+        ("no-such-command",),
+        (),
+        ("check", "lattice2", "cong:a ; <= a"),
+        ("--help",),
+        *((sub, "--help") for sub in subcommands),
+    ]
+
+
+def _call(argv):
+    """Exit code, stdout without the wall-time line, and stderr of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    lines = [line for line in out.getvalue().splitlines(True) if not line.startswith("wall-time:")]
+    return code, "".join(lines), err.getvalue()
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch):
+    """The corpus run through main in one process, parsed by the parser main
+    keeps, prints what it prints with a fresh parser for every call."""
+    corpus = _parser_corpus(tmp_path)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [_call(argv) for argv in corpus]
+    fresh = []
+    for argv in corpus:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_call(argv))
+    for argv, a, b in zip(corpus, reused, fresh):
+        assert a == b, argv
+    codes = {code for code, _, _ in reused}
+    assert codes == {0, 1, 2, 3}, codes
+    assert reused[len(README_COMMANDS) + 1] == (0, "verify: ok\n", "")
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(10):
+        assert _call(["check", "lattice2", "cdist2", "--h", "2"])[0] == 0
+        assert _call(["expansions", "malIncl", "--h", "2"])[0] == 0
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import relkit.cli\n"
+        "print(len(built), relkit.cli._PARSER)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relkit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "0 None\n"
 
 
 # each builtin's parameter flags; the others take none

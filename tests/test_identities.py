@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relkit.cli as cli
@@ -1136,12 +1136,33 @@ ALL_OPS = ast_strategy((Conv, Star, BarOp), (Inter, UnionOp, Comp), (AltR, AltL)
 EXPANSION_OPS = ast_strategy((Conv,), (Inter, Comp), (AltR, AltL), 1)
 
 
+def copying_expr_str(e):
+    """expr_str as it was before it read a node's own fields: it printed a
+    copy of the node, rebuilt by map_children with its children printed."""
+    return identities._FORMS[type(identities._node(e))].format_map(
+        vars(map_children(e, copying_expr_str))
+    )
+
+
+# one expression holding every node class
+EVERY_NODE = AltL(
+    AltR(Inter(Conv(RVar("s")), Star(RConst("id"))), UnionOp(BarOp(RVar("t")), Comp(Pow(RConst("all"), 2), RVar("u"))), 3),
+    RVar("s"),
+    2,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(ALL_OPS)
+@example(EVERY_NODE)
 def test_traversal_matches_walkers_on_random_asts(e):
     assert outcome(desugar, e) == outcome(ref_desugar, e)
     assert expr_vars(e) == ref_expr_vars(e)
-    assert expr_str(e) == ref_expr_str(e)
+    assert expr_str(e) == ref_expr_str(e) == copying_expr_str(e)
+
+
+def test_every_node_example_covers_every_node_class():
+    assert {type(x) for x in nodes(EVERY_NODE)} == set(identities._FORMS)
 
 
 @settings(max_examples=300, deadline=None)
