@@ -10,6 +10,7 @@ arguments repeat as an identification pattern such as ``"aba"`` prescribes.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass
@@ -395,6 +396,69 @@ def automorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
                 image[e] = -1
 
     search(0, np.zeros(0, dtype=np.intp))
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Endomorphisms
+#
+# The search maps the elements in order 0, 1, ..., n-1 and extends all
+# partial maps of one length at once: step e gives each map on {0..e-1}
+# every image of e, then keeps the extensions that commute with every
+# operation on the tuples whose arguments and value lie in {0..e} and
+# include e.  So each tuple is checked as soon as its arguments and value
+# are mapped, and a constant c, a tuple with no arguments and value c, must
+# be mapped to c.
+
+# Candidate cells per step: extensions times (their length plus the
+# argument and value cells they are checked on).  A step that would need
+# more extends only the first of its partial maps in lexicographic order.
+_END_WORK = 1 << 16
+
+
+def _end_checks(alg: FiniteAlgebra) -> list[list]:
+    """For each element e, the (table, args, values) blocks of the tuples
+    whose largest argument or value is e: args is (arity, m), values (m,),
+    and the table has the narrowest dtype that holds the elements."""
+    n = alg.size
+    checks = [[] for _ in range(n)]
+    for op in alg.ops:
+        tab = op.array().astype(np.min_scalar_type(n - 1))
+        args = np.indices((n,) * op.arity, dtype=np.intp).reshape(op.arity, len(tab))
+        top = np.vstack([args, tab[None, :]]).max(axis=0)
+        order = np.argsort(top, kind="stable")
+        bounds = np.searchsorted(top[order], np.arange(n + 1)).tolist()
+        for e in range(n):
+            sel = order[bounds[e] : bounds[e + 1]]
+            if len(sel):
+                checks[e].append((tab, args[:, sel], tab[sel]))
+    return checks
+
+
+def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Endomorphisms of alg as image tuples (element e goes to h[e]), in
+    lexicographic order; always with the identity.
+
+    A step over _END_WORK candidate cells keeps its first partial maps
+    only, so the result may be a subset of End(alg); every map in it is an
+    endomorphism."""
+    n = alg.size
+    dtype = np.min_scalar_type(n - 1)
+    maps = np.zeros((1, 0), dtype=dtype)
+    for e, checks in enumerate(_end_checks(alg)):
+        cost = n * (e + 1 + sum(a.size + v.size for _, a, v in checks))
+        maps = maps[: max(1, _END_WORK // cost)]
+        ext = np.empty((len(maps) * n, e + 1), dtype=dtype)
+        ext[:, :e] = np.repeat(maps, n, axis=0)
+        ext[:, e] = np.tile(np.arange(n, dtype=dtype), len(maps))
+        for tab, args, values in checks:
+            image = apply_table(tab, n, [ext[:, a] for a in args])
+            ext = ext[(image == ext[:, values]).all(axis=1)]
+        maps = ext
+    found = list(map(tuple, maps.tolist()))  # distinct, in lexicographic order
+    identity = tuple(range(n))
+    if identity not in found:
+        bisect.insort(found, identity)
     return found
 
 

@@ -367,9 +367,12 @@ def _replay_check(report: dict, alg) -> None:
         raise _ReplayError("recorded violating pair does not witness the failure")
 
 
-def _replay_find_terms(result: dict, alg) -> None:
+def _replay_find_terms(report: dict, alg, caps) -> None:
+    result = report["result"]
     if not result["found"]:
-        return
+        if result["conclusive"] is True:
+            _replay_absence(report["command"]["schema"], result, alg, caps)
+        return  # an inconclusive absence claims nothing
     system = result["system"]
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in system["params"].items()}
     terms = {role: parse_term(text) for role, text in system["terms"].items()}
@@ -379,6 +382,20 @@ def _replay_find_terms(result: dict, alg) -> None:
     for lhs, rhs, pattern in stored:
         if not identity_holds(alg, lhs, rhs, pattern):
             raise _ReplayError(f"equation {lhs} = {rhs} [{pattern}] fails")
+
+
+def _replay_absence(schema: str, result: dict, alg, caps) -> None:
+    """Run the search again at the report's bound (h or --max)."""
+    if schema not in _SEARCHES:
+        raise _ReplayError(f"unknown schema {schema!r}")
+    bound = result["bound"]
+    res = _SEARCHES[schema](argparse.Namespace(h=bound, max=bound), alg, caps)
+    if res.found:
+        raise _ReplayError(f"the search finds a {schema} system the report says is absent")
+    if not res.conclusive:
+        raise _ReplayError("cannot re-derive the absence within the caps")
+    if res.shortest != result["shortest"]:
+        raise _ReplayError(f"report gives shortest {result['shortest']}, the search {res.shortest}")
 
 
 def _replay_congruences(result: dict, alg, caps) -> None:
@@ -424,7 +441,7 @@ def _replay_free_algebra(result: dict, alg, caps) -> None:
 # subcommand -> replay of its report, or None when it has nothing to replay
 _REPLAYS = {
     "check": lambda report, alg, caps: _replay_check(report, alg),
-    "find-terms": lambda report, alg, caps: _replay_find_terms(report["result"], alg),
+    "find-terms": _replay_find_terms,
     "congruences": lambda report, alg, caps: _replay_congruences(report["result"], alg, caps),
     "free-algebra": lambda report, alg, caps: _replay_free_algebra(report["result"], alg, caps),
     "expansions": None,

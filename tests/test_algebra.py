@@ -12,12 +12,15 @@ from relkit.algebra import (
     Operation,
     Var,
     automorphisms,
+    endomorphisms,
     load_algebra,
     parse_term,
     power,
     product,
 )
+import relkit.algebra as algebra
 from relkit.caps import Caps
+from relkit.fixtures import FIXTURES, resolve
 
 
 def eval_term(alg, t, args):
@@ -229,3 +232,89 @@ def test_automorphisms_of_free_algebras(lattice2, z2):
     # F(lattice2,3): the generator permutations (S3); F(z2,3): GL(3,2)
     assert len(automorphisms(clone_as_algebra(generate_clone(lattice2, 3)))) == 6
     assert len(automorphisms(clone_as_algebra(generate_clone(z2, 3)))) == 168
+
+
+# --- endomorphisms -----------------------------------------------------------
+
+
+def brute_force_endomorphisms(alg):
+    """Every map of the universe into itself that commutes with every
+    operation (for a nullary operation: fixes its constant), in
+    lexicographic order."""
+    cells = [
+        {t: alg.apply(op.name, t) for t in itertools.product(range(alg.size), repeat=op.arity)}
+        for op in alg.ops
+    ]
+    return [
+        h
+        for h in itertools.product(range(alg.size), repeat=alg.size)
+        if all(table[tuple(h[a] for a in t)] == h[v] for table in cells for t, v in table.items())
+    ]
+
+
+def retraction_operation(rng, n, r, h):
+    """A random r-ary table that commutes with the idempotent map h: values
+    in h's image on tuples over it, and on any other tuple t a value that h
+    sends to the value at h(t)."""
+    image = sorted(set(h))
+    table = {t: rng.choice(image) for t in itertools.product(image, repeat=r)}
+    for t in itertools.product(range(n), repeat=r):
+        if t not in table:
+            target = table[tuple(h[a] for a in t)]
+            table[t] = rng.choice([v for v in range(n) if h[v] == target])
+    return [table[t] for t in sorted(table)]
+
+
+def endomorphism_cases():
+    """The fixtures with at most 5 elements and 21 random algebras with at
+    most 4 elements and operations of arity 0-3: plain random ones, ones
+    that commute with a permutation, and ones that commute with an
+    idempotent map (so with a non-injective endomorphism)."""
+    algebras = [resolve(name) for name in FIXTURES if resolve(name).size <= 5]
+    rng = random.Random(11)
+    for i in range(21):
+        n = rng.randint(1, 4)
+        arities = [rng.choice((0, 1, 2, 2, 3)) for _ in range(rng.randint(1, 3))]
+        if i % 3 == 0:
+            ops = [[rng.randrange(n) for _ in range(n**r)] for r in arities]
+        elif i % 3 == 1:
+            perm = rng.sample(range(n), n)
+            ops = [random_operation(rng, n, r, perm) for r in arities]
+        else:
+            image = rng.sample(range(n), rng.randint(1, n))
+            h = [a if a in image else rng.choice(image) for a in range(n)]
+            ops = [retraction_operation(rng, n, r, h) for r in arities]
+        ops = [(f"f{j}", r, table) for j, (r, table) in enumerate(zip(arities, ops))]
+        algebras.append(FiniteAlgebra(n, ops, name=f"end{i}"))
+    return algebras
+
+
+def test_endomorphisms_match_brute_force():
+    seen = set()
+    for alg in endomorphism_cases():
+        got = endomorphisms(alg)
+        assert got == brute_force_endomorphisms(alg), alg.to_json()
+        seen.add(len(got))
+    assert len(seen) >= 6  # monoids of several sizes
+
+
+def test_endomorphisms_fix_constants():
+    # every map commutes with a projection; the constant 1 must stay put
+    first = tuple(a for a in range(3) for _ in range(3))
+    alg = FiniteAlgebra(3, [("c", 0, (1,)), ("p", 2, first)])
+    assert endomorphisms(alg) == [h for h in itertools.product(range(3), repeat=3) if h[1] == 1]
+
+
+@pytest.mark.parametrize("work", [1, 40, 400])
+def test_truncated_endomorphism_search_is_sound(monkeypatch, work):
+    """A search cut by its budget returns endomorphisms only, distinct and
+    in lexicographic order, always with the identity."""
+    monkeypatch.setattr(algebra, "_END_WORK", work)
+    truncated = 0
+    for alg in endomorphism_cases():
+        got = endomorphisms(alg)
+        every = brute_force_endomorphisms(alg)
+        assert set(got) <= set(every) and tuple(range(alg.size)) in got, alg.to_json()
+        assert got == sorted(set(got))
+        truncated += got != every
+    assert truncated  # the budget binds on some case

@@ -424,6 +424,39 @@ def test_verify_terms_report_with_wrong_bound_fails(tmp_path, capsys):
         assert code == 1 and err.startswith("verify: FAIL:")
 
 
+def test_verify_replays_a_conclusive_absence(tmp_path, capsys):
+    """An absence claimed conclusive is searched for again at the report's
+    bound: a forged absence of a system the search finds fails, as does one
+    the search cannot settle within verify's caps or with another shortest."""
+    rpt = tmp_path / "found.json"
+    assert run(capsys, "find-terms", "lattice2", "majority", "--out", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    data["result"].update(found=False, system=None)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(forged))
+    assert code == 1 and "verify: ok" not in out and "finds a majority system" in err
+    data["result"]["conclusive"] = False  # an inconclusive absence claims nothing
+    forged.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(forged))[0] == 0
+
+    absent = tmp_path / "absent.json"
+    assert run(capsys, "find-terms", "z2", "vr", "--h", "2", "--out", str(absent))[0] == 1
+    assert run(capsys, "verify", str(absent))[0] == 0
+    code, _, err = run(capsys, "verify", str(absent), "--caps", '{"clone_cap_4": 5}')
+    assert code == 1 and "cannot re-derive the absence" in err
+
+    beyond = tmp_path / "beyond.json"
+    assert run(capsys, "find-terms", "baker4", "jonsson", "--max", "3", "--out", str(beyond))[0] == 1
+    assert run(capsys, "verify", str(beyond))[0] == 0
+    data = json.loads(beyond.read_text())
+    assert data["result"]["shortest"] == 4
+    data["result"]["shortest"] = None
+    beyond.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(beyond))
+    assert code == 1 and "shortest" in err
+
+
 def test_verify_rejects_operation_arity_mismatch(tmp_path, capsys):
     # join(t) read as a unary lookup of the binary join table is t itself on
     # lattice2, so only the arity check stops this certificate

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from relkit.algebra import App, CapExceeded, FiniteAlgebra, Var, parse_term
 from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import (
-    Clone,
     TermTable,
     _new_tuple_blocks,
     _symmetric_pairs,
@@ -19,11 +19,13 @@ from relkit.freeclone import (
     free_relations,
     generate_clone,
     identity_holds,
+    separating_cells,
     slot_identifications,
     table_of_term,
 )
 from relkit.relations import BinRel, admissible_closure, compose, intersect
 
+from test_algebra import endomorphism_cases
 from test_table_layout import ref_restrict_table
 
 
@@ -288,10 +290,20 @@ def plain_generate_clone(alg, k, cap=None, caps=DEFAULT_CAPS):
             if batch:
                 flush()
             if len(elements) > cap:
-                return Clone(alg, k, elements[:cap], complete=False)
+                return PlainClone(alg, elements[:cap], complete=False)
         if not grew:
             break
-    return Clone(alg, k, elements, complete=True)
+    return PlainClone(alg, elements, complete=True)
+
+
+@dataclass
+class PlainClone:
+    algebra: FiniteAlgebra
+    elements: list
+    complete: bool
+
+    def __len__(self):
+        return len(self.elements)
 
 
 def assert_same_clone(got, want):
@@ -461,6 +473,71 @@ def test_generate_clone_symmetric_ops_small_chunks(monkeypatch, chunk):
     monkeypatch.setattr(freeclone, "_CHUNK", chunk)
     for (alg, k, cap), w in zip(cases, want):
         assert_same_clone(generate_clone(alg, k, cap=cap), w)
+
+
+# ---------------------------------------------------------------------------
+# separating cells
+
+
+def _cover_cases():
+    """(algebra, k): the fixtures at every k with at most 4096 cells, and
+    the random algebras of the endomorphism tests at k = 1, 2, 3."""
+    cases = []
+    for name in FIXTURES:
+        alg = resolve(name)
+        cases += [(alg, k) for k in range(1, 5) if alg.size**k <= 4096]
+    cases += [(alg, k) for alg in endomorphism_cases() for k in (1, 2, 3)]
+    return cases
+
+
+def test_separating_cells_cover_every_cell():
+    """Each cell c is emaps[hid[c]] applied to its representative, the maps
+    are endomorphisms with the identity among them, and the cells are
+    distinct and ascending."""
+    for alg, k in _cover_cases():
+        n = alg.size
+        cover = separating_cells(alg, k)
+        digits = np.indices((n,) * k).reshape(k, -1).T  # cell -> its k coordinates
+        source = digits[cover.cells[cover.rep]]
+        assert np.array_equal(cover.emaps[cover.hid[:, None], source], digits), (alg, k)
+        maps = [tuple(h) for h in cover.emaps.tolist()]
+        assert tuple(range(n)) in maps and set(maps) <= set(freeclone.endomorphisms(alg))
+        assert np.all(np.diff(cover.cells) > 0)
+
+
+def test_separating_cells_keep_one_chunk_of_images(monkeypatch):
+    """Only max(1, _CHUNK // n^k) endomorphisms join the cover, the
+    identity first; with the identity alone every cell is its own
+    representative."""
+    z2cube = resolve("z2cube")
+    monkeypatch.setattr(freeclone, "_CHUNK", 512 * 7)
+    cover = separating_cells(z2cube, 3)
+    assert len(cover.emaps) == 7 and cover.emaps[0].tolist() == list(range(8))
+    monkeypatch.setattr(freeclone, "_CHUNK", 1)
+    cover = separating_cells(z2cube, 3)
+    assert cover.emaps.tolist() == [list(range(8))]
+    assert cover.cells.tolist() == cover.rep.tolist() == list(range(512))
+    assert not cover.hid.any()
+
+
+def test_generate_clone_on_every_cell_matches_separating_cells(monkeypatch):
+    """generate_clone with endomorphisms cut to the identity, so on every
+    cell, gives the same ids, depths, tables, dtypes, witnesses and complete
+    flag as on the separating cells, which are fewer on every fixture."""
+    cases = [  # lattice_n5's 4-ary clone capped, as in the terms benchmark
+        (resolve(name), k, 20000 if (name, k) == ("lattice_n5", 4) else None)
+        for name in FIXTURES
+        for k in (3, 4)
+    ]
+    cases += _random_clone_cases()
+    want = [generate_clone(alg, k, cap=cap) for alg, k, cap in cases]
+    for got in want[: 2 * len(FIXTURES)]:
+        assert len(got.cover.cells) < got.algebra.size**got.arity
+    monkeypatch.setattr(freeclone, "endomorphisms", lambda alg: [tuple(range(alg.size))])
+    for (alg, k, cap), w in zip(cases, want):
+        got = generate_clone(alg, k, cap=cap)
+        assert len(got.cover.cells) == alg.size**k
+        assert_same_clone(got, w)
 
 
 def test_find_rows_matches_find(lattice2):
