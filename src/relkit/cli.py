@@ -240,7 +240,13 @@ def _cmd_find_terms(args, alg, caps):
 
 
 def _cmd_free_algebra(args, alg, caps):
-    dump = dump_clone(generate_clone(alg, args.arity, cap=args.cap, caps=caps))
+    clone = generate_clone(alg, args.arity, cap=args.cap, caps=caps)
+    cells = len(clone) * alg.size**args.arity
+    if cells > caps.max_table_cells:  # before the full tables are built
+        raise CapExceeded(
+            f"listing {len(clone)} tables of {alg.size}^{args.arity} cells ({cells}) exceeds cell cap"
+        )
+    dump = dump_clone(clone)
     lines = [
         f"free algebra on {args.arity} generators: {dump['count']} elements"
         + ("" if dump["complete"] else " (cap hit, incomplete)"),
@@ -438,13 +444,28 @@ def _replay_free_algebra(result: dict, alg, caps) -> None:
         )
 
 
+def _replay_expansions(report: dict, caps) -> None:
+    """List the expansions of the report's spec again within the caps."""
+    result = report["result"]
+    spec = _rebuild_spec(report["spec"])
+    try:
+        forms = [e.report_form() for e in enumerate_expansions(spec, caps)]
+    except CapExceeded:
+        raise _ReplayError("cannot re-derive the expansions within the caps") from None
+    if result["expansions"] != forms or result["count"] != len(forms):
+        raise _ReplayError(
+            f"report lists {len(result['expansions'])} expansions (count {result['count']}), "
+            f"the spec has {len(forms)}"
+        )
+
+
 # subcommand -> replay of its report, or None when it has nothing to replay
 _REPLAYS = {
     "check": lambda report, alg, caps: _replay_check(report, alg),
     "find-terms": _replay_find_terms,
     "congruences": lambda report, alg, caps: _replay_congruences(report["result"], alg, caps),
     "free-algebra": lambda report, alg, caps: _replay_free_algebra(report["result"], alg, caps),
-    "expansions": None,
+    "expansions": lambda report, alg, caps: _replay_expansions(report, caps),
     "search-mainp": None,
 }
 

@@ -144,6 +144,17 @@ def test_free_algebra(capsys):
     assert run(capsys, "free-algebra", "lattice2", "--cap", "2")[0] == 3
 
 
+def test_free_algebra_listing_over_cell_cap_exit2(capsys):
+    """166 tables of 2^4 cells (2,656) exceed a cell cap of 1,000: refused
+    with one line before any table is listed, as the 200,000-element
+    arity-9 listing is at the default cap."""
+    argv = ("free-algebra", "lattice2", "--arity", "4", "--json")
+    code, out, err = run(capsys, *argv, "--caps", '{"max_table_cells": 1000}')
+    assert (code, out) == (2, "")
+    assert err == "relkit: cap exceeded: listing 166 tables of 2^4 cells (2656) exceeds cell cap\n"
+    assert run(capsys, *argv, "--caps", '{"max_table_cells": 2656}')[0] == 0
+
+
 def test_congruences_listing(capsys):
     code, out, _ = run(capsys, "congruences", "z2cube", "--json")
     assert code == 0
@@ -159,6 +170,34 @@ def test_expansions_listing(capsys):
     assert json.loads(out)["result"]["count"] == 4
     code, out, _ = run(capsys, "expansions", "cong:a & (uadm:s ; s) <= s ; s")
     assert code == 0 and out.count("<=") >= 4
+
+
+def test_verify_replays_expansions(tmp_path, capsys):
+    """An expansions report replays only with exactly the listed expansions
+    and count of its spec, enumerated within verify's caps."""
+    rpt = tmp_path / "expansions.json"
+    assert run(capsys, "expansions", "malIncl", "--h", "2", "--out", str(rpt))[0] == 0
+    assert run(capsys, "verify", str(rpt)) == (0, "verify: ok\n", "")
+    forged = tmp_path / "forged.json"
+
+    def verify_forged(tamper):
+        data = json.loads(rpt.read_text())
+        tamper(data["result"])
+        forged.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(forged))
+        assert code == 1 and out == "", err
+        return err
+
+    def drop_last(result):  # the forgery that printed "verify: ok"
+        result["expansions"].pop()
+        result["count"] = 3
+
+    assert "lists 3 expansions (count 3), the spec has 4" in verify_forged(drop_last)
+    verify_forged(lambda result: result.update(count=5))
+    verify_forged(lambda result: result["expansions"].reverse())
+    verify_forged(lambda result: result["expansions"][0].update(identity="s <= s"))
+    code, _, err = run(capsys, "verify", str(rpt), "--caps", '{"max_relations": 3}')
+    assert code == 1 and "cannot re-derive the expansions" in err
 
 
 def test_verify_roundtrip(tmp_path, capsys):

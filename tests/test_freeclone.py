@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,6 +384,58 @@ def test_generate_clone_small_chunks(monkeypatch, chunk):
     monkeypatch.setattr(freeclone, "_CHUNK", chunk)
     for (alg, k, cap), w in zip(cases, want):
         assert_same_clone(generate_clone(alg, k, cap=cap), w)
+
+
+def _recipe_cases(small_chunks):
+    """(algebra, k, cap): every fixture at k = 3 and 4.  lattice_n5's 4-ary
+    clone is capped at 20000, as in the terms benchmark; for chunks of a
+    few cells every 4-ary clone is capped at 30 (cutting those of baker4
+    and the lattices), so that a chunk may hold one tuple and the test
+    stays fast."""
+    cases = []
+    for name in FIXTURES:
+        cases.append((resolve(name), 3, None))
+        four = 30 if small_chunks else 20000 if name == "lattice_n5" else None
+        cases.append((resolve(name), 4, four))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 40, 300])
+def test_array_recipes_match_plain_loop(monkeypatch, chunk):
+    """The recipes and depths held in arrays give the plain loop's ids,
+    depths, tables, witness strings and complete flag, in dump_clone (as
+    Python ints, which JSON needs) and through witness(i) asked deepest first,
+    at the default chunk and at chunks of a few cells."""
+    cases = _recipe_cases(small_chunks=chunk is not None)
+    want = [plain_generate_clone(alg, k, cap=cap) for alg, k, cap in cases]
+    if chunk is not None:
+        monkeypatch.setattr(freeclone, "_CHUNK", chunk)
+    for (alg, k, cap), w in zip(cases, want):
+        got = generate_clone(alg, k, cap=cap)
+        assert [got.witness(i) for i in reversed(range(len(w)))] == [e.witness for e in reversed(w.elements)]
+        dump = dump_clone(got)
+        assert (dump["count"], dump["complete"]) == (len(w), w.complete), (alg, k)
+        assert dump["elements"] == [
+            {"id": e.id, "depth": e.depth, "table": e.table.tolist(), "witness": str(e.witness)}
+            for e in w.elements
+        ], (alg, k)
+        assert {type(v) for el in dump["elements"] for v in (el["id"], el["depth"], *el["table"])} == {int}
+        assert_same_clone(got, w)
+
+
+def test_capped_4ary_clone_memory_gate():
+    """Building the capped 4-ary lattice_n5 clone of the terms benchmark
+    peaks at most at 16 MB of traced allocations (13.5 MB on a 2-vCPU Xeon
+    VM; 20.8 MB with 2^21-cell chunks).  May be tightened, never loosened."""
+    alg = resolve("lattice_n5")
+    tracemalloc.start()
+    try:
+        clone = generate_clone(alg, 4, cap=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(clone) == 20000 and not clone.complete
+    assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 # Operations symmetric in some argument pairs: a table constant on the
