@@ -240,11 +240,17 @@ def _cmd_find_terms(args, alg, caps):
 
 
 def _cmd_free_algebra(args, alg, caps):
-    clone = generate_clone(alg, args.arity, cap=args.cap, caps=caps)
+    # a listing of more than max_table_cells cells is refused, so the clone
+    # need not grow past the first table count that exceeds it
+    refused = caps.max_table_cells // alg.size**args.arity + 1
+    cap = caps.clone_cap(args.arity) if args.cap is None else args.cap
+    cap = min(cap, max(args.arity, refused))
+    clone = generate_clone(alg, args.arity, cap=cap, caps=caps)
     cells = len(clone) * alg.size**args.arity
     if cells > caps.max_table_cells:  # before the full tables are built
         raise CapExceeded(
-            f"listing {len(clone)} tables of {alg.size}^{args.arity} cells ({cells}) exceeds cell cap"
+            f"listing at least {len(clone)} tables of {alg.size}^{args.arity} cells ({cells}) "
+            "exceeds cell cap"
         )
     dump = dump_clone(clone)
     lines = [
@@ -436,7 +442,7 @@ def _replay_free_algebra(result: dict, alg, caps) -> None:
     clone = generate_clone(alg, arity, caps=caps)
     if not clone.complete:
         raise _ReplayError("cannot re-derive the complete clone within the caps")
-    tables = {tuple(e.table.tolist()) for e in clone.elements}
+    tables = set(map(tuple, clone.matrix().tolist()))
     if listed != tables or result["count"] != len(clone) or len(result["elements"]) != len(clone):
         raise _ReplayError(
             f"report lists {len(result['elements'])} elements (count {result['count']}), "

@@ -13,6 +13,10 @@ equal exactly when they agree on S.  generate_clone runs its closure on
 those restrictions, which on the bundled lattices and baker4 keep 228 of
 625 cells at k = 4 (lattice_n5) and 91 of 256 (baker4, lattice_2x2).
 
+So a clone keeps one index, from restricted rows to ids (Clone.ids), and
+reads the cells a caller needs off the restricted rows (Clone.values); full
+tables are built only for a listing.
+
 Per element a clone stores its restricted row, its recipe and its depth in
 numpy arrays: an int16 operation index (-1 for a projection), int32
 argument ids (the variable index for a projection) and an int32 depth, so
@@ -49,7 +53,7 @@ from .relations import BinRel, congruence_gen
 # Cells per chunk of argument tuples (tuples times restricted table cells),
 # a quarter of the tuple kernel's chunk in relations, so that one chunk's
 # temporaries stay in cache; also the most endomorphism images
-# separating_cells ranks and the most table cells matrix() expands at once.
+# separating_cells ranks and the most table cells Clone.values reads at once.
 _CHUNK = 1 << 19
 
 
@@ -125,11 +129,10 @@ class Clone:
     projection, its variable index in column 0; one column per argument of
     the widest operation) and its depth.
 
-    Everything on full tables is built on first use from those rows and
-    kept: matrix() and the index behind find and find_rows, the elements
-    as TermTables, and each witness term, whose subterms are the witnesses
-    of its arguments.  generate_clone fills a clone; it does not change
-    after."""
+    Its one index maps restricted rows to ids.  Built on first use and
+    kept: matrix() (the values at every cell), the elements as TermTables,
+    and each witness term, whose subterms are the witnesses of its
+    arguments.  generate_clone fills a clone; it does not change after."""
 
     def __init__(self, algebra: FiniteAlgebra, arity: int, cover: CellCover):
         self.algebra = algebra
@@ -150,7 +153,7 @@ class Clone:
         # full tables: emaps flattened, looked up at hid[c] * n + row[rep[c]]
         self._lut = cover.emaps.ravel().astype(dtype)
         self._shift = (cover.hid * n).astype(np.min_scalar_type(self._lut.size - 1))
-        self._matrix = self._index = self._elements = None
+        self._matrix = self._elements = None
 
     def __len__(self):
         return self._count
@@ -182,26 +185,24 @@ class Clone:
         self._keys.update(zip(keys, range(start, end)))
         self._count = end
 
-    def _expand(self, rows: np.ndarray) -> np.ndarray:
-        """The full tables of restricted rows (a 2-D array)."""
-        flat = self._shift + rows[:, self.cover.rep]
-        return apply_table(self._lut, self._lut.size, [flat])
+    def values(self, cells) -> np.ndarray:
+        """Each element's values at the given flat cells of A^k, one row per
+        element, read off the restricted rows _CHUNK cells at a time."""
+        rows, shift, rep = self.rows(), self._shift[cells], self.cover.rep[cells]
+        out = np.empty((len(rows), len(rep)), dtype=rows.dtype)
+        step = max(1, _CHUNK // len(rep))
+        for lo in range(0, len(rows), step):
+            flat = shift + rows[lo : lo + step, rep]
+            out[lo : lo + step] = apply_table(self._lut, self._lut.size, [flat])
+        return out
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            rows = self.rows()
-            span = len(self.cover.rep)
-            out = np.empty((len(rows), span), dtype=rows.dtype)
-            step = max(1, _CHUNK // span)
-            for lo in range(0, len(rows), step):
-                out[lo : lo + step] = self._expand(rows[lo : lo + step])
-            self._matrix = out
+            self._matrix = self.values(np.arange(len(self.cover.rep)))
         return self._matrix
 
     def table(self, i: int) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix[i]
-        return self._expand(self.rows()[[i]])[0]
+        return self.matrix()[i]
 
     def witness(self, i: int) -> Term:
         term = self._witnesses.get(i)
@@ -226,25 +227,17 @@ class Clone:
             ]
         return self._elements
 
-    @property
-    def index(self) -> dict[bytes, int]:
-        """Full table bytes -> id."""
-        if self._index is None:
-            self._index = {key: i for i, key in enumerate(_row_keys(self.matrix()))}
-        return self._index
-
-    def find(self, table: np.ndarray):
-        return self.index.get(np.ascontiguousarray(table).tobytes())
-
-    def find_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The id of each row of a 2-D array of tables, -1 where the clone
-        lacks it: one index lookup per row."""
-        index = self.index
-        return np.array([index.get(key, -1) for key in _row_keys(rows)], dtype=np.intp)
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """The id of each row of a 2-D array of tables restricted to the cells
+        S, -1 where the clone lacks it.  Only for restrictions of term
+        tables, which name one table each (module docstring): another table
+        may agree with an element on S alone."""
+        keys = self._keys
+        return np.array([keys.get(key, -1) for key in _row_keys(rows)], dtype=np.intp)
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a 2-D array, the keys of Clone.index, from
+    """The bytes of each row of a 2-D array, the keys of Clone._keys, from
     one tolist of a void view rather than one tobytes call per row."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
@@ -404,29 +397,29 @@ def generate_clone(
 
 
 def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
-    """Materialize the clone as a finite algebra on its element ids."""
+    """Materialize the clone as a finite algebra on its element ids, each
+    operation applied to the restricted rows."""
     if not clone.complete:
         raise CapExceeded("clone generation hit its cap; element set is not closed")
     m = len(clone)
     n = clone.algebra.size
-    tm = clone.matrix()
-    limit = max(1, _CHUNK // tm.shape[1])
+    rows = clone.rows()
+    limit = max(1, _CHUNK // rows.shape[1])
     ops = []
     for op in clone.algebra.ops:
         r = op.arity
         if m**r > caps.max_table_cells:
             raise CapExceeded(f"operation table {m}^{r} exceeds cell cap")
+        otab = np.asarray(op.table, dtype=rows.dtype)
         if r == 0:
-            tab = np.full(n**clone.arity, op.table[0], dtype=tm.dtype)
-            target = clone.find(tab)
-            if target is None:
+            (target,) = clone.ids(np.full((1, rows.shape[1]), otab[0], dtype=rows.dtype)).tolist()
+            if target < 0:
                 raise CapExceeded("constant table missing from clone")
             ops.append(Operation(op.name, 0, (target,)))
             continue
-        otab = np.asarray(op.table, dtype=tm.dtype)
         table = []
         for ids in _grid_blocks([np.arange(m)] * r, limit):  # lexicographic
-            found = clone.find_rows(apply_table(otab, n, (tm[c] for c in ids)))
+            found = clone.ids(apply_table(otab, n, (rows[c] for c in ids)))
             if (found < 0).any():
                 raise CapExceeded("clone is not closed (generation was capped)")
             table.extend(found.tolist())
@@ -504,15 +497,16 @@ def slot_identifications(clone4: Clone, clone3: Clone) -> list[tuple[int, int, i
 
     The pairs (u@x, u@z) over all u are exactly the principal admissible
     relation generated by (x,z) on the 3-generated free algebra, and
-    likewise (u@x, u@y) for (x,y) and (u@y, u@z) for (y,z).
+    likewise (u@x, u@y) for (x,y) and (u@y, u@z) for (y,z).  Only the
+    3-ary separating cells of each identified term table are read.
     """
     if clone4.arity != 4 or clone3.arity != 3:
         raise ValueError("expected a 4-ary and a 3-ary clone")
     n = clone4.algebra.size
-    tm4 = clone4.matrix()
+    cells = clone3.cover.cells
     columns = []
     for pattern in ("abca", "abcb", "abcc"):
-        ids = clone3.find_rows(tm4[:, pattern_cells(n, pattern)])
+        ids = clone3.ids(clone4.values(pattern_cells(n, pattern)[cells]))
         if (ids < 0).any():
             raise CapExceeded("restricted table missing from 3-ary clone")
         columns.append(ids.tolist())

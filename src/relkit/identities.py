@@ -811,20 +811,16 @@ def _check_principal(alg, spec, classes):
 # free-algebra seed instances
 
 
-def free_seed_assignment(
-    free_alg: FiniteAlgebra,
-    spec: IdentitySpec,
-    generators: tuple = (0, 1, 2),
-    narrow: bool = True,
-) -> dict:
-    """The generic principal-relation assignment on a 3-generated free algebra:
-    each variable's finest minimal member holding its seed pairs."""
+def free_seed_assignment(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bool = True) -> dict:
+    """The generic principal-relation assignment on a 3-generated free algebra
+    (clone_as_algebra numbers x, y, z as 0, 1, 2): each variable's finest
+    minimal member holding its seed pairs."""
     if spec.free_seeds is None:
         raise UnsupportedError(
             f"{spec.name}: no free-algebra seed instance (needs unbounded chains "
             "or an equality mode)"
         )
-    letters = dict(zip("xyz", generators))
+    letters = {"x": 0, "y": 1, "z": 2}
     classes = spec.classes(narrow)
     close = _OrbitClosures(free_alg, ()).block
     out = {}
@@ -837,16 +833,11 @@ def free_seed_assignment(
     return out
 
 
-def free_seed_verdict(
-    free_alg: FiniteAlgebra,
-    spec: IdentitySpec,
-    generators: tuple = (0, 1, 2),
-    narrow: bool = True,
-) -> bool:
+def free_seed_verdict(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bool = True) -> bool:
     """Whether (x,z) lands in the right side under the generic seed assignment."""
-    assignment = free_seed_assignment(free_alg, spec, generators, narrow)
+    assignment = free_seed_assignment(free_alg, spec, narrow)
     rhs = eval_expr(free_alg, spec.rhs, assignment)
-    return rhs.contains(generators[0], generators[2])
+    return rhs.contains(0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,13 @@ _WP_SLOT = {1: 1, 2: 2}  # w'_1 = y, w'_2 = z
 _MAL_SIDE = {1: ("abab", 0), 2: ("abac", 0)}  # s_{i+1}(x,y,x,w'_{f(i)}) = x
 
 
-def _satisfies(tm: np.ndarray, n: int, conditions) -> np.ndarray:
-    """Which rows of a clone matrix meet every (pattern, j) condition; row j
-    of the matrix is projection j."""
-    ok = np.ones(len(tm), dtype=bool)
+def _satisfies(clone, conditions) -> np.ndarray:
+    """Which clone elements meet every (pattern, j) condition, read at the
+    pattern's cells alone; element j is projection j."""
+    ok = np.ones(len(clone), dtype=bool)
     for pattern, j in conditions:
-        cells = pattern_cells(n, pattern)
-        ok &= np.all(tm[:, cells] == tm[j, cells], axis=1)
+        values = clone.values(pattern_cells(clone.algebra.size, pattern))
+        ok &= np.all(values == values[j], axis=1)
     return ok
 
 
@@ -201,7 +201,7 @@ def _find_single(alg: FiniteAlgebra, schema: str, caps: Caps) -> SearchResult:
     """First clone element meeting the schema's conditions."""
     clone = generate_clone(alg, 3, caps=caps)
     role, conditions = _SINGLE[schema]
-    hits = np.flatnonzero(_satisfies(clone.matrix(), alg.size, conditions))
+    hits = np.flatnonzero(_satisfies(clone, conditions))
     if len(hits) == 0:
         return SearchResult(False, None, 0, clone.complete)
     system = _system(schema, {}, {role: clone.witness(int(hits[0]))})
@@ -244,13 +244,11 @@ def _find_ladder(alg: FiniteAlgebra, schema: str, bound: int, caps: Caps) -> Sea
     consecutive rungs linked as the schema's links say."""
     clone = generate_clone(alg, 3, caps=caps)
     key, links = _LADDERS[schema]
-    n = alg.size
-    tm = clone.matrix()
-    mid_ok = _satisfies(tm, n, [_MIDDLE])
+    mid_ok = _satisfies(clone, [_MIDDLE])
     x_id, z_id = 0, 2
     if not (mid_ok[x_id] and mid_ok[z_id]):
         return SearchResult(False, None, bound, clone.complete)
-    restricted = {p: tm[:, pattern_cells(n, p)] for link in links for p in link}
+    restricted = {p: clone.values(pattern_cells(alg.size, p)) for link in links for p in link}
     by_in = {into: {} for _, into in links}
     for i in np.flatnonzero(mid_ok).tolist():
         for into, bucket in by_in.items():
@@ -297,9 +295,10 @@ def find_directed_jonsson(
 # system is a path x -> z (clone ids 0 -> 2) of h steps whose edges are
 # labelled with those terms, found by one layered search (_layered_reach).
 # VR walks σ∩τ and σ∩υ in turn, each edge labelled with the first u giving
-# it in σ and the first s giving it in τ or υ.  MalF walks, for each f in
-# lexicographic order, the edges (u@w_{f(i)}, u@w'_{f(i)}) labelled u,
-# keeping at step i > 0 only the u that meet the side condition of f(i-1).
+# it in σ and the first s giving it in τ or υ.  MalF walks, for the
+# lexicographically least f that has a path (_least_f), the edges
+# (u@w_{f(i)}, u@w'_{f(i)}) labelled u, keeping at step i > 0 only the u
+# that meet the side condition of f(i-1).
 
 
 def _chain_prelude(alg: FiniteAlgebra, h: int, caps: Caps):
@@ -378,19 +377,13 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
     return SearchResult(True, _system("VR", {"h": h}, terms), h, True, shortest=h)
 
 
-def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
-    """Search all f: {0..h-1} -> {1,2} (lexicographic) for 4-ary witnesses
-    s_i chaining x to z through α∩R_{f(i)} with the x = s_{i+1}(x,y,x;w'_{f(i)})
-    side conditions."""
-    prelude = _chain_prelude(alg, h, caps)
-    if prelude is None:
-        return SearchResult(False, None, h, False)
-    _, clone4, slots = prelude
-    tm4 = clone4.matrix()
-    side_ok = {v: _satisfies(tm4, alg.size, [cond]).tolist() for v, cond in _MAL_SIDE.items()}
+def _mal_steps(clone4, slots) -> dict:
+    """(f(i), f(i-1)) -> the edges of step i of a MalF chain, with f(-1) =
+    None: (u@w_{f(i)}, u@w'_{f(i)}) labelled u, for each u that meets the
+    side condition of f(i-1)."""
+    side_ok = {v: _satisfies(clone4, [cond]).tolist() for v, cond in _MAL_SIDE.items()}
     side_ok[None] = [True] * len(slots)
-    # (f(i), f(i-1)) -> the edges of step i
-    steps = {
+    return {
         (v, prev): _edges(
             (ids[_W_SLOT[v]], ids[_WP_SLOT[v]], uid)
             for uid, ids in enumerate(slots)
@@ -399,12 +392,55 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
         for v in (1, 2)
         for prev in side_ok
     }
-    for f in product((1, 2), repeat=h):
-        path = _layered_reach(lambda i: steps[f[i], f[i - 1] if i else None], 0, 2, h)
-        if path is not None:
-            terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(path[1])}
-            return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)
-    return SearchResult(False, None, h, True)
+
+
+def _least_f(steps: dict, start: int, goal: int, h: int):
+    """The lexicographically least f in {1,2}^h with a path of h steps from
+    start to goal, step i along steps[f(i), f(i-1)] (see _mal_steps), or
+    None.
+
+    live[i][prev] holds the nodes from which goal is reachable in steps
+    i..h-1 by some f with f(i-1) = prev.  Going forward, f(i) is the least
+    value whose step leads from the nodes reached so far into live[i+1],
+    so each f(i) takes two tries and the time is linear in h."""
+
+    def back(edges, targets):
+        return {a for a, out in edges.items() if any(b in targets for b, _ in out)}
+
+    live = [{}] * h + [{1: {goal}, 2: {goal}}]
+    for i in range(h - 1, -1, -1):
+        live[i] = {
+            prev: back(steps[1, prev], live[i + 1][1]) | back(steps[2, prev], live[i + 1][2])
+            for prev in (None, 1, 2)
+        }
+    reach, prev, f = {start}, None, []
+    for i in range(h):
+        for v in (1, 2):
+            nxt = {b for a in reach for b, _ in steps[v, prev].get(a, ())} & live[i + 1][v]
+            if nxt:
+                break
+        else:
+            return None
+        reach, prev = nxt, v
+        f.append(v)
+    return tuple(f)
+
+
+def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
+    """The lexicographically least f: {0..h-1} -> {1,2} with 4-ary witnesses
+    s_i chaining x to z through α∩R_{f(i)} with the x = s_{i+1}(x,y,x;w'_{f(i)})
+    side conditions."""
+    prelude = _chain_prelude(alg, h, caps)
+    if prelude is None:
+        return SearchResult(False, None, h, False)
+    _, clone4, slots = prelude
+    steps = _mal_steps(clone4, slots)
+    f = _least_f(steps, 0, 2, h)
+    if f is None:
+        return SearchResult(False, None, h, True)
+    _, labels = _layered_reach(lambda i: steps[f[i], f[i - 1] if i else None], 0, 2, h)
+    terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(labels)}
+    return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ def test_find_terms(capsys):
     assert code == 0
 
 
+def test_find_terms_mal_linear_in_h(capsys):
+    """One f per step is chosen from backward reachable sets, not each of
+    the 2^h maps f tried in turn: h = 60 answers within 2 s."""
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "find-terms", "z2", "mal", "--h", "60")
+    assert time.perf_counter() - started < 2
+    assert code == 1 and "found: no (conclusive)" in out
+
+
 def test_find_terms_cap_hit_inconclusive(capsys):
     code, out, _ = run(
         capsys, "find-terms", "baker4", "jonsson", "--caps", '{"clone_cap_3": 5}'
@@ -145,14 +154,20 @@ def test_free_algebra(capsys):
 
 
 def test_free_algebra_listing_over_cell_cap_exit2(capsys):
-    """166 tables of 2^4 cells (2,656) exceed a cell cap of 1,000: refused
-    with one line before any table is listed, as the 200,000-element
-    arity-9 listing is at the default cap."""
+    """The 166 tables of 2^4 cells (2,656) exceed a cell cap of 1,000: the
+    clone stops at 63 tables, the first count over the cap, and the listing
+    is refused with one line before any table is listed, as the arity-9
+    listing is at the default cap.  A cap below the projection count is
+    still a usage error, and a listing of exactly the cell cap is printed
+    as without it."""
     argv = ("free-algebra", "lattice2", "--arity", "4", "--json")
     code, out, err = run(capsys, *argv, "--caps", '{"max_table_cells": 1000}')
     assert (code, out) == (2, "")
-    assert err == "relkit: cap exceeded: listing 166 tables of 2^4 cells (2656) exceeds cell cap\n"
-    assert run(capsys, *argv, "--caps", '{"max_table_cells": 2656}')[0] == 0
+    assert err == "relkit: cap exceeded: listing at least 63 tables of 2^4 cells (1008) exceeds cell cap\n"
+    assert run(capsys, *argv, "--cap", "2", "--caps", '{"max_table_cells": 1000}')[0] == 3
+    code, out, err = run(capsys, *argv, "--caps", '{"max_table_cells": 2656}')
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv)[1] and json.loads(out)["result"]["count"] == 166
 
 
 def test_congruences_listing(capsys):
@@ -484,6 +499,15 @@ def test_verify_replays_a_conclusive_absence(tmp_path, capsys):
     assert run(capsys, "verify", str(absent))[0] == 0
     code, _, err = run(capsys, "verify", str(absent), "--caps", '{"clone_cap_4": 5}')
     assert code == 1 and "cannot re-derive the absence" in err
+
+    # z2 has no MalF system at any h, and the search is linear in h
+    assert run(capsys, "find-terms", "z2", "mal", "--h", "2", "--out", str(absent))[0] == 1
+    data = json.loads(absent.read_text())
+    data["result"]["bound"] = 40
+    absent.write_text(json.dumps(data))
+    started = time.perf_counter()
+    assert run(capsys, "verify", str(absent))[0] == 0
+    assert time.perf_counter() - started < 2
 
     beyond = tmp_path / "beyond.json"
     assert run(capsys, "find-terms", "baker4", "jonsson", "--max", "3", "--out", str(beyond))[0] == 1

@@ -593,20 +593,56 @@ def test_generate_clone_on_every_cell_matches_separating_cells(monkeypatch):
         assert_same_clone(got, w)
 
 
-def test_find_rows_matches_find(lattice2):
-    """find_rows on repeated, absent and shuffled rows, in C and Fortran
-    order, equals find row by row with -1 for None."""
-    c = generate_clone(lattice2, 3)
+def _ids_cases():
+    """(clone, capped): every fixture at k = 3 and 4 (lattice_n5's 4-ary
+    clone capped at 3000), and the same clone cut to half its elements."""
+    cases = []
+    for name in FIXTURES:
+        alg = resolve(name)
+        for k in (3, 4):
+            full = generate_clone(alg, k, cap=3000 if (name, k) == ("lattice_n5", 4) else None)
+            cases.append((full, generate_clone(alg, k, cap=max(k, len(full) // 2))))
+    return cases
+
+
+def test_ids_match_full_table_index():
+    """Clone.ids of restricted rows equals a lookup of the full tables in a
+    dict of the clone's full-table bytes, on rows repeated, shuffled and in
+    Fortran order: on the clone's own rows, and on the rows of the larger
+    clone, whose tables the capped one lacks map to -1."""
     rng = np.random.default_rng(139)
-    present = c.matrix()
-    absent = 1 - present[rng.choice(len(c), 6)]  # antitone: no term function
-    rows = np.concatenate([present, present[rng.choice(len(c), 30)], absent, absent[:2]])
-    rows = rows[rng.permutation(len(rows))]
-    want = [-1 if (i := c.find(row)) is None else i for row in rows]
-    assert -1 in want and len(set(want) - {-1}) == len(c)
-    for layout in (rows, np.asfortranarray(rows)):
-        got = c.find_rows(layout)
-        assert got.dtype == np.intp and got.tolist() == want
+    for full, capped in _ids_cases():
+        assert np.array_equal(full.cover.cells, capped.cover.cells)
+        order = rng.permutation(np.concatenate([np.arange(len(full)), rng.choice(len(full), 30)]))
+        for c in (full, capped):
+            index = {row.tobytes(): i for i, row in enumerate(c.matrix())}
+            want = [index.get(row.tobytes(), -1) for row in full.matrix()[order]]
+            assert len(set(want) - {-1}) == len(c)
+            for rows in (full.rows()[order], np.asfortranarray(full.rows()[order])):
+                got = c.ids(rows)
+                assert got.dtype == np.intp and got.tolist() == want, c.algebra
+        assert -1 in want
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_values_match_matrix_columns(monkeypatch, chunk):
+    """values(cells) is matrix()[:, cells] for unsorted, repeated and single
+    cells, at the default chunk and at chunks of a few cells."""
+    clones = [
+        generate_clone(resolve("lattice2"), 4),
+        generate_clone(resolve("baker4"), 3),
+        generate_clone(resolve("z2cube"), 3),
+        generate_clone(resolve("lattice_n5"), 4, cap=300),
+    ]
+    want = [c.matrix() for c in clones]
+    if chunk is not None:
+        monkeypatch.setattr(freeclone, "_CHUNK", chunk)
+    rng = np.random.default_rng(151)
+    for c, tm in zip(clones, want):
+        span = tm.shape[1]
+        for cells in (rng.permutation(span)[:40], np.array([5, 0, 5, 5, span - 1]), [span - 1]):
+            got = c.values(cells)
+            assert got.dtype == tm.dtype and np.array_equal(got, tm[:, cells]), (c.algebra, cells)
 
 
 def _lex_new_tuples(start, total, r):

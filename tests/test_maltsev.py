@@ -1,10 +1,18 @@
+from itertools import product
+
 import pytest
 
 from relkit.algebra import App, FiniteAlgebra, Var, parse_term
+from relkit.caps import Caps
+from relkit.fixtures import FIXTURES, resolve
 from relkit.freeclone import clone_as_algebra, generate_clone, identity_holds
 from relkit.identities import UnsupportedError, builtin, check_for_all, free_seed_verdict
 from relkit.maltsev import (
     TermSystem,
+    _chain_prelude,
+    _layered_reach,
+    _least_f,
+    _mal_steps,
     check_any_expansion,
     enumerate_expansions,
     find_directed_jonsson,
@@ -17,6 +25,8 @@ from relkit.maltsev import (
     subst_vars,
 )
 from relkit.parser import parse_spec
+
+from test_table_layout import random_algebras
 
 
 def test_subst_vars_simultaneous():
@@ -113,6 +123,44 @@ def test_mal_f_terms(lattice2, z2):
     assert tuple(res.system.params["f"]) == (1, 2)
     assert res.system.check(lattice2)
     assert not find_mal_f(z2, 2).found and find_mal_f(z2, 2).conclusive
+
+
+def mal_f_by_product(steps, h):
+    """The oracle: each f in {1,2}^h in lexicographic order, until one has
+    a path; (f, the path's labels) or None."""
+    for f in product((1, 2), repeat=h):
+        path = _layered_reach(lambda i: steps[f[i], f[i - 1] if i else None], 0, 2, h)
+        if path is not None:
+            return f, path[1]
+    return None
+
+
+def test_least_f_matches_product_loop():
+    """The f chosen step by step from the backward live sets is the first f
+    of the product loop, for h = 1..8 on the fixtures and on random 2- and
+    3-element algebras whose clones close under caps of 2000 / 5000; on the
+    fixtures find_mal_f also returns the oracle's witnesses."""
+    caps = Caps(clone_cap_3=2000, clone_cap_4=5000)
+    algs = [resolve(name) for name in FIXTURES]
+    algs += random_algebras(107, 30, sizes=(2, 3), arities=(0, 1, 2, 2, 3))
+    results = []
+    for alg in algs:
+        prelude = _chain_prelude(alg, 1, caps)
+        if prelude is None:
+            continue
+        _, clone4, slots = prelude
+        steps = _mal_steps(clone4, slots)
+        for h in range(1, 9):
+            want = mal_f_by_product(steps, h)
+            assert _least_f(steps, 0, 2, h) == (want and want[0]), (alg, h)
+            results.append(want)
+            if alg.name in FIXTURES and h <= 4:
+                res = find_mal_f(alg, h, caps)
+                assert res.found == (want is not None) and res.conclusive
+                if want is not None:
+                    assert res.system.params["f"] == want[0]
+                    assert list(res.system.terms.values()) == [clone4.witness(u) for u in want[1]]
+    assert None in results and any(r and 2 in r[0][:-1] for r in results)
 
 
 def test_term_searches_imply_inclusions(lattice2):

@@ -79,16 +79,22 @@ def ref_apply_table(table, n, args):
     return table[0] if flat is None else table[flat]
 
 
+def ref_index(tm):
+    """Full table bytes -> row of a clone matrix."""
+    return {row.tobytes(): i for i, row in enumerate(tm)}
+
+
 def ref_clone_as_algebra(clone):
     m = len(clone)
     n = clone.algebra.size
     tm = clone.matrix()
+    index = ref_index(tm)
     ops = []
     for op in clone.algebra.ops:
         r = op.arity
         if r == 0:
             tab = np.full(n**clone.arity, op.table[0], dtype=tm.dtype)
-            ops.append(Operation(op.name, 0, (clone.find(tab),)))
+            ops.append(Operation(op.name, 0, (index.get(tab.tobytes()),)))
             continue
         otab = np.asarray(op.table, dtype=tm.dtype)
         table = []
@@ -97,7 +103,7 @@ def ref_clone_as_algebra(clone):
             for col in range(1, r):
                 flat *= n
                 flat += tm[combo[col]]
-            target = clone.find(otab[flat])
+            target = index.get(otab[flat].tobytes())
             if target is None:
                 raise CapExceeded("not closed")
             table.append(target)
@@ -153,8 +159,9 @@ def ref_restrict_table(table, n, k, slot):
 
 def ref_slot_identifications(clone4, clone3):
     n = clone4.algebra.size
+    index = ref_index(clone3.matrix())
     return [
-        tuple(clone3.find(ref_restrict_table(e.table, n, 4, slot)) for slot in range(3))
+        tuple(index.get(ref_restrict_table(e.table, n, 4, slot).tobytes()) for slot in range(3))
         for e in clone4.elements
     ]
 
@@ -411,45 +418,48 @@ def test_conditions_agree_with_identity_holds():
     term = projection j on pattern: clone element j is projection j."""
     for name in FIXTURES:
         alg, c = resolve(name), clone(name, 3)
-        tm = c.matrix()
         for pattern in PATTERNS:
             for j in range(3):
-                ok = _satisfies(tm, alg.size, [(pattern, j)])
+                ok = _satisfies(c, [(pattern, j)])
                 want = [identity_holds(alg, e.witness, Var(j), pattern) for e in c.elements]
                 assert ok.tolist() == want, (name, pattern, j)
 
 
 def _filter_cases():
-    """(matrix, n) pairs whose rows 0-2 are the ternary projections."""
-    cases = [(clone(name, 3).matrix(), resolve(name).size) for name in FIXTURES]
-    cases.append((np.stack([table_of_term(free_n5(), t, 3) for t in free_n5_terms(8)]), 99))
+    """3-ary clones, whose elements 0-2 are the projections."""
+    cases = [clone(name, 3) for name in FIXTURES]
+    # on F(lattice_n5,3), whose ternary tables have 99^3 cells
+    n5 = generate_clone(free_n5(), 3, cap=8)
+    assert [n5.witness(i) for i in range(8)] == free_n5_terms(8)
+    cases.append(n5)
     for alg in random_algebras(101, 16):
-        cases.append((generate_clone(alg, 3, cap=60).matrix(), alg.size))
+        cases.append(generate_clone(alg, 3, cap=60))
     return cases
 
 
 def test_finder_filters_match_reference():
-    for tm, n in _filter_cases():
-        assert np.array_equal(_satisfies(tm, n, _SINGLE["Majority"][1]), ref_majority_filter(tm, n))
-        assert np.array_equal(_satisfies(tm, n, _SINGLE["Pixley"][1]), ref_pixley_filter(tm, n))
+    for c in _filter_cases():
+        tm, n = c.matrix(), c.algebra.size
+        assert np.array_equal(_satisfies(c, _SINGLE["Majority"][1]), ref_majority_filter(tm, n))
+        assert np.array_equal(_satisfies(c, _SINGLE["Pixley"][1]), ref_pixley_filter(tm, n))
         mid_ok, aac, acc = ref_middle_keys(tm, n)
-        assert np.array_equal(_satisfies(tm, n, [_MIDDLE]), mid_ok)
+        assert np.array_equal(_satisfies(c, [_MIDDLE]), mid_ok)
         for _, links in _LADDERS.values():
             for link in links:
                 for pattern in link:
                     want = {"aac": aac, "acc": acc}[pattern]
-                    assert np.array_equal(tm[:, pattern_cells(n, pattern)], want)
+                    assert np.array_equal(c.values(pattern_cells(n, pattern)), want)
 
 
 def test_mal_side_filters_match_reference():
-    cases = [(clone(name, 4).matrix(), resolve(name).size) for name in FIXTURES if name != "lattice_n5"]
-    cases.append((clone("lattice_n5", 4, cap=3000).matrix(), 5))
+    cases = [clone(name, 4) for name in FIXTURES if name != "lattice_n5"]
+    cases.append(clone("lattice_n5", 4, cap=3000))
     for alg in random_algebras(103, 10, sizes=(2, 3)):
-        cases.append((generate_clone(alg, 4, cap=60).matrix(), alg.size))
-    for tm4, n in cases:
-        want = ref_mal_side(tm4, n)
+        cases.append(generate_clone(alg, 4, cap=60))
+    for c4 in cases:
+        want = ref_mal_side(c4.matrix(), c4.algebra.size)
         for v, cond in _MAL_SIDE.items():
-            assert np.array_equal(_satisfies(tm4, n, [cond]), want[v])
+            assert np.array_equal(_satisfies(c4, [cond]), want[v])
 
 
 def test_table_of_term_rejects_arity_mismatch(lattice2):
