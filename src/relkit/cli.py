@@ -31,6 +31,7 @@ from .algebra import CapExceeded, FiniteAlgebra, parse_term
 from .caps import Caps, caps_from_env
 from .fixtures import FIXTURES, resolve
 from .freeclone import (
+    clone_as_algebra,
     dump_clone,
     generate_clone,
     identity_holds,
@@ -45,6 +46,7 @@ from .identities import (
     check_for_all,
     class_member,
     evaluate,
+    free_seed_verdict,
 )
 from .maltsev import (
     enumerate_expansions,
@@ -199,28 +201,29 @@ def _cmd_check(args, alg, caps):
     return command, blocks, lines, {True: 0, False: 1}.get(verdict.holds, 2)
 
 
-def _chain_length(args) -> int:
-    if args.h is None:
-        raise UnsupportedError(f"{args.schema} needs --h")
-    return args.h
-
-
-# schema -> search; "directed" is short for "directed-jonsson"
+# schema -> search(alg, bound, caps), the bound --h for a chain schema and
+# --max otherwise; "directed" is short for "directed-jonsson"
 _SEARCHES = {
-    "jonsson": lambda args, alg, caps: find_jonsson(alg, max_k=args.max, caps=caps),
-    "directed-jonsson": lambda args, alg, caps: find_directed_jonsson(alg, max_n=args.max, caps=caps),
-    "majority": lambda args, alg, caps: find_majority(alg, caps=caps),
-    "pixley": lambda args, alg, caps: find_pixley(alg, caps=caps),
-    "vr": lambda args, alg, caps: find_vr(alg, _chain_length(args), caps=caps),
-    "mal": lambda args, alg, caps: find_mal_f(alg, _chain_length(args), caps=caps),
+    "jonsson": find_jonsson,
+    "directed-jonsson": find_directed_jonsson,
+    "majority": lambda alg, bound, caps: find_majority(alg, caps),
+    "pixley": lambda alg, bound, caps: find_pixley(alg, caps),
+    "vr": find_vr,
+    "mal": find_mal_f,
 }
+# chain schema -> the builtin inclusion that holds in V(A) exactly when a
+# system of h steps exists
+_CHAIN_INCLUSIONS = {"vr": "vrIncl", "mal": "malIncl"}
 
 
 def _cmd_find_terms(args, alg, caps):
     schema = {"directed": "directed-jonsson"}.get(args.schema, args.schema)
     if schema not in _SEARCHES:
         raise UnsupportedError(f"unknown schema {args.schema!r}; one of {', '.join(_SEARCHES)}")
-    res = _SEARCHES[schema](args, alg, caps)
+    bound = args.h if schema in _CHAIN_INCLUSIONS else args.max
+    if bound is None:
+        raise UnsupportedError(f"{schema} needs --h")
+    res = _SEARCHES[schema](alg, bound, caps)
     result = res.report_form()
     lines = [f"schema: {schema}"]
     if res.found:
@@ -397,17 +400,27 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
 
 
 def _replay_absence(schema: str, result: dict, alg, caps) -> None:
-    """Run the search again at the report's bound (h or --max)."""
+    """Run the search again at the report's bound (h or --max); for a chain
+    schema, also require the seed verdict of its inclusion on F(A,3) to
+    say that the inclusion fails."""
     if schema not in _SEARCHES:
         raise _ReplayError(f"unknown schema {schema!r}")
     bound = result["bound"]
-    res = _SEARCHES[schema](argparse.Namespace(h=bound, max=bound), alg, caps)
+    res = _SEARCHES[schema](alg, bound, caps)
     if res.found:
         raise _ReplayError(f"the search finds a {schema} system the report says is absent")
     if not res.conclusive:
         raise _ReplayError("cannot re-derive the absence within the caps")
     if res.shortest != result["shortest"]:
         raise _ReplayError(f"report gives shortest {result['shortest']}, the search {res.shortest}")
+    if schema in _CHAIN_INCLUSIONS:
+        spec = builtin(_CHAIN_INCLUSIONS[schema], h=bound)
+        try:
+            holds = free_seed_verdict(clone_as_algebra(generate_clone(alg, 3, caps=caps), caps), spec)
+        except CapExceeded:
+            raise _ReplayError("cannot re-derive the absence within the caps") from None
+        if holds:
+            raise _ReplayError(f"{spec.name} holds on F(A,3), so a {schema} system exists")
 
 
 def _replay_congruences(result: dict, alg, caps) -> None:

@@ -301,6 +301,14 @@ def _new_tuple_blocks(start: int, total: int, r: int, limit: int):
     yield from _grid_blocks([np.arange(start, total)] + [np.arange(total)] * (r - 1), limit)
 
 
+def generator_ids(size: int, k: int) -> tuple[int, ...]:
+    """The clone ids of the k projections x_0, ..., x_{k-1} of an algebra of
+    size elements, which clone_as_algebra keeps as the generators of the
+    free algebra: 0..k-1, the order generate_clone admits them in, and all
+    0 on one element, where every projection is the same table."""
+    return tuple(range(k)) if size > 1 else (0,) * k
+
+
 def _projection_tables(n: int, k: int, dtype) -> list[np.ndarray]:
     grid = np.indices((n,) * k, dtype=dtype)
     return [grid[j].reshape(-1) for j in range(k)]
@@ -398,7 +406,8 @@ def generate_clone(
 
 def clone_as_algebra(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:
     """Materialize the clone as a finite algebra on its element ids, each
-    operation applied to the restricted rows."""
+    operation applied to the restricted rows; the generators keep the ids
+    of generator_ids."""
     if not clone.complete:
         raise CapExceeded("clone generation hit its cap; element set is not closed")
     m = len(clone)
@@ -444,7 +453,7 @@ def free_relations(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FreeRelations:
     if clone.arity != 3:
         raise ValueError("free relations are defined on the 3-generated clone")
     free = clone_as_algebra(clone, caps)
-    x, y, z = 0, 1, 2
+    x, y, z = generator_ids(free.size, 3)
     return FreeRelations(
         free,
         x,

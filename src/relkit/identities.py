@@ -47,6 +47,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, automorphisms
 from .caps import DEFAULT_CAPS, Caps
+from .freeclone import generator_ids
 from .relations import (
     BinRel,
     _bits,
@@ -813,14 +814,14 @@ def _check_principal(alg, spec, classes):
 
 def free_seed_assignment(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bool = True) -> dict:
     """The generic principal-relation assignment on a 3-generated free algebra
-    (clone_as_algebra numbers x, y, z as 0, 1, 2): each variable's finest
-    minimal member holding its seed pairs."""
+    (x, y, z numbered as generator_ids says: 0, 1, 2, and all 0 on one
+    element): each variable's finest minimal member holding its seed pairs."""
     if spec.free_seeds is None:
         raise UnsupportedError(
             f"{spec.name}: no free-algebra seed instance (needs unbounded chains "
             "or an equality mode)"
         )
-    letters = {"x": 0, "y": 1, "z": 2}
+    letters = dict(zip("xyz", generator_ids(free_alg.size, 3)))
     classes = spec.classes(narrow)
     close = _OrbitClosures(free_alg, ()).block
     out = {}
@@ -836,8 +837,8 @@ def free_seed_assignment(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bo
 def free_seed_verdict(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bool = True) -> bool:
     """Whether (x,z) lands in the right side under the generic seed assignment."""
     assignment = free_seed_assignment(free_alg, spec, narrow)
-    rhs = eval_expr(free_alg, spec.rhs, assignment)
-    return rhs.contains(0, 2)
+    x, _, z = generator_ids(free_alg.size, 3)
+    return eval_expr(free_alg, spec.rhs, assignment).contains(x, z)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .freeclone import (
     free_relations,
     generate_clone,
+    generator_ids,
     identity_holds,
     slot_identifications,
 )
@@ -75,11 +76,12 @@ _MAL_SIDE = {1: ("abab", 0), 2: ("abac", 0)}  # s_{i+1}(x,y,x,w'_{f(i)}) = x
 
 def _satisfies(clone, conditions) -> np.ndarray:
     """Which clone elements meet every (pattern, j) condition, read at the
-    pattern's cells alone; element j is projection j."""
+    pattern's cells alone."""
+    projections = generator_ids(clone.algebra.size, clone.arity)
     ok = np.ones(len(clone), dtype=bool)
     for pattern, j in conditions:
         values = clone.values(pattern_cells(clone.algebra.size, pattern))
-        ok &= np.all(values == values[j], axis=1)
+        ok &= np.all(values == values[projections[j]], axis=1)
     return ok
 
 
@@ -219,22 +221,24 @@ def find_pixley(alg: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> SearchResult:
 
 
 def _bfs_path(start, is_goal, neighbors):
-    """Deterministic shortest path; goal states are only accepted at depth >= 1."""
+    """A shortest path of at least one step from start to a goal state, or
+    None: breadth first, each neighbour tested with is_goal as it is
+    reached, so the first goal reached ends the search, start itself
+    included when a step leads back to it."""
     parent = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
             for t in neighbors(s):
+                if is_goal(t):
+                    path = [t, s]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
                 if t not in parent:
                     parent[t] = s
                     nxt.append(t)
-        for s in nxt:
-            if is_goal(s):
-                path = [s]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
         frontier = nxt
     return None
 
@@ -245,7 +249,7 @@ def _find_ladder(alg: FiniteAlgebra, schema: str, bound: int, caps: Caps) -> Sea
     clone = generate_clone(alg, 3, caps=caps)
     key, links = _LADDERS[schema]
     mid_ok = _satisfies(clone, [_MIDDLE])
-    x_id, z_id = 0, 2
+    x_id, _, z_id = generator_ids(alg.size, 3)
     if not (mid_ok[x_id] and mid_ok[z_id]):
         return SearchResult(False, None, bound, clone.complete)
     restricted = {p: clone.values(pattern_cells(alg.size, p)) for link in links for p in link}
@@ -290,15 +294,17 @@ def find_directed_jonsson(
 # slots (u@x, u@y, u@z), the 3-ary ids of u with its last argument
 # identified with x, y and z (freeclone.slot_identifications).  The pairs
 # (u@x, u@z) over all u are the principal admissible relation σ = adm(x,z)
-# of F(A,3), (u@x, u@y) are τ = adm(x,y) and (u@y, u@z) are υ = adm(y,z),
-# so each pair of them comes with the 4-ary terms that put it there.  A
-# system is a path x -> z (clone ids 0 -> 2) of h steps whose edges are
-# labelled with those terms, found by one layered search (_layered_reach).
-# VR walks σ∩τ and σ∩υ in turn, each edge labelled with the first u giving
-# it in σ and the first s giving it in τ or υ.  MalF walks, for the
-# lexicographically least f that has a path (_least_f), the edges
-# (u@w_{f(i)}, u@w'_{f(i)}) labelled u, keeping at step i > 0 only the u
-# that meet the side condition of f(i-1).
+# of F(A,3), (u@x, u@y) are τ = adm(x,y) and (u@y, u@z) are υ = adm(y,z).
+# _first_pairs maps each pair of two slots to the first u that gives it,
+# the term that puts it there.  A system is a chain x -> z of h steps
+# (generator_ids) along such edge tables, found by one search (_chain):
+# backward live sets, then one forward pass that takes at each step the
+# first choice leading into live nodes.  VR has one choice per step, σ∩τ
+# on even steps and σ∩υ on odd ones, each edge labelled with its first u in
+# σ and its first s in τ or υ.  MalF chooses f(i) in {1, 2}, along the
+# edges (u@w_{f(i)}, u@w'_{f(i)}) labelled u, keeping at step i > 0 only
+# the u that meet the side condition of f(i-1); the first choice is the
+# smaller value, so the f found is the lexicographically least.
 
 
 def _chain_prelude(alg: FiniteAlgebra, h: int, caps: Caps):
@@ -315,39 +321,78 @@ def _chain_prelude(alg: FiniteAlgebra, h: int, caps: Caps):
     return clone3, clone4, slot_identifications(clone4, clone3)
 
 
-def _edges(triples) -> dict:
-    """node -> [(target, label)] from (node, target, label) triples, in
-    their order."""
-    out: dict[int, list] = {}
-    for a, b, label in triples:
-        out.setdefault(a, []).append((b, label))
+def _first_pairs(slots, i: int, j: int, keep=None) -> dict:
+    """(u@slot i, u@slot j) -> the first 4-ary id u giving that pair, over
+    the u with keep[u] (every u when keep is None)."""
+    out = {}
+    for u, ids in enumerate(slots):
+        if keep is None or keep[u]:
+            out.setdefault((ids[i], ids[j]), u)
     return out
 
 
-def _layered_reach(edges_at, start: int, goal: int, h: int):
-    """The first path of h steps from start to goal, step i along the edges
-    edges_at(i) (see _edges): each layer keeps, for each node, the first
-    edge into it from the least node of the layer before.  Returns the
-    path's h + 1 nodes and h labels, or None."""
-    layers = [{start: None}]
-    for i in range(h):
-        edges = edges_at(i)
-        cur: dict[int, tuple] = {}
-        for node in sorted(layers[-1]):
-            for t, label in edges.get(node, ()):
-                if t not in cur:
-                    cur[t] = (node, label)
-        if not cur:
-            return None
-        layers.append(cur)
-    if goal not in layers[h]:
+def _chain(options, choices, start: int, goal: int, h: int):
+    """The first chain of h steps from start to goal, as (picks, nodes,
+    labels): the choice of each step, the h + 1 nodes and the label of
+    each step's edge; or None.
+
+    options(i, prev) lists the (choice, edges) that step i may take after
+    the choice prev (None at step 0), in order of preference, and choices
+    holds every choice an option names; edges maps (node, target) to a
+    label.  live[i][prev] holds the nodes from which goal is reachable in
+    steps i..h-1 after the choice prev.  One forward pass then takes at each
+    step the first choice whose edges lead from the nodes reached so far
+    into live nodes, and each new node keeps the edge into it from the
+    least node of the layer before.  A node with an edge into a live node
+    is live, so this is the path the unfiltered layers would keep for the
+    same picks."""
+    live = [None] * h + [dict.fromkeys(choices, {goal})]
+    for i in range(h - 1, -1, -1):
+        live[i] = {
+            prev: {a for c, edges in options(i, prev) for a, b in edges if b in live[i + 1][c]}
+            for prev in (choices if i else (None,))
+        }
+    if start not in live[0][None]:
         return None
+    reach, prev, picks, layers = {start}, None, [], []
+    for i in range(h):
+        for c, edges in options(i, prev):
+            layer: dict[int, tuple] = {}
+            for (a, b), label in edges.items():
+                if a in reach and b in live[i + 1][c] and (b not in layer or a < layer[b][0]):
+                    layer[b] = (a, label)
+            if layer:  # some choice leads on: every node reached is live
+                break
+        picks.append(c)
+        layers.append(layer)
+        reach, prev = layer, c
     nodes, labels = [goal], []
-    for layer in reversed(layers[1:]):
+    for layer in reversed(layers):
         node, label = layer[nodes[-1]]
         nodes.append(node)
         labels.append(label)
-    return nodes[::-1], labels[::-1]
+    return tuple(picks), nodes[::-1], labels[::-1]
+
+
+def _vr_steps(slots):
+    """The options of a VR chain: σ∩τ on even steps and σ∩υ on odd ones,
+    each pair labelled (its first u in σ, its first s in τ or υ)."""
+    sigma, tau, ups = (_first_pairs(slots, i, j) for i, j in ((0, 2), (0, 1), (1, 2)))
+    even, odd = ({p: (u, other[p]) for p, u in sigma.items() if p in other} for other in (tau, ups))
+    return lambda i, prev: [(None, odd if i % 2 else even)]
+
+
+def _mal_steps(clone4, slots):
+    """The options of a MalF chain: f(i) = 1, then 2, each along the pairs
+    (u@w_{f(i)}, u@w'_{f(i)}) labelled with their first u among those that
+    meet the side condition of f(i-1) (every u at step 0)."""
+    keeps = {None: None} | {v: _satisfies(clone4, [cond]).tolist() for v, cond in _MAL_SIDE.items()}
+    steps = {
+        (v, prev): _first_pairs(slots, _W_SLOT[v], _WP_SLOT[v], keep)
+        for v in (1, 2)
+        for prev, keep in keeps.items()
+    }
+    return lambda i, prev: [(v, steps[v, prev]) for v in (1, 2)]
 
 
 def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
@@ -357,73 +402,16 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
     if prelude is None:
         return SearchResult(False, None, h, False)
     clone3, clone4, slots = prelude
-    sigma, tau, ups = {}, {}, {}  # pair -> first 4-ary id giving it
-    for uid, (ax, ay, az) in enumerate(slots):
-        sigma.setdefault((ax, az), uid)
-        tau.setdefault((ax, ay), uid)
-        ups.setdefault((ay, az), uid)
-    even, odd = (
-        _edges((a, b, (u, other[a, b])) for (a, b), u in sorted(sigma.items()) if (a, b) in other)
-        for other in (tau, ups)
-    )
-    path = _layered_reach(lambda i: odd if i % 2 else even, 0, 2, h)
-    if path is None:
+    x, _, z = generator_ids(alg.size, 3)
+    chain = _chain(_vr_steps(slots), (None,), x, z, h)
+    if chain is None:
         return SearchResult(False, None, h, True)
-    nodes, labels = path
+    _, nodes, labels = chain
     terms = {f"t{i}": clone3.witness(e) for i, e in enumerate(nodes)}
     for i, (u, s) in enumerate(labels):
         terms[f"u{i}"] = clone4.witness(u)
         terms[f"s{i}"] = clone4.witness(s)
     return SearchResult(True, _system("VR", {"h": h}, terms), h, True, shortest=h)
-
-
-def _mal_steps(clone4, slots) -> dict:
-    """(f(i), f(i-1)) -> the edges of step i of a MalF chain, with f(-1) =
-    None: (u@w_{f(i)}, u@w'_{f(i)}) labelled u, for each u that meets the
-    side condition of f(i-1)."""
-    side_ok = {v: _satisfies(clone4, [cond]).tolist() for v, cond in _MAL_SIDE.items()}
-    side_ok[None] = [True] * len(slots)
-    return {
-        (v, prev): _edges(
-            (ids[_W_SLOT[v]], ids[_WP_SLOT[v]], uid)
-            for uid, ids in enumerate(slots)
-            if side_ok[prev][uid]
-        )
-        for v in (1, 2)
-        for prev in side_ok
-    }
-
-
-def _least_f(steps: dict, start: int, goal: int, h: int):
-    """The lexicographically least f in {1,2}^h with a path of h steps from
-    start to goal, step i along steps[f(i), f(i-1)] (see _mal_steps), or
-    None.
-
-    live[i][prev] holds the nodes from which goal is reachable in steps
-    i..h-1 by some f with f(i-1) = prev.  Going forward, f(i) is the least
-    value whose step leads from the nodes reached so far into live[i+1],
-    so each f(i) takes two tries and the time is linear in h."""
-
-    def back(edges, targets):
-        return {a for a, out in edges.items() if any(b in targets for b, _ in out)}
-
-    live = [{}] * h + [{1: {goal}, 2: {goal}}]
-    for i in range(h - 1, -1, -1):
-        live[i] = {
-            prev: back(steps[1, prev], live[i + 1][1]) | back(steps[2, prev], live[i + 1][2])
-            for prev in (None, 1, 2)
-        }
-    reach, prev, f = {start}, None, []
-    for i in range(h):
-        for v in (1, 2):
-            nxt = {b for a in reach for b, _ in steps[v, prev].get(a, ())} & live[i + 1][v]
-            if nxt:
-                break
-        else:
-            return None
-        reach, prev = nxt, v
-        f.append(v)
-    return tuple(f)
 
 
 def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResult:
@@ -434,11 +422,11 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
     if prelude is None:
         return SearchResult(False, None, h, False)
     _, clone4, slots = prelude
-    steps = _mal_steps(clone4, slots)
-    f = _least_f(steps, 0, 2, h)
-    if f is None:
+    x, _, z = generator_ids(alg.size, 3)
+    chain = _chain(_mal_steps(clone4, slots), (1, 2), x, z, h)
+    if chain is None:
         return SearchResult(False, None, h, True)
-    _, labels = _layered_reach(lambda i: steps[f[i], f[i - 1] if i else None], 0, 2, h)
+    f, _, labels = chain
     terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(labels)}
     return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)
 

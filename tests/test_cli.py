@@ -15,6 +15,7 @@ import relkit
 from relkit import cli
 from relkit.cli import _REPLAYS, build_parser, main
 from relkit.identities import builtin_names
+from relkit.maltsev import SearchResult
 from test_golden import README_COMMANDS
 
 
@@ -518,6 +519,47 @@ def test_verify_replays_a_conclusive_absence(tmp_path, capsys):
     beyond.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", str(beyond))
     assert code == 1 and "shortest" in err
+
+
+def test_verify_cross_checks_a_chain_absence_with_the_seed_verdict(tmp_path, capsys, monkeypatch):
+    """A conclusive vr/mal absence must also be the seed verdict on F(A,3):
+    a search that wrongly reports one, in the command and in its replay
+    alike, fails verify, and so does an F(A,3) too large for the caps."""
+    absent = tmp_path / "absent.json"
+    assert run(capsys, "find-terms", "z2", "vr", "--h", "2", "--out", str(absent))[0] == 1
+    code, _, err = run(capsys, "verify", str(absent), "--caps", '{"max_table_cells": 32}')
+    assert code == 1 and "cannot re-derive the absence within the caps" in err  # 8^2 cells
+
+    monkeypatch.setitem(cli._SEARCHES, "vr", lambda alg, bound, caps: SearchResult(False, None, bound, True))
+    assert run(capsys, "find-terms", "lattice2", "vr", "--h", "2", "--out", str(absent))[0] == 1
+    code, out, err = run(capsys, "verify", str(absent))
+    assert code == 1 and "verify: ok" not in out and "vrIncl(2) holds on F(A,3)" in err
+
+
+ONE_ELEMENT = {
+    "binary": {"size": 1, "ops": [{"name": "f", "arity": 2, "table": [0]}]},
+    "no_ops": {"size": 1, "ops": []},
+}
+
+
+@pytest.mark.parametrize("name", ONE_ELEMENT)
+def test_find_terms_on_one_element_algebras(tmp_path, capsys, name):
+    """On one element x = y = z is clone id 0 and every system exists, with
+    one-step ladders: each search exits 0 with a certificate that verify
+    replays."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(ONE_ELEMENT[name]))
+    rpt = tmp_path / "report.json"
+    expected = {"majority": {}, "pixley": {}, "jonsson": {"k": 1}, "directed": {"n": 1},
+                "vr": {"h": 2}, "mal": {"h": 2, "f": [1, 1]}}
+    for schema, params in expected.items():
+        code, _, err = run(capsys, "find-terms", str(path), schema, "--h", "2", "--out", str(rpt))
+        assert code == 0 and "Traceback" not in err, schema
+        result = json.loads(rpt.read_text())["result"]
+        assert result["certificate_ok"] is True and result["system"]["params"] == params, schema
+        assert run(capsys, "verify", str(rpt))[:2] == (0, "verify: ok\n"), schema
+    code, _, err = run(capsys, "find-terms", str(path), "mal")
+    assert code == 3 and "mal needs --h" in err
 
 
 def test_verify_rejects_operation_arity_mismatch(tmp_path, capsys):
