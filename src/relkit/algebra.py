@@ -10,7 +10,6 @@ arguments repeat as an identification pattern such as ``"aba"`` prescribes.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass
@@ -235,78 +234,27 @@ def pattern_cells(n: int, pattern) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Automorphisms
+# Homomorphisms
 #
-# An automorphism is fixed by its images of a generating set: every other
-# element e has a derivation e = f(args) from elements reached before it, so
-# its image is f(images of args).  The search assigns the generators' images
-# one at a time, extends the map along the derivations, and keeps a branch
-# only while the map is injective, keeps every element's invariant class,
-# fixes every constant and commutes with every operation on the subalgebra
-# mapped so far.  Pruning a backtrack search by invariants follows McKay and
-# Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60 (2014).
-
-# Candidate extensions (an image given to one element) allowed per n^2.
-# Without operations of arity >= 1 every element is a generator and the
-# search tries every injective map: 1,956 extensions on 6 elements, below
-# 64 * 6^2 = 2,304, so even then an algebra with n <= 6 gets its whole group.
-_AUT_WORK = 64
-
-
-def _new_tuples(old: np.ndarray, new: np.ndarray, r: int):
-    """The r-tuples over old ∪ new that use an element of new, as r blocks
-    old^i x new x (old ∪ new)^(r-1-i) for i < r, each given by its r
-    factors."""
-    every = np.concatenate([old, new])
-    for i in range(r):
-        yield [old] * i + [new] + [every] * (r - 1 - i)
-
-
-def _grid(factors) -> list[np.ndarray]:
-    """The argument arrays of the tuples in the product of the factors
-    (contiguous 1-D arrays), as views of one shape: factor i varies along
-    axis i and has stride 0 along the others.  The ndarray constructor
-    builds each view in one call, where np.broadcast_arrays(*np.ix_(...))
-    costs about ten times as much on the small grids of the search."""
-    shape = tuple(len(f) for f in factors)
-    views = []
-    for i, f in enumerate(factors):
-        strides = [0] * len(shape)
-        strides[i] = f.itemsize
-        views.append(np.ndarray(shape, f.dtype, f, strides=strides))
-    return views
-
-
-def _derivations(alg: FiniteAlgebra) -> list:
-    """Semi-naive generation with derivations: a list of (generator, steps),
-    one per generator, each generator the least element not yet reached.
-    steps lists (element, op, args) in the order the closure after that
-    generator reaches the elements, args being reached before them.
-    Constants are not derived: they get generators like other elements."""
-    n = alg.size
-    ops = [op for op in alg.ops if op.arity > 0]
-    reached = np.zeros(n, dtype=bool)
-    levels = []
-    while not reached.all():
-        gen = int(np.argmin(reached))
-        old, new = np.flatnonzero(reached), np.array([gen])
-        reached[gen] = True
-        steps = []
-        while len(new):
-            fresh = []
-            for op in ops:
-                for factors in _new_tuples(old, new, op.arity):
-                    vals = apply_table(op.array(), n, _grid(factors)).ravel()
-                    vals, first = np.unique(vals, return_index=True)
-                    for v, cell in zip(vals.tolist(), first.tolist()):
-                        if not reached[v]:
-                            reached[v] = True
-                            fresh.append(v)
-                            at = np.unravel_index(cell, [len(f) for f in factors])
-                            steps.append((v, op, tuple(int(f[i]) for f, i in zip(factors, at))))
-            old, new = np.concatenate([old, new]), np.array(fresh, dtype=np.intp)
-        levels.append((gen, steps))
-    return levels
+# One breadth-first search finds the endomorphisms and the automorphisms.
+# It maps the elements in order 0..n-1: step e gives every partial map on
+# {0..e-1} each allowed image of e at once, then keeps the extensions that
+# commute with every operation on the tuples whose arguments and value lie
+# in {0..e} and include e.  So a constant c, a tuple with no arguments and
+# value c, must map to c.  Element order needs no derivations from a
+# generating set: once a tuple's arguments are mapped, its check leaves its
+# value one image.  In the algebra of a clone every id past x, y, z is an
+# operation applied to smaller ids, so after those three each step keeps at
+# most one image per map.  For automorphisms, e is offered only the images
+# in its invariant class that the map has not used; pruning by invariants
+# follows McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
+# Comput. 60 (2014).
+#
+# Budget: an extension at step e costs e + 1 cells plus the argument and
+# value cells of the step's checks.  The step builds and checks only its
+# first _HOM_WORK // cost extensions in lexicographic order (at least one),
+# from the maps they extend, so it holds about 2 * _HOM_WORK + n cells.
+_HOM_WORK = 1 << 16
 
 
 def _invariant_classes(alg: FiniteAlgebra) -> list[int]:
@@ -329,94 +277,7 @@ def _invariant_classes(alg: FiniteAlgebra) -> list[int]:
         labels = refined
 
 
-def _commutes(alg: FiniteAlgebra, image: np.ndarray, old: np.ndarray, new: np.ndarray) -> bool:
-    """Whether the partial map image, defined on old ∪ new (closed under
-    every operation of arity >= 1), fixes the constants in new and commutes
-    with every operation on the tuples that use an element of new."""
-    n = alg.size
-    for op in alg.ops:
-        tab = op.array()
-        if op.arity == 0:
-            c = tab[0]
-            if c in new and image[c] != c:
-                return False
-            continue
-        for factors in _new_tuples(old, new, op.arity):
-            args = _grid(factors)
-            mapped = apply_table(tab, n, (image[a] for a in args))
-            if not np.array_equal(image[apply_table(tab, n, args)], mapped):
-                return False
-    return True
-
-
-def automorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Automorphisms of alg as image tuples (element e goes to g[e]), in
-    lexicographic order.
-
-    The search makes at most _AUT_WORK * n^2 candidate extensions.  When
-    that stops it, the result holds the automorphisms found so far: a
-    subset of the group, so orbits under the group it generates are still
-    orbits of automorphisms.
-    """
-    n = alg.size
-    levels = _derivations(alg)
-    label = _invariant_classes(alg)
-    budget = _AUT_WORK * n * n
-    image = np.full(n, -1, dtype=np.intp)
-    used = [False] * n
-    found = []
-
-    def search(level: int, domain: np.ndarray) -> None:
-        nonlocal budget
-        if level == len(levels):
-            found.append(tuple(image.tolist()))
-            return
-        gen, steps = levels[level]
-        for y in range(n):
-            if used[y] or label[y] != label[gen]:
-                continue
-            if budget <= 0:
-                return
-            budget -= 1
-            image[gen], used[y] = y, True
-            mapped = [gen]
-            for e, op, args in steps:
-                budget -= 1
-                v = int(apply_table(op.array(), n, image[list(args)]))
-                if used[v] or label[v] != label[e]:
-                    break
-                image[e], used[v] = v, True
-                mapped.append(e)
-            else:
-                new = np.array(mapped, dtype=np.intp)
-                if _commutes(alg, image, domain, new):
-                    search(level + 1, np.concatenate([domain, new]))
-            for e in mapped:
-                used[image[e]] = False
-                image[e] = -1
-
-    search(0, np.zeros(0, dtype=np.intp))
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Endomorphisms
-#
-# The search maps the elements in order 0, 1, ..., n-1 and extends all
-# partial maps of one length at once: step e gives each map on {0..e-1}
-# every image of e, then keeps the extensions that commute with every
-# operation on the tuples whose arguments and value lie in {0..e} and
-# include e.  So each tuple is checked as soon as its arguments and value
-# are mapped, and a constant c, a tuple with no arguments and value c, must
-# be mapped to c.
-
-# Candidate cells per step: extensions times (their length plus the
-# argument and value cells they are checked on).  A step that would need
-# more extends only the first of its partial maps in lexicographic order.
-_END_WORK = 1 << 16
-
-
-def _end_checks(alg: FiniteAlgebra) -> list[list]:
+def _hom_checks(alg: FiniteAlgebra) -> list[list]:
     """For each element e, the (table, args, values) blocks of the tuples
     whose largest argument or value is e: args is (arity, m), values (m,),
     and the table has the narrowest dtype that holds the elements."""
@@ -435,31 +296,50 @@ def _end_checks(alg: FiniteAlgebra) -> list[list]:
     return checks
 
 
-def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Endomorphisms of alg as image tuples (element e goes to h[e]), in
-    lexicographic order; always with the identity.
-
-    A step over _END_WORK candidate cells keeps its first partial maps
-    only, so the result may be a subset of End(alg); every map in it is an
-    endomorphism."""
+def _homomorphisms(alg: FiniteAlgebra, injective: bool) -> list[tuple[int, ...]]:
+    """The endomorphisms (automorphisms if injective) the budget keeps."""
     n = alg.size
     dtype = np.min_scalar_type(n - 1)
+    if injective:
+        label = np.array(_invariant_classes(alg))
+        choices = [np.flatnonzero(label == c).astype(dtype) for c in label]
+    else:
+        choices = [np.arange(n, dtype=dtype)] * n
     maps = np.zeros((1, 0), dtype=dtype)
-    for e, checks in enumerate(_end_checks(alg)):
-        cost = n * (e + 1 + sum(a.size + v.size for _, a, v in checks))
-        maps = maps[: max(1, _END_WORK // cost)]
-        ext = np.empty((len(maps) * n, e + 1), dtype=dtype)
-        ext[:, :e] = np.repeat(maps, n, axis=0)
-        ext[:, e] = np.tile(np.arange(n, dtype=dtype), len(maps))
+    for e, checks in enumerate(_hom_checks(alg)):
+        images = choices[e]
+        keep = max(1, _HOM_WORK // (e + 1 + sum(a.size + v.size for _, a, v in checks)))
+        # an injective map sends e's class mates below e into e's class, so
+        # each map has len(images) - len(mates) images left for e
+        mates = images[images < e] if injective else images[:0]
+        maps = maps[: -(-keep // (len(images) - len(mates)))]
+        if len(mates):
+            free = np.ones((len(maps), len(images)), dtype=bool)
+            free[np.arange(len(maps))[:, None], np.searchsorted(images, maps[:, mates])] = False
+            images = images[np.nonzero(free)[1]].reshape(len(maps), -1)
+        ext = np.empty((len(maps), images.shape[-1], e + 1), dtype=dtype)
+        ext[:, :, :e] = maps[:, None, :]
+        ext[:, :, e] = images
+        ext = ext.reshape(-1, e + 1)[:keep]
         for tab, args, values in checks:
             image = apply_table(tab, n, [ext[:, a] for a in args])
             ext = ext[(image == ext[:, values]).all(axis=1)]
         maps = ext
-    found = list(map(tuple, maps.tolist()))  # distinct, in lexicographic order
-    identity = tuple(range(n))
-    if identity not in found:
-        bisect.insort(found, identity)
-    return found
+    return list(map(tuple, maps.tolist()))  # distinct, in lexicographic order
+
+
+def automorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Automorphisms of alg as image tuples (e goes to g[e]) in lexicographic
+    order, so the identity first.  When _HOM_WORK cuts the search, a subset
+    of the group: orbits under the group it generates are still orbits."""
+    return _homomorphisms(alg, injective=True)
+
+
+def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Endomorphisms of alg as image tuples (element e goes to h[e]), in
+    lexicographic order, always with the identity.  When _HOM_WORK cuts the
+    search, they are a subset of End(alg)."""
+    return sorted(set(_homomorphisms(alg, injective=False)) | {tuple(range(alg.size))})
 
 
 def product(a: FiniteAlgebra, b: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> FiniteAlgebra:

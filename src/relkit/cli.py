@@ -73,6 +73,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _caps(args) -> Caps:
     caps = caps_from_env()
     if args.caps:
@@ -600,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustive (default); sampled never reports holds; principal"
         " reduces to point-principal relations",
     )
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-narrow", action="store_true", help="quantify the wide classes, ignoring marked narrowings")
     _add_common(p, _cmd_check)
@@ -616,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--arity", type=int, default=3)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--show", type=int, default=10, help="elements to print in the human output")
+    p.add_argument("--show", type=_at_least(0), default=10, help="elements to print in the human output")
     _add_common(p, _cmd_free_algebra)
 
     p = sub.add_parser("congruences", help="list congruences with the inclusion ordering")
@@ -635,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-mainp", help="experiment preset: tolerance replaced by wider classes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=4, help="random algebras to draw")
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--count", type=_at_least(0), default=4, help="random algebras to draw")
+    p.add_argument("--max-size", type=_at_least(2), default=3)
     _add_common(p, _cmd_search_mainp)
     return top
 

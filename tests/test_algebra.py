@@ -226,12 +226,31 @@ def test_automorphisms_search_budget_covers_small_universes():
         assert len(automorphisms(FiniteAlgebra(n, []))) == math.factorial(n)
 
 
-def test_automorphisms_of_free_algebras(lattice2, z2):
+def test_automorphisms_of_free_algebras():
+    """The budget leaves the principal strategy the whole group of F(A,3) on
+    every fixture: the generator permutations (S3), and GL(3,2) for the
+    groups z2 and z2^3."""
     from relkit.freeclone import clone_as_algebra, generate_clone
 
-    # F(lattice2,3): the generator permutations (S3); F(z2,3): GL(3,2)
-    assert len(automorphisms(clone_as_algebra(generate_clone(lattice2, 3)))) == 6
-    assert len(automorphisms(clone_as_algebra(generate_clone(z2, 3)))) == 168
+    orders = {"lattice2": 6, "lattice_n5": 6, "lattice_2x2": 6, "baker4": 6, "z2": 168, "z2cube": 168}
+    for name, order in orders.items():
+        assert len(automorphisms(clone_as_algebra(generate_clone(resolve(name), 3)))) == order, name
+
+
+@pytest.mark.parametrize(
+    "n, op",
+    [(30, ("f", 2, [a for a in range(30) for _ in range(30)])), (1000, ("u", 1, list(range(1000))))],
+    ids=["projection30", "identity1000"],
+)
+def test_automorphisms_of_symmetric_algebras_stay_few(n, op):
+    """With f(x,y) = x, or with the identity as the only operation, every
+    permutation is an automorphism; the budget cuts the search to a few
+    hundred of them, the identity first, and on 1,000 elements the search
+    needs no recursion deeper than the interpreter allows."""
+    got = automorphisms(FiniteAlgebra(n, [op]))
+    assert 1 < len(got) < 1000
+    assert got[0] == tuple(range(n)) and got == sorted(set(got))
+    assert all(sorted(g) == list(range(n)) for g in got)
 
 
 # --- endomorphisms -----------------------------------------------------------
@@ -307,14 +326,19 @@ def test_endomorphisms_fix_constants():
 
 @pytest.mark.parametrize("work", [1, 40, 400])
 def test_truncated_endomorphism_search_is_sound(monkeypatch, work):
-    """A search cut by its budget returns endomorphisms only, distinct and
-    in lexicographic order, always with the identity."""
-    monkeypatch.setattr(algebra, "_END_WORK", work)
-    truncated = 0
-    for alg in endomorphism_cases():
-        got = endomorphisms(alg)
-        every = brute_force_endomorphisms(alg)
-        assert set(got) <= set(every) and tuple(range(alg.size)) in got, alg.to_json()
-        assert got == sorted(set(got))
-        truncated += got != every
-    assert truncated  # the budget binds on some case
+    """The homomorphism search cut by its budget returns automorphisms or
+    endomorphisms only, distinct and in lexicographic order, always with
+    the identity."""
+    monkeypatch.setattr(algebra, "_HOM_WORK", work)
+    for search, brute_force in (
+        (automorphisms, brute_force_automorphisms),
+        (endomorphisms, brute_force_endomorphisms),
+    ):
+        truncated = 0
+        for alg in endomorphism_cases():
+            got = search(alg)
+            every = brute_force(alg)
+            assert set(got) <= set(every) and tuple(range(alg.size)) in got, alg.to_json()
+            assert got == sorted(set(got))
+            truncated += got != every
+        assert truncated, search.__name__  # the budget binds on some case

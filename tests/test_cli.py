@@ -136,6 +136,25 @@ def test_usage_errors_exit3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, low",
+    [
+        (("free-algebra", "lattice2", "--show", "-1"), 0),
+        (("check", "lattice2", "cdist2", "--strategy", "sampled", "--samples", "-1"), 1),
+        (("check", "lattice2", "cdist2", "--strategy", "sampled", "--samples", "0"), 1),
+        (("search-mainp", "--max-size", "1"), 2),
+        (("search-mainp", "--count", "-1"), 0),
+    ],
+)
+def test_count_flags_below_their_minimum_exit3(capsys, argv, low):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.startswith("usage:") and f"must be at least {low}" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_reports_column(capsys):
     code, out, err = run(capsys, "check", "lattice2", "cong:a ; <= a")
     assert code == 3 and "col" in (out + err)
