@@ -251,13 +251,12 @@ def pattern_cells(n: int, pattern) -> np.ndarray:
 # Comput. 60 (2014).
 #
 # Budget: an extension at step e costs e + 1 cells plus the argument and
-# value cells of the step's checks.  The step builds and checks only its
-# first _HOM_WORK // cost extensions in lexicographic order (at least one),
-# from the maps they extend, so it holds about 2 * _HOM_WORK + n cells.
+# value cells of its checks.  Only the first _HOM_WORK // cost (at least one)
+# are checked, so a step holds at most about 2 * (_HOM_WORK + n * cost) cells.
 _HOM_WORK = 1 << 16
 
 
-def _invariant_classes(alg: FiniteAlgebra) -> list[int]:
+def _invariant_classes(alg: FiniteAlgebra) -> np.ndarray:
     """A class label per element that every automorphism preserves: for each
     operation of arity >= 1, how many cells take the element as value and
     whether the element is idempotent, refined by the label of f(e,...,e)
@@ -273,7 +272,7 @@ def _invariant_classes(alg: FiniteAlgebra) -> list[int]:
         rows = np.stack([labels] + [labels[d] for d in diag], axis=1)
         refined = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
         if refined.max() == labels.max():
-            return labels.tolist()
+            return labels
         labels = refined
 
 
@@ -301,7 +300,7 @@ def _homomorphisms(alg: FiniteAlgebra, injective: bool) -> list[tuple[int, ...]]
     n = alg.size
     dtype = np.min_scalar_type(n - 1)
     if injective:
-        label = np.array(_invariant_classes(alg))
+        label = _invariant_classes(alg)
         choices = [np.flatnonzero(label == c).astype(dtype) for c in label]
     else:
         choices = [np.arange(n, dtype=dtype)] * n

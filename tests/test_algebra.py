@@ -220,9 +220,9 @@ def test_automorphisms_fix_constants():
 
 
 def test_automorphisms_search_budget_covers_small_universes():
-    # with no operation every permutation is an automorphism: the search
-    # visits all n! leaves, which the budget allows for n <= 6
-    for n in range(1, 7):
+    # with no operation every permutation is an automorphism: the last step
+    # keeps all n! maps, which the budget allows for n <= 7
+    for n in range(1, 8):
         assert len(automorphisms(FiniteAlgebra(n, []))) == math.factorial(n)
 
 

@@ -145,6 +145,7 @@ def test_usage_errors_exit3(capsys):
         (("search-mainp", "--max-size", "1"), 2),
         (("search-mainp", "--count", "-1"), 0),
     ],
+    ids=["show", "samples-negative", "samples-zero", "max-size", "count"],
 )
 def test_count_flags_below_their_minimum_exit3(capsys, argv, low):
     with pytest.raises(SystemExit) as exc:
