@@ -60,12 +60,13 @@ class Operation:
 class FiniteAlgebra:
     """Universe {0..size-1} with named finitary operations.
 
-    Two memos live and die with the algebra: _pools, the relation
-    enumerations of identities.candidate_pool by (kind, caps), and
-    _pair_closures, the single-pair closures of relations.pair_closure.
+    Three memos live and die with the algebra: _pools, the relation
+    enumerations of identities.candidate_pool by (kind, caps),
+    _pair_closures, the single-pair closures of relations.pair_closure, and
+    _translations, the basic translations of relations.congruence_gen.
     """
 
-    __slots__ = ("size", "ops", "name", "_by_name", "_pools", "_pair_closures")
+    __slots__ = ("size", "ops", "name", "_by_name", "_pools", "_pair_closures", "_translations")
 
     def __init__(self, size: int, ops, name: str | None = None):
         if size <= 0:
@@ -90,6 +91,7 @@ class FiniteAlgebra:
         self._by_name = {op.name: op for op in ops}
         self._pools = {}
         self._pair_closures = {}
+        self._translations = None
 
     def op(self, name: str) -> Operation:
         try:

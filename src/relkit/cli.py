@@ -412,8 +412,8 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
 
 def _replay_absence(schema: str, result: dict, alg, caps) -> None:
     """Run the search again at the report's bound (h or --max); for a chain
-    schema, also require the seed verdict of its inclusion on F(A,3) to
-    say that the inclusion fails."""
+    schema, also require the seed verdict of its inclusion on F(A,3), from
+    the 3-ary clone the search ran on, to say that the inclusion fails."""
     if schema not in _SEARCHES:
         raise _ReplayError(f"unknown schema {schema!r}")
     bound = result["bound"]
@@ -427,7 +427,8 @@ def _replay_absence(schema: str, result: dict, alg, caps) -> None:
     if schema in _CHAIN_INCLUSIONS:
         spec = builtin(_CHAIN_INCLUSIONS[schema], h=bound)
         try:
-            holds = free_seed_verdict(clone_as_algebra(generate_clone(alg, 3, caps=caps), caps), spec)
+            clone3 = res.clone3 if res.clone3 is not None else generate_clone(alg, 3, caps=caps)
+            holds = free_seed_verdict(clone_as_algebra(clone3, caps), spec)
         except CapExceeded:
             raise _ReplayError("cannot re-derive the absence within the caps") from None
         if holds:

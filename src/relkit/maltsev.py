@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, product
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import App, CapExceeded, FiniteAlgebra, Term, Var, pattern_cells
 from .caps import DEFAULT_CAPS, Caps
 from .freeclone import (
+    Clone,
     free_relations,
     generate_clone,
     generator_ids,
@@ -184,6 +185,8 @@ class SearchResult:
     bound: int
     conclusive: bool  # absence is meaningful only when the clone closed
     shortest: int | None = None
+    # the complete 3-ary clone on which a chain search found no system
+    clone3: Clone | None = field(default=None, repr=False, compare=False)
 
     def report_form(self) -> dict:
         return {
@@ -405,7 +408,7 @@ def find_vr(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchResu
     x, _, z = generator_ids(alg.size, 3)
     chain = _chain(_vr_steps(slots), (None,), x, z, h)
     if chain is None:
-        return SearchResult(False, None, h, True)
+        return SearchResult(False, None, h, True, clone3=clone3)
     _, nodes, labels = chain
     terms = {f"t{i}": clone3.witness(e) for i, e in enumerate(nodes)}
     for i, (u, s) in enumerate(labels):
@@ -421,11 +424,11 @@ def find_mal_f(alg: FiniteAlgebra, h: int, caps: Caps = DEFAULT_CAPS) -> SearchR
     prelude = _chain_prelude(alg, h, caps)
     if prelude is None:
         return SearchResult(False, None, h, False)
-    _, clone4, slots = prelude
+    clone3, clone4, slots = prelude
     x, _, z = generator_ids(alg.size, 3)
     chain = _chain(_mal_steps(clone4, slots), (1, 2), x, z, h)
     if chain is None:
-        return SearchResult(False, None, h, True)
+        return SearchResult(False, None, h, True, clone3=clone3)
     f, _, labels = chain
     terms = {f"s{i}": clone4.witness(u) for i, u in enumerate(labels)}
     return SearchResult(True, _system("MalF", {"h": h, "f": f}, terms), h, True)

@@ -19,23 +19,40 @@ mask, as a Python int, and return an array of the input's dtype.  compose
 and converse are their BinRel forms, and transitive_closure, a loop of
 compose on BinRel, is the int kernel of star_masks.
 
-Closures.  admissible_closure, tolerance_gen and congruence_gen run one
-semi-naive loop (_close).  It keeps old, the pairs whose images are already
-in the relation, and each round images only the operation tuples that use at
-least one newer pair: for arity r, old^i x new x all^(r-1-i) over i < r.
-A tolerance is one such closure of the symmetric seed (the image of a
-symmetric relation is symmetric); a congruence also takes the transitive
-closure after every round, which only adds pairs and so keeps the invariant.
-is_admissible images the whole relation (old = 0).
+Closures.  admissible_closure and tolerance_gen run one semi-naive loop
+(_close); a tolerance is one such closure of the symmetric seed (the image
+of a symmetric relation is symmetric).  The operations take turns: a turn
+images one operation on the current relation, and only the tuples that use
+at least one pair newer than that operation's old, the relation it was last
+imaged on: for arity r, old^i x new x all^(r-1-i) over i < r.  So an
+operation sees the pairs the turns before it added.  The loop ends once
+every operation in a row has had a turn on the current relation that added
+no pair.  is_admissible images the whole relation (old = 0).
 
-An image is computed by one of two kernels.  The tuple kernel builds the flat
-table indices of the tuples in numpy, in chunks of at most _CHUNK tuples.
-The dense kernel images a binary operation on the whole relation with two
-float32 matrix products, about 2 n^4 multiply-adds, and a sort of the
-table.  _image_mask takes the dense kernel for a binary operation when the
-tuples outnumber _SMALL, _DENSE_RATIO times their count exceeds n^3, and
-its n^3 arrays fit in the memory of one tuple chunk; every other case, and
-every other arity, takes the tuple kernel.  Masks convert to and from bit
+congruence_gen images no operation.  By Mal'cev's lemma an equivalence is a
+congruence iff every basic translation x -> f(c_1, ..., x, ..., c_r) maps
+each of its pairs into it (unary polynomials are composites of basic
+translations).  It keeps a partition, as the least element of each
+element's block, and each round merges the blocks of the images under every
+translation of the pairs the round before merged by: one (old least
+element, new least element) pair per block absorbed, starting from the seed
+pairs.  Those pairs span the partition, every pair of it being joined by a
+chain of them, so once each of their images lies in the partition every
+translation maps the partition into itself, and a round that merges nothing
+ends the loop.  The translations are built once per algebra.
+
+An image is computed by one of two kernels.  The tuple kernel builds the
+flat table indices of the tuples in numpy, in chunks of at most _CHUNK
+tuples.  Above _SMALL tuples its index arrays take the narrowest unsigned
+dtype that holds the indices below n^r (_index_dtype), and its table copy
+the one below n^2, in which f(a) * n + f(b) is formed in place; numpy
+gathers with intp indices, so each gather casts its index first.  The dense
+kernel images a binary operation on the whole relation with two float32
+matrix products, about 2 n^4 multiply-adds, and a sort of the table.
+_image_mask takes the dense kernel for a binary operation when the tuples
+outnumber _SMALL, _DENSE_RATIO times their count exceeds n^3, and its n^3
+arrays fit in the memory of one tuple chunk; every other case, and every
+other arity, takes the tuple kernel.  Masks convert to and from bit
 arrays through int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
 
 Kinds.  KINDS names the three relation kinds; kind_functions gives the
@@ -268,14 +285,20 @@ _CHUNK = 1 << 21
 # Up to this many tuples, one product over the whole relation is cheapest:
 # the semi-naive split and the dense kernel only pay off above it.
 _SMALL = 1 << 12
-# The tuple kernel breaks even with the dense kernel at n^3 / _DENSE_RATIO
-# tuples for n >= 45.  Measured on random binary tables for n from 18 to 99
-# (a 2-vCPU Xeon virtual machine, OpenBLAS), the break-even lies at about
-# n^4 / 20 tuples for n = 18 (about 0.9 n^3), n^4 / 90 for n = 45 (n^3 / 2)
-# and n^4 / 180 to n^4 / 230 for n = 99 (0.55 to 0.43 n^3).  At n = 18,
-# n^3 / 2 is below _SMALL, so the _SMALL gate decides there, and images of
-# 4,097 to about 5,200 tuples take the dense kernel though the tuple kernel
-# is faster for them.
+# The dense kernel takes a binary image of more than n^3 / _DENSE_RATIO
+# tuples.  Measured with the narrow index arrays on random binary tables over
+# the whole relation (a 2-vCPU Xeon virtual machine, OpenBLAS, best of 15, two
+# runs), the kernels break even in time at 0.7 to 0.8 n^3 tuples for n = 45,
+# 0.65 to 0.8 n^3 for n = 99 and about n^3 for n = 18; with intp index
+# arrays it was n^3 / 2 for n = 45 and 0.43 to 0.55 n^3 for n = 99.  The
+# ratio stays at 2 for memory: at its peak the tuple kernel holds about 16
+# bytes a tuple (the narrow index arrays, one intp cast and the gathered
+# values), 8 n^3 bytes at n^3 / 2 tuples, against the dense kernel's 10 n^3.
+# At n^3 / 1.5 the free workload's n = 99 queries ran about 4 % faster, and
+# its peak RSS rose from 46.2 to 49.4 MB (one process, lattice_n5.cdist2.seed).
+# At n = 18, n^3 / 2 is below _SMALL, so the _SMALL gate decides there, and
+# images of 4,097 to about 5,800 tuples take the dense kernel though the
+# tuple kernel is a few microseconds faster for them.
 # The dense kernel holds 10 n^3 bytes (two n^3 float32 arrays, two n^3 bool
 # ones), so it runs only while n^3 <= 2 * _CHUNK, within the memory of one
 # tuple chunk.
@@ -293,15 +316,22 @@ def _mask_of(hit: np.ndarray) -> int:
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
-def _pair_arrays(mask: int, n: int):
-    """(left, right) coordinate arrays of the pairs of mask, ascending."""
-    return np.divmod(_bits(mask, n).nonzero()[0], n)
+def _pair_arrays(mask: int, n: int, dtype=np.intp, memo=None):
+    """(left, right) coordinate arrays of the pairs of mask, ascending, in
+    dtype; kept in memo under (mask, dtype) when a memo dict is given."""
+    if memo is not None and (mask, dtype) in memo:
+        return memo[mask, dtype]
+    left, right = np.divmod(_bits(mask, n).nonzero()[0], n)
+    pairs = left.astype(dtype, copy=False), right.astype(dtype, copy=False)
+    if memo is not None:
+        memo[mask, dtype] = pairs
+    return pairs
 
 
 def _tuple_chunks(factors, n):
     """Flat table indices (left, right) of the tuples in the product of the
-    factors, each a (left, right) pair of coordinate arrays; at most _CHUNK
-    tuples per chunk."""
+    factors, each a (left, right) pair of coordinate arrays in a dtype that
+    holds every flat index; at most _CHUNK tuples per chunk."""
     (head_l, head_r), rest = factors[0], factors[1:]
     tail = math.prod(len(fl) for fl, _ in rest)
     if tail == 0:
@@ -358,25 +388,23 @@ def _dense_image(tab: np.ndarray, mask: int, n: int) -> np.ndarray:
     return img.ravel()
 
 
-def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0) -> int:
-    """Union of (f(a-row), f(b-row)) over the operation tuples of pairs of
-    mask that use at least one pair outside old (old must lie in mask).
+def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0, ops=None, arrays=None) -> int:
+    """Union of (f(a-row), f(b-row)) over the tuples of pairs of mask that
+    use at least one pair outside old (old must lie in mask), for each f in
+    ops (every operation of alg by default).
 
     For arity r those tuples are the union over i of old^i x new x all^(r-1-i).
     Up to _SMALL tuples in all, one product over all^r is cheaper than the
     split.  A binary operation with more than n^3 / _DENSE_RATIO tuples
-    takes the dense kernel, which images the whole relation.
+    takes the dense kernel, which images the whole relation.  arrays maps
+    (mask, dtype) to the pair arrays of a mask, built when a tuple product
+    needs them; a caller may pass one dict to several calls.
     """
     n = alg.size
-    arrays = {}  # mask -> its pair arrays, built when a tuple product needs them
-
-    def pairs_of(m):
-        if m not in arrays:
-            arrays[m] = _pair_arrays(m, n)
-        return arrays[m]
-
+    if arrays is None:
+        arrays = {}
     hit = np.zeros(n * n, dtype=bool)
-    for op in alg.ops:
+    for op in alg.ops if ops is None else ops:
         r = op.arity
         if r == 0:
             c = op.table[0]
@@ -388,23 +416,29 @@ def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0) -> int:
             cells -= old.bit_count() ** r
         if cells == 0:
             continue
-        tab = op.array()
         dense = cells > _SMALL and _DENSE_RATIO * cells > n**3 and n**3 <= 2 * _CHUNK
         if r == 2 and dense:
-            hit |= _dense_image(tab, mask, n)
+            hit |= _dense_image(op.array(), mask, n)
             continue
-        every = pairs_of(mask)
+        # index arrays in the narrowest dtype once they are large: flat
+        # tuple indices lie below n^r, and f(a) * n + f(b) below n^2
+        large = cells > _SMALL
+        dtype = _index_dtype(n**r) if large else np.intp
+        every = _pair_arrays(mask, n, dtype, arrays)
         if split:
-            new, prev = pairs_of(mask & ~old), pairs_of(old)
+            new = _pair_arrays(mask & ~old, n, dtype, arrays)
+            prev = _pair_arrays(old, n, dtype, arrays)
             parts = [[prev] * i + [new] + [every] * (r - 1 - i) for i in range(r)]
         else:
             parts = [[every] * r]
+        tab = op.array().astype(_index_dtype(n * n) if large else np.intp, copy=False)
         for part in parts:
             for li, ri in _tuple_chunks(part, n):
-                li = tab[li]
+                # numpy indexes with intp: one explicit cast beats its own
+                li = tab[li.astype(np.intp, copy=False)]
                 li *= n
-                li += tab[ri]
-                hit[li] = True
+                li += tab[ri.astype(np.intp, copy=False)]
+                hit[li.astype(np.intp, copy=False)] = True
                 del li, ri
     return _mask_of(hit)
 
@@ -413,23 +447,24 @@ def _seed_mask(n: int, seed) -> int:
     return seed.mask if isinstance(seed, BinRel) else BinRel.from_pairs(n, seed).mask
 
 
-def _close(alg: FiniteAlgebra, mask: int, post=None) -> BinRel:
-    """Least admissible relation containing mask and closed under post.
-
-    Semi-naive: old holds the pairs whose images are known to lie in mask,
-    so each round images only the tuples that use a newer pair.  post (a
-    BinRel -> BinRel closure, applied first and after every round) only adds
-    pairs, so it keeps that invariant.
-    """
-    n = alg.size
-    old = 0
-    while True:
-        if post is not None:
-            mask = post(BinRel(n, mask)).mask
-        img = _image_mask(alg, mask, old)
-        if img & ~mask == 0:
-            return BinRel(n, mask)
-        old, mask = mask, mask | img
+def _close(alg: FiniteAlgebra, mask: int) -> BinRel:
+    """Least admissible relation containing mask, by turns of one
+    operation each (module docstring): old[i] is the mask operation i was
+    last imaged on, so its images under it lie in mask."""
+    ops = alg.ops
+    old = [0] * len(ops)
+    arrays = {}  # pair arrays, shared by the turns
+    clean = i = 0  # operations in a row that added nothing; the next to image
+    while clean < len(ops):
+        img = _image_mask(alg, mask, old[i], (ops[i],), arrays)
+        old[i] = mask
+        if img & ~mask:
+            mask |= img
+            clean = 0
+        else:
+            clean += 1
+        i = (i + 1) % len(ops)
+    return BinRel(alg.size, mask)
 
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
@@ -461,11 +496,55 @@ def tolerance_gen(alg: FiniteAlgebra, seed) -> BinRel:
     return _close(alg, symmetric_closure(base).mask)
 
 
+def _translations(alg: FiniteAlgebra) -> np.ndarray:
+    """The images of each element, row x, under the basic translations
+    x -> f(c_1, ..., x, ..., c_r) of alg, one per column: r copies of each
+    r-ary table, each with another argument axis moved first.  Built once
+    and kept in alg._translations."""
+    if alg._translations is None:
+        n = alg.size
+        images = [np.empty((n, 0), dtype=np.intp)]
+        for op in alg.ops:
+            tab = op.array().reshape((n,) * op.arity)
+            images += [np.moveaxis(tab, i, 0).reshape(n, -1) for i in range(op.arity)]
+        alg._translations = np.concatenate(images, axis=1)
+    return alg._translations
+
+
+def _merge(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """root, which maps each element to the least element of its block,
+    after merging the blocks of u[k] and v[k] for every k.
+
+    Each pass points the larger block label of every pair at the smaller
+    one, then jumps pointers: a chain of pointers is shorter than n, and
+    each jump halves it."""
+    jumps = len(root).bit_length()
+    while True:
+        a, b = root[u], root[v]
+        if (a == b).all():
+            return root
+        root = root.copy()
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        for _ in range(jumps):
+            root = root[root]
+
+
 def congruence_gen(alg: FiniteAlgebra, seed) -> BinRel:
-    """Least congruence containing the seed pairs."""
+    """Least congruence containing the seed pairs: the translation rounds
+    of the module docstring, root holding the partition and (u, v) the
+    pairs a round merges the images of."""
     n = alg.size
-    base = BinRel(n, _seed_mask(n, seed) | _diag_mask(n))
-    return _close(alg, symmetric_closure(base).mask, transitive_closure)
+    images = _translations(alg)
+    ids = np.arange(n)
+    root = ids
+    u, v = _pair_arrays(_seed_mask(n, seed), n)
+    while True:
+        merged = _merge(root, u, v)
+        moved = np.flatnonzero((root == ids) & (merged != ids))
+        if len(moved) == 0:
+            return BinRel(n, _mask_of((merged[:, None] == merged[None, :]).ravel()))
+        root = merged
+        u, v = images[moved].ravel(), images[root[moved]].ravel()
 
 
 def is_tolerance(alg: FiniteAlgebra, r: BinRel) -> bool:

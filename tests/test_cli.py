@@ -556,6 +556,23 @@ def test_verify_cross_checks_a_chain_absence_with_the_seed_verdict(tmp_path, cap
     assert code == 1 and "verify: ok" not in out and "vrIncl(2) holds on F(A,3)" in err
 
 
+@pytest.mark.parametrize("schema", ["vr", "mal"])
+def test_verify_builds_the_free_algebra_once_per_chain_absence(tmp_path, capsys, monkeypatch, schema):
+    """The seed-verdict cross-check reads F(A,3) off the 3-ary clone the
+    replayed search generated, so verify generates it once."""
+    absent = tmp_path / "absent.json"
+    assert run(capsys, "find-terms", "z2", schema, "--h", "2", "--out", str(absent))[0] == 1
+    arities = []
+    for module in (cli, relkit.maltsev):
+        real = module.generate_clone
+        monkeypatch.setattr(
+            module, "generate_clone", lambda alg, k, *a, _real=real, **kw: arities.append(k) or _real(alg, k, *a, **kw)
+        )
+    code, out, _ = run(capsys, "verify", str(absent))
+    assert code == 0 and "verify: ok" in out
+    assert sorted(arities) == [3, 4]
+
+
 ONE_ELEMENT = {
     "binary": {"size": 1, "ops": [{"name": "f", "arity": 2, "table": [0]}]},
     "no_ops": {"size": 1, "ops": []},

@@ -821,6 +821,88 @@ def test_tolerance_is_closure_of_symmetric_seed(alg_seed, pairs):
     assert tolerance_gen(alg, seed) == admissible_closure(alg, base)
 
 
+# ---------------------------------------------------------------------------
+# the translation kernel of congruence_gen and the turns of _close
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=4),
+    st.data(),
+)
+def test_congruence_gen_matches_reference(size, arities, data):
+    """Random algebras with nullary to ternary operations, size 1 included,
+    seeded with pair lists and with unions of two congruences, the seeds
+    the join loop passes."""
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    alg = random_algebra(rng, size, sorted(arities))
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    seed = data.draw(st.lists(pair, max_size=4))
+    assert congruence_gen(alg, seed) == ref_congruence_gen(alg, seed)
+    first, second = (congruence_gen(alg, data.draw(st.lists(pair, max_size=2))) for _ in range(2))
+    joined = union(first, second)
+    assert congruence_gen(alg, joined) == ref_congruence_gen(alg, joined)
+
+
+def test_congruence_gen_needs_no_image_kernel(monkeypatch):
+    """Cg runs on the basic translations and a partition alone."""
+
+    def forbidden(*args):
+        raise AssertionError("congruence_gen called an image kernel")
+
+    rng = random.Random(73)
+    algebras = [resolve(name) for name in sorted(FIXTURES)] + random_algebras(79, 10)
+    cases = []
+    with monkeypatch.context() as m:
+        m.setattr(relations, "_image_mask", forbidden)
+        m.setattr(relations, "transitive_closure", forbidden)
+        for alg in algebras:
+            n = alg.size
+            for _ in range(4):
+                seed = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+                cases.append((alg, seed, congruence_gen(alg, seed)))
+    for alg, seed, cg in cases:
+        assert cg == ref_congruence_gen(alg, seed)
+
+
+def test_closure_reimages_an_operation_after_its_own_additions():
+    """f and g feed each other: g maps (0, 1) to (2, 3), which f maps to
+    (4, 5), which f maps to (6, 7).  The turn of f that adds (4, 5) must
+    not count f as done, or the closure stops once g adds nothing and
+    misses (6, 7)."""
+    f = [0, 0, 4, 5, 6, 7, 0, 0]
+    g = [2, 3, 0, 0, 0, 0, 0, 0]
+    alg = FiniteAlgebra(8, [("f", 1, f), ("g", 1, g)])
+    closed = BinRel.from_pairs(8, [(0, 1), (2, 3), (4, 5), (6, 7)] + [(a, a) for a in range(8)])
+    assert admissible_closure(alg, [(0, 1)]) == closed == ref_admissible_closure(alg, [(0, 1)])
+    assert tolerance_gen(alg, [(0, 1)]) == ref_tolerance_gen(alg, [(0, 1)])
+
+
+@pytest.mark.parametrize("n, r", [(16, 2), (4, 4), (16, 4), (17, 2)])
+def test_tuple_kernel_at_index_dtype_bounds(monkeypatch, n, r):
+    """n^r is 256 or 65,536: the largest flat tuple index, n^r - 1, is the
+    largest value of the uint8 or uint16 index arrays, and at n = 16 the
+    flat image index f(a) * 16 + f(b) reaches 255 in a uint8 table copy;
+    at n = 17 it outgrows uint8.  Every relation holds pairs at element
+    n - 1; the split images must add up to the whole image."""
+    for name, value in KERNEL_SETTINGS["tuples"].items():
+        monkeypatch.setattr(relations, name, value)
+    rng = random.Random(83 + n + r)
+    table = [rng.randrange(n) for _ in range(n**r)]
+    table[-1] = n - 1
+    alg = FiniteAlgebra(n, [("f", r, table)])
+    top = n - 1
+    pairs = 16 if r == 2 else 6
+    for _ in range(3):
+        extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(pairs)]
+        rel = BinRel.from_pairs(n, [(top, top), (top, 0), (0, top), *extra])
+        assert _image_mask(alg, rel.mask) == ref_image_mask(alg, rel)
+        old = BinRel.from_pairs(n, rel.pairs()[::2])
+        split = _image_mask(alg, rel.mask, old.mask) | ref_image_mask(alg, old)
+        assert split == ref_image_mask(alg, rel)
+
+
 def _list_cmp(x, y):
     return (x > y) - (x < y)
 
