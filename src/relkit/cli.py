@@ -225,6 +225,16 @@ _SEARCHES = {
 # chain schema -> the builtin inclusion that holds in V(A) exactly when a
 # system of h steps exists
 _CHAIN_INCLUSIONS = {"vr": "vrIncl", "mal": "malIncl"}
+# schema -> (the schema of the systems its search finds, whether a found
+# report's bound and shortest are those the search gives a system of params p)
+_FOUND = {
+    "jonsson": ("Jonsson", lambda p, bound, shortest: shortest == p["k"] <= bound),
+    "directed-jonsson": ("DirectedJonsson", lambda p, bound, shortest: shortest == p["n"] <= bound),
+    "majority": ("Majority", lambda p, bound, shortest: bound == 0 and shortest is None),
+    "pixley": ("Pixley", lambda p, bound, shortest: bound == 0 and shortest is None),
+    "vr": ("VR", lambda p, bound, shortest: bound == shortest == p["h"]),
+    "mal": ("MalF", lambda p, bound, shortest: bound == p["h"] and shortest is None),
+}
 
 
 def _cmd_find_terms(args, alg, caps):
@@ -394,17 +404,23 @@ def _replay_check(report: dict, alg) -> None:
 
 
 def _replay_find_terms(report: dict, alg, caps) -> None:
-    result = report["result"]
+    result, schema = report["result"], report["command"]["schema"]
     if not result["found"]:
         if result["conclusive"] is True:
-            _replay_absence(report["command"]["schema"], result, alg, caps)
+            _replay_absence(schema, result, alg, caps)
         return  # an inconclusive absence claims nothing
     system = result["system"]
+    found, agrees = _FOUND[schema]
+    if system["schema"] != found:
+        raise _ReplayError(f"a {schema} search finds no {system['schema']} system")
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in system["params"].items()}
     terms = {role: parse_term(text) for role, text in system["terms"].items()}
     stored = [(parse_term(e["lhs"]), parse_term(e["rhs"]), e["pattern"]) for e in system["equations"]]
     if stored != schema_equations(system["schema"], params, terms):
         raise _ReplayError(f"the equations are not those of the {system['schema']} terms")
+    if not agrees(params, result["bound"], result["shortest"]):
+        raise _ReplayError(f"bound {result['bound']} and shortest {result['shortest']} "
+                           f"do not fit a found {found} system {system['params']}")
     for lhs, rhs, pattern in stored:
         if not identity_holds(alg, lhs, rhs, pattern):
             raise _ReplayError(f"equation {lhs} = {rhs} [{pattern}] fails")

@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from typing import Callable
 
@@ -565,12 +565,12 @@ def check_for_all(
     return Verdict(None, "truncated", note="no counterexample found (truncated)")
 
 
-def _random_value(alg, cls, rng, close):
+def _random_value(alg, cls, rng):
     """The finest member of cls holding one to three random pairs."""
     n, most = alg.size, _SHAPES[cls][1]
     k = 2 if cls is RelClass.UnionOfTwoCongruences else rng.randint(1, 3 if most == 0 else 2)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-    (value,) = _minimal_members(alg, cls, pairs, close, finest=True)
+    (value,) = _minimal_members(alg, cls, pairs, finest=True)
     return value
 
 
@@ -578,9 +578,8 @@ def _check_sampled(alg, spec, classes, samples, seed):
     rng = random.Random(seed)
     names = [v for v, _ in spec.variables]
     sides = desugar(spec.lhs), desugar(spec.rhs)
-    close = _OrbitClosures(alg, ()).block
     for _ in range(samples):
-        env = {v: _random_value(alg, classes[v], rng, close) for v in names}
+        env = {v: _random_value(alg, classes[v], rng) for v in names}
         if not _holds_at(alg, sides, spec.mode, {v: _value_mask(x) for v, x in env.items()}):
             lhs, rhs, _ = evaluate(alg, spec, env)
             cex = {"assignment": env, "pair": violation_pair(lhs, rhs, spec.mode)}
@@ -607,7 +606,7 @@ def _check_sampled(alg, spec, classes, samples, seed):
 #   more distinct pairs P, the one-block member gen(P) is dropped.  It
 #   contains gen(L) ∪ gen(R) for every split P = L ∪ R, so every class
 #   member whose union view holds P dominates some split, and the verdict
-#   depends only on union views.  This skips every join closure.
+#   depends only on union views.  This skips the one-block member's join.
 # - Orbit representatives.  An automorphism g maps the atom sets of (a, c)
 #   to those of (g a, g c) and closures to closures, so (a, c) has a
 #   violation iff g(a, c) has one.  Phase 1 visits only the pairs that no
@@ -628,15 +627,17 @@ def _check_sampled(alg, spec, classes, samples, seed):
 #   value.
 #
 # So phase 1 finds a violation iff the full assignment set has one, and its
-# "holds" is exhaustive.  After phase 1 refutes at a representative P,
-# phase 2 runs the plain ordered scan over every pair up to P, with every
-# minimal member (a two-component class's one-block member first), and asks
-# phase 1's row question of each assignment: is the pair itself outside the
-# right side?  The pair lies in the left side, so the first such (assignment,
-# pair) is a violation that verify confirms, and phase 1's violation at P
-# bounds the scan.  A plain class's minimal member is memoized per pair set
-# for the check; a family is built anew on each request, since a check on
-# F(lattice_n5,3) asks for about 177,000 distinct ones.
+# "holds" is exhaustive.  A refutation at representative P is re-decided at
+# P alone with every minimal member (a two-component class's one-block
+# member first), and the first assignment that leaves P outside the right
+# side is reported; verify confirms it, as P lies in the left side.  It is
+# the plain ordered scan's first violation too: a pair violates with all
+# members iff with finest ones (a split lies inside the one-block member),
+# and an automorphism found maps violating pairs to violating ones, so the
+# least violating pair q has a violating least[q] <= q, hence least[q] = q:
+# q is the first violating representative, P.  A plain class's minimal
+# member is memoized per pair set for the check; a family is built anew on
+# each request (a check on F(lattice_n5,3) asks for about 177,000).
 
 
 def _atom_sets(e: RelExpr, a: int, c: int, n: int):
@@ -668,55 +669,58 @@ def _atom_sets(e: RelExpr, a: int, c: int, n: int):
     )
 
 
-def _two_block_partitions(pairs: tuple):
-    """All ways to split the pair list into at most two nonempty blocks; the
-    one-block split comes first."""
-    out = [(pairs,)]
-    for bits in range(1, 2 ** max(len(pairs) - 1, 0)):
-        left = tuple(p for i, p in enumerate(pairs) if not (bits >> i) & 1)
-        right = tuple(p for i, p in enumerate(pairs) if (bits >> i) & 1)
-        out.append((left, right))
-    return out
+def _block_closure(alg, gen, block, close):
+    """gen's closure of a block of pairs (a, c) from the single-pair closures
+    close(gen, a*n + c): its one pair's, or the closure of the join of its
+    pairs'; no pair gives the least relation, the closure of (0, 0)."""
+    n = alg.size
+    if len(block) < 2:
+        a, c = block[0] if block else (0, 0)
+        return close(gen, a * n + c)
+    mask = 0
+    for a, c in block:
+        mask |= close(gen, a * n + c).mask
+    return gen(alg, BinRel(n, mask))
 
 
-def _minimal_members(alg, cls, pairs, close, finest: bool):
-    """Minimal members of cls containing all given pairs (may be several),
-    from close(gen, block).  With finest, a two-component class with two or
-    more distinct pairs yields its two-block splits only."""
+def _minimal_members(alg, cls, pairs, finest: bool, close=None):
+    """Minimal members of cls containing the pairs, their blocks closed from
+    the single-pair closures close(gen, p), the algebra's memo
+    (relations.pair_closure) by default.  With finest, a two-component class
+    with two or more distinct pairs yields its two-block splits only."""
+    close = close or partial(pair_closure, alg)
     pairs = tuple(dict.fromkeys(pairs))
     gen, most = kind_functions(_SHAPES[cls][0])[0], _SHAPES[cls][1]
     if most is None:
-        return [close(gen, pairs)]
-    if not pairs:
-        return [UAdmRel([BinRel.diagonal(alg.size)])]
+        return [_block_closure(alg, gen, pairs, close)]
     if most == 0:
-        return [UAdmRel([close(gen, (p,)) for p in pairs])]
-    splits = _two_block_partitions(pairs)
-    if finest and len(pairs) > 1:
-        splits = splits[1:]
-    return [UAdmRel([close(gen, block) for block in blocks]) for blocks in splits]
+        splits = [[(p,) for p in pairs] or [()]]
+    else:  # the one-block member unless finest drops it, then the two-block splits
+        splits = [] if finest and len(pairs) > 1 else [[pairs]]
+        for bits in range(1, 2 ** max(len(pairs) - 1, 0)):
+            splits.append([[p for i, p in enumerate(pairs) if not bits >> i & 1],
+                           [p for i, p in enumerate(pairs) if bits >> i & 1]])
+    return [UAdmRel([_block_closure(alg, gen, b, close) for b in blocks]) for blocks in splits]
 
 
 class _OrbitClosures:
-    """Closures on alg of single pairs, by flat index p = a*n + c, and of
-    blocks of pairs (the closure of the join of their pairs' closures).
+    """Closures on alg of single pairs, by flat index p = a*n + c.
 
-    One pass over auts (by default the automorphisms found) gives each pair
-    its least image under one of them, least[p], and the index which[p] of
-    the one, g, that reaches it.  A representative, least[p] == p (every
-    pair when auts is empty), is closed directly.  Any other pair takes the
-    closure of q = g(p) and maps it back, closure(p) = {x : g(x) ∈
-    closure(q)}, since g maps the least relation of a class containing p
-    onto the one containing g(p).  That is exact for any automorphism, so
+    One pass over the automorphisms found, auts, gives each pair its least
+    image under one of them, least[p], and the index which[p] of the one, g,
+    that reaches it.  A representative, least[p] == p, is closed directly.
+    Any other pair maps back the closure of q = g(p): closure(p) = {x :
+    g(x) ∈ closure(q)}, as g maps the least relation of a class containing
+    p onto the one containing g(p).  That is exact for any automorphism, so
     both go into the algebra's memo (relations.pair_closure).  q is closed
     through the memo too, so the chain p > q > ... ends at a representative
     or a memo entry even when the automorphisms are not a group.
     """
 
-    def __init__(self, alg, auts=None):
+    def __init__(self, alg):
         n = self.n = alg.size
         self.alg = alg
-        self.auts = automorphisms(alg) if auts is None else auts
+        self.auts = automorphisms(alg)
         least, which = np.arange(n * n), np.full(n * n, -1)
         for i, g in enumerate(self.auts):
             image = self._pair_image(g)
@@ -724,17 +728,11 @@ class _OrbitClosures:
             least[smaller], which[smaller] = image[smaller], i
         self.least, self.which = least.tolist(), which.tolist()
         self.pair_images: dict = {}
-        self.joins: dict = {}
 
     def _pair_image(self, g) -> np.ndarray:
         """Flat index of g(a, c) at flat index a*n + c."""
         g = np.asarray(g)
         return np.add.outer(g * self.n, g).ravel()
-
-    def representatives(self) -> list[int]:
-        """Flat indices, ascending, of the pairs that no automorphism found
-        maps to a smaller pair; every pair lies in the orbit of one."""
-        return [p for p, q in enumerate(self.least) if p == q]
 
     def close(self, gen, p: int) -> BinRel:
         """gen's closure of the pair with flat index p."""
@@ -752,19 +750,6 @@ class _OrbitClosures:
             closed = memo[gen, q] = BinRel(self.n, _mask_of(bits[self.pair_images[i]]))
         return closed
 
-    def block(self, gen, block) -> BinRel:
-        """gen's closure of a block of pairs (a, c)."""
-        if len(block) == 1:
-            ((a, c),) = block
-            return self.close(gen, a * self.n + c)
-        key = (gen, frozenset(block))
-        if key not in self.joins:
-            mask = 0
-            for a, c in block:
-                mask |= self.close(gen, a * self.n + c).mask
-            self.joins[key] = gen(self.alg, BinRel(self.n, mask))
-        return self.joins[key]
-
 
 def _check_principal(alg, spec, classes):
     if spec.mode != "inclusion":
@@ -778,14 +763,14 @@ def _check_principal(alg, spec, classes):
 
     def members(cls, pairs, finest):
         if cls not in _PLAIN:
-            return _minimal_members(alg, cls, pairs, orbits.block, finest)
+            return _minimal_members(alg, cls, pairs, finest, orbits.close)
         key = (cls, frozenset(pairs))
         if key not in plain:
-            plain[key] = _minimal_members(alg, cls, pairs, orbits.block, finest)
+            plain[key] = _minimal_members(alg, cls, pairs, finest, orbits.close)
         return plain[key]
 
-    def first_violation(flat_pairs, finest):
-        for a, c in (divmod(p, n) for p in flat_pairs):
+    def first_violation(pairs, finest):
+        for a, c in pairs:
             for atoms in _atom_sets(sides[0], a, c, n):
                 per_var = {v: [] for v in names}
                 for v, p in atoms:
@@ -797,13 +782,13 @@ def _check_principal(alg, spec, classes):
                         return dict(zip(names, values)), (a, c)
         return None
 
-    hit = first_violation(orbits.representatives(), finest=True)
+    representatives = (divmod(p, n) for p, q in enumerate(orbits.least) if p == q)
+    hit = first_violation(representatives, finest=True)
     if hit is None:
         return Verdict(True, "exhaustive")
-    a, c = hit[1]
-    first = first_violation(range(a * n + c + 1), finest=False)
+    first = first_violation([hit[1]], finest=False)
     if first is None:
-        raise RuntimeError(f"principal scan found no violation up to {hit[1]}")
+        raise RuntimeError(f"principal re-decision found no violation at {hit[1]}")
     env, pair = first
     return Verdict(False, "exhaustive", {"assignment": env, "pair": pair})
 
@@ -823,14 +808,13 @@ def free_seed_assignment(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bo
         )
     letters = dict(zip("xyz", generator_ids(free_alg.size, 3)))
     classes = spec.classes(narrow)
-    close = _OrbitClosures(free_alg, ()).block
     out = {}
     for var, pairs in spec.free_seeds.items():
         pts = tuple((letters[p[0]], letters[p[1]]) for p in pairs)
         most = _SHAPES[classes[var]][1]
         if most and most < len(pts):
             raise UnsupportedError(f"{spec.name}: seed needs more than {most} components")
-        (out[var],) = _minimal_members(free_alg, classes[var], pts, close, finest=True)
+        (out[var],) = _minimal_members(free_alg, classes[var], pts, finest=True)
     return out
 
 

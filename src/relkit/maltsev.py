@@ -249,6 +249,8 @@ def _bfs_path(start, is_goal, neighbors):
 def _find_ladder(alg: FiniteAlgebra, schema: str, bound: int, caps: Caps) -> SearchResult:
     """Shortest ladder j_0 = x, ..., j_k = z of rungs with j_i(x,y,x) = x,
     consecutive rungs linked as the schema's links say."""
+    if bound < 1:
+        raise ValueError("the ladder bound must be >= 1")
     clone = generate_clone(alg, 3, caps=caps)
     key, links = _LADDERS[schema]
     mid_ok = _satisfies(clone, [_MIDDLE])

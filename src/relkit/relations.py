@@ -27,7 +27,7 @@ at least one pair newer than that operation's old, the relation it was last
 imaged on: for arity r, old^i x new x all^(r-1-i) over i < r.  So an
 operation sees the pairs the turns before it added.  The loop ends once
 every operation in a row has had a turn on the current relation that added
-no pair.  is_admissible images the whole relation (old = 0).
+no pair.  is_admissible images the whole relation (old = 0) per operation.
 
 congruence_gen images no operation.  By Mal'cev's lemma an equivalence is a
 congruence iff every basic translation x -> f(c_1, ..., x, ..., c_r) maps
@@ -388,58 +388,49 @@ def _dense_image(tab: np.ndarray, mask: int, n: int) -> np.ndarray:
     return img.ravel()
 
 
-def _image_mask(alg: FiniteAlgebra, mask: int, old: int = 0, ops=None, arrays=None) -> int:
+def _image_mask(op, n: int, mask: int, old: int, arrays: dict) -> int:
     """Union of (f(a-row), f(b-row)) over the tuples of pairs of mask that
-    use at least one pair outside old (old must lie in mask), for each f in
-    ops (every operation of alg by default).
+    use at least one pair outside old (old must lie in mask; 0 images the
+    whole relation), for the one operation f = op on {0..n-1}.
 
     For arity r those tuples are the union over i of old^i x new x all^(r-1-i).
-    Up to _SMALL tuples in all, one product over all^r is cheaper than the
-    split.  A binary operation with more than n^3 / _DENSE_RATIO tuples
-    takes the dense kernel, which images the whole relation.  arrays maps
-    (mask, dtype) to the pair arrays of a mask, built when a tuple product
-    needs them; a caller may pass one dict to several calls.
+    Up to _SMALL tuples, one product over all^r is cheaper than the split.
+    A binary operation with more than n^3 / _DENSE_RATIO tuples takes the
+    dense kernel, which images the whole relation.  arrays holds the pair
+    arrays of masks by (mask, dtype), shared by all of a caller's calls.
     """
-    n = alg.size
-    if arrays is None:
-        arrays = {}
+    r = op.arity
+    if r == 0:  # the pair (c, c) of the constant c
+        return 1 << (op.table[0] * (n + 1))
+    cells = mask.bit_count() ** r
+    split = old != 0 and cells > _SMALL
+    if split:
+        cells -= old.bit_count() ** r
+    if cells == 0:
+        return 0
+    if r == 2 and cells > _SMALL and _DENSE_RATIO * cells > n**3 and n**3 <= 2 * _CHUNK:
+        return _mask_of(_dense_image(op.array(), mask, n))
+    # index arrays in the narrowest dtype once they are large: flat tuple
+    # indices lie below n^r, and f(a) * n + f(b) below n^2
+    large = cells > _SMALL
+    dtype = _index_dtype(n**r) if large else np.intp
+    every = _pair_arrays(mask, n, dtype, arrays)
+    if split:
+        new = _pair_arrays(mask & ~old, n, dtype, arrays)
+        prev = _pair_arrays(old, n, dtype, arrays)
+        parts = [[prev] * i + [new] + [every] * (r - 1 - i) for i in range(r)]
+    else:
+        parts = [[every] * r]
+    tab = op.array().astype(_index_dtype(n * n) if large else np.intp, copy=False)
     hit = np.zeros(n * n, dtype=bool)
-    for op in alg.ops if ops is None else ops:
-        r = op.arity
-        if r == 0:
-            c = op.table[0]
-            hit[c * n + c] = True
-            continue
-        cells = mask.bit_count() ** r
-        split = old != 0 and cells > _SMALL
-        if split:
-            cells -= old.bit_count() ** r
-        if cells == 0:
-            continue
-        dense = cells > _SMALL and _DENSE_RATIO * cells > n**3 and n**3 <= 2 * _CHUNK
-        if r == 2 and dense:
-            hit |= _dense_image(op.array(), mask, n)
-            continue
-        # index arrays in the narrowest dtype once they are large: flat
-        # tuple indices lie below n^r, and f(a) * n + f(b) below n^2
-        large = cells > _SMALL
-        dtype = _index_dtype(n**r) if large else np.intp
-        every = _pair_arrays(mask, n, dtype, arrays)
-        if split:
-            new = _pair_arrays(mask & ~old, n, dtype, arrays)
-            prev = _pair_arrays(old, n, dtype, arrays)
-            parts = [[prev] * i + [new] + [every] * (r - 1 - i) for i in range(r)]
-        else:
-            parts = [[every] * r]
-        tab = op.array().astype(_index_dtype(n * n) if large else np.intp, copy=False)
-        for part in parts:
-            for li, ri in _tuple_chunks(part, n):
-                # numpy indexes with intp: one explicit cast beats its own
-                li = tab[li.astype(np.intp, copy=False)]
-                li *= n
-                li += tab[ri.astype(np.intp, copy=False)]
-                hit[li.astype(np.intp, copy=False)] = True
-                del li, ri
+    for part in parts:
+        for li, ri in _tuple_chunks(part, n):
+            # numpy indexes with intp: one explicit cast beats its own
+            li = tab[li.astype(np.intp, copy=False)]
+            li *= n
+            li += tab[ri.astype(np.intp, copy=False)]
+            hit[li.astype(np.intp, copy=False)] = True
+            del li, ri
     return _mask_of(hit)
 
 
@@ -456,7 +447,7 @@ def _close(alg: FiniteAlgebra, mask: int) -> BinRel:
     arrays = {}  # pair arrays, shared by the turns
     clean = i = 0  # operations in a row that added nothing; the next to image
     while clean < len(ops):
-        img = _image_mask(alg, mask, old[i], (ops[i],), arrays)
+        img = _image_mask(ops[i], alg.size, mask, old[i], arrays)
         old[i] = mask
         if img & ~mask:
             mask |= img
@@ -471,7 +462,8 @@ def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """Compatibility with every operation; reflexivity is NOT required here."""
     if r.n != alg.size:
         raise ValueError("relation universe does not match the algebra")
-    return _image_mask(alg, r.mask) & ~r.mask == 0
+    arrays = {}  # pair arrays of r, shared by the operations
+    return all(_image_mask(op, r.n, r.mask, 0, arrays) & ~r.mask == 0 for op in alg.ops)
 
 
 def admissible_closure(alg: FiniteAlgebra, seed) -> BinRel:

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import relkit
 from relkit import cli
 from relkit.cli import _REPLAYS, build_parser, main
+from relkit.fixtures import resolve
 from relkit.identities import builtin_names
-from relkit.maltsev import SearchResult
+from relkit.maltsev import SearchResult, find_jonsson
 from test_golden import README_COMMANDS
 
 
@@ -499,6 +500,44 @@ def test_verify_terms_report_with_wrong_bound_fails(tmp_path, capsys):
         assert code == 1 and err.startswith("verify: FAIL:")
 
 
+FOUND_FORGERIES = [
+    # a Jonsson ladder passed off as a majority term, which baker4 lacks
+    (["baker4", "jonsson", "--max", "4"], lambda d: d["command"].update(schema="majority")),
+    (["lattice2", "jonsson", "--max", "4"], lambda d: d["result"].update(bound=1)),
+    (["lattice2", "jonsson", "--max", "4"], lambda d: d["result"].update(shortest=7)),
+    (["lattice2", "directed", "--max", "4"], lambda d: d["result"].update(shortest=None)),
+    (["lattice2", "vr", "--h", "2"], lambda d: d["result"].update(bound=5)),
+    (["lattice2", "vr", "--h", "2"], lambda d: d["result"].update(shortest=None)),
+    (["lattice2", "mal", "--h", "2"], lambda d: d["result"].update(shortest=2)),
+    (["lattice2", "majority"], lambda d: d["result"].update(bound=8)),
+    (["lattice2", "majority"], lambda d: d["command"].update(schema="pixley")),
+]
+
+
+@pytest.mark.parametrize("argv, tamper", FOUND_FORGERIES, ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_verify_rejects_a_found_report_with_another_schema_or_bound(tmp_path, capsys, argv, tamper):
+    """A found system's schema must be the one the command names, and bound
+    and shortest those its search reports; verify checks them without
+    running the search again."""
+    rpt = tmp_path / "found.json"
+    assert run(capsys, "find-terms", *argv, "--out", str(rpt))[0] == 0
+    assert run(capsys, "verify", str(rpt))[0] == 0
+    data = json.loads(rpt.read_text())
+    tamper(data)
+    rpt.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(rpt))
+    assert code == 1 and "verify: ok" not in out and err.startswith("verify: FAIL:"), err
+
+
+@pytest.mark.parametrize("schema", ["jonsson", "directed"])
+def test_ladder_bound_below_one_is_a_usage_error(capsys, schema):
+    for bound in ("0", "-1"):
+        code, _, err = run(capsys, "find-terms", "lattice2", schema, "--max", bound)
+        assert code == 3 and "ladder bound must be >= 1" in err
+    with pytest.raises(ValueError):
+        find_jonsson(resolve("lattice2"), max_k=-1)
+
+
 def test_verify_replays_a_conclusive_absence(tmp_path, capsys):
     """An absence claimed conclusive is searched for again at the report's
     bound: a forged absence of a system the search finds fails, as does one
@@ -817,6 +856,7 @@ _CHEAP_ARGV = st.one_of(
         st.just(["find-terms"]), _ALGEBRAS.map(lambda a: [a]),
         st.sampled_from(["jonsson", "directed", "directed-jonsson", "majority", "pixley", "vr", "mal", "nope"]).map(lambda s: [s]),
         st.one_of(st.just([]), st.integers(-2, 3).map(lambda h: ["--h", str(h)])),
+        st.one_of(st.just([]), st.integers(-2, 3).map(lambda m: ["--max", str(m)])),
     ),
     st.tuples(
         st.just(["free-algebra"]), _ALGEBRAS.map(lambda a: [a]),

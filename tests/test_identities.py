@@ -637,7 +637,6 @@ def assert_rows_match_whole(alg, cases):
     test is row a of eval_expr's right side; so the bit at (a, c) is its
     membership."""
     n = alg.size
-    close = identities._OrbitClosures(alg, ()).block
     for spec, narrow in cases:
         classes = spec.classes(narrow)
         names = [v for v, _ in spec.variables]
@@ -646,7 +645,7 @@ def assert_rows_match_whole(alg, cases):
             for atoms in _atom_sets(desugar(spec.lhs), a, c, n):
                 options = [
                     identities._minimal_members(
-                        alg, classes[v], [p for w, p in atoms if w == v], close, finest=True
+                        alg, classes[v], [p for w, p in atoms if w == v], finest=True
                     )
                     for v in names
                 ]
@@ -771,6 +770,75 @@ def test_principal_refutations_report_violating_pairs():
                 pair = v.counterexample["pair"]
                 assert lhs.contains(*pair) and not rhs.contains(*pair), (alg.name, text, pair)
     assert refuted
+
+
+def test_principal_refutations_lie_at_orbit_representatives(monkeypatch):
+    """Phase 2 re-decides phase 1's pair alone, since the plain ordered
+    scan's first violating pair q has a violating least image least[q] <= q,
+    so least[q] = q.  On the principal differential corpus (fixtures, free
+    algebras, equivariant algebras and partial automorphism sets), every
+    refutation's pair is its own least image, and some of those algebras
+    move pairs."""
+    corpus = [(resolve(name), principal_specs()) for name in sorted(FIXTURES)]
+    for name in ["lattice2", "z2", "baker4", "lattice_2x2"]:
+        free = free_algebra(name)
+        big = [(builtin("cdist2"), True), (builtin("maj3"), True)]
+        corpus.append((free, big if free.size > 10 else principal_specs()))
+    rng = random.Random(6)
+    cases = principal_specs(["cdist2", "cdist3", "cor1", "cor1pp", "gen2", "maj3", "modular2", "vrIncl"])
+    for n, arities in [(3, (2,)), (3, (1, 2)), (4, (2,)), (4, (1, 2)), (4, (2, 2)), (4, (3,)),
+                      (5, (2,)), (5, (1, 2)), (6, (2,)), (6, (1, 1))]:
+        perm = list(range(n))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        corpus.append((equivariant_algebra(rng, n, arities, perm), cases))
+    rng = random.Random(11)
+    partial = [
+        (free_algebra("lattice2"), [(builtin("cdist2"), True), (builtin("maj3"), True)]),
+        (equivariant_algebra(rng, 4, (2,), [1, 2, 0, 3]), principal_specs(["cdist2", "maj3", "gen2", "cor1"])),
+        (equivariant_algebra(rng, 5, (1, 2), [1, 2, 0, 4, 3]), principal_specs(["cdist2", "maj3", "modular2"])),
+    ]
+    runs = [(alg, specs, None) for alg, specs in corpus]
+    for alg, specs in partial:
+        cycle = next(g for g in automorphisms(alg) if order(g) == 3)
+        runs += [(alg, specs, [cycle]), (alg, specs, [tuple(range(alg.size))])]
+    moved = 0
+    for alg, specs, auts in runs:
+        if auts is not None:
+            monkeypatch.setattr(identities, "automorphisms", lambda _alg, s=auts: list(s))
+        least = identities._OrbitClosures(alg).least
+        for spec, narrow in specs:
+            v = check_for_all(alg, spec, strategy="principal", narrow=narrow)
+            if v.holds is False:
+                a, c = v.counterexample["pair"]
+                p = a * alg.size + c
+                assert least[p] == p, (alg.name, spec.name, narrow, auts, (a, c))
+                moved += least != list(range(alg.size**2))
+        monkeypatch.undo()
+    assert moved
+
+
+@pytest.mark.parametrize("cls", [RelClass.U2Admissible, RelClass.UnionOfTwoCongruences])
+def test_minimal_members_close_each_block_directly(cls):
+    """A two-component class with three distinct pairs: each block of every
+    member, one-block or split, is the closure of its pairs, and some
+    two-pair block's closure is more than the union of its pairs'."""
+    alg = resolve("lattice_n5")
+    gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
+    pairs = [(0, 1), (2, 3), (1, 4)]
+    splits = [(pairs,)] + [
+        ([p for i, p in enumerate(pairs) if not bits >> i & 1], [p for i, p in enumerate(pairs) if bits >> i & 1])
+        for bits in range(1, 4)
+    ]
+    want = [UAdmRel([gen(alg, block) for block in split]) for split in splits]
+    assert identities._minimal_members(alg, cls, pairs + [(0, 1)], finest=False) == want
+    assert identities._minimal_members(alg, cls, pairs, finest=True) == want[1:]
+    orbits = identities._OrbitClosures(alg)
+    assert identities._minimal_members(alg, cls, pairs, False, orbits.close) == want
+    assert any(
+        gen(alg, [p, q]).mask != gen(alg, [p]).mask | gen(alg, [q]).mask
+        for p, q in itertools.combinations(pairs, 2)
+    )
 
 
 # --- the block scan against the plain product loop --------------------------
