@@ -22,6 +22,8 @@ parser each time, and importing the module builds none.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import sys
@@ -49,6 +51,7 @@ from .identities import (
     free_seed_verdict,
 )
 from .maltsev import (
+    TermSystem,
     enumerate_expansions,
     find_directed_jonsson,
     find_jonsson,
@@ -212,8 +215,7 @@ def _cmd_check(args, alg, caps):
     return command, blocks, lines, {True: 0, False: 1}.get(verdict.holds, 2)
 
 
-# schema -> search(alg, bound, caps), the bound --h for a chain schema and
-# --max otherwise; "directed" is short for "directed-jonsson"
+# schema -> search(alg, bound, caps); "directed" is short for "directed-jonsson"
 _SEARCHES = {
     "jonsson": find_jonsson,
     "directed-jonsson": find_directed_jonsson,
@@ -222,29 +224,37 @@ _SEARCHES = {
     "vr": find_vr,
     "mal": find_mal_f,
 }
-# chain schema -> the builtin inclusion that holds in V(A) exactly when a
-# system of h steps exists
-_CHAIN_INCLUSIONS = {"vr": "vrIncl", "mal": "malIncl"}
-# schema -> (the schema of the systems its search finds, whether a found
-# report's bound and shortest are those the search gives a system of params p)
-_FOUND = {
-    "jonsson": ("Jonsson", lambda p, bound, shortest: shortest == p["k"] <= bound),
-    "directed-jonsson": ("DirectedJonsson", lambda p, bound, shortest: shortest == p["n"] <= bound),
-    "majority": ("Majority", lambda p, bound, shortest: bound == 0 and shortest is None),
-    "pixley": ("Pixley", lambda p, bound, shortest: bound == 0 and shortest is None),
-    "vr": ("VR", lambda p, bound, shortest: bound == shortest == p["h"]),
-    "mal": ("MalF", lambda p, bound, shortest: bound == p["h"] and shortest is None),
+# schema -> (the schema of the systems its search finds, the flag that sets
+# its bound or None, whether a found report's bound and shortest are those
+# the search gives a system of params p).  A chain schema (--h) has a system
+# of h steps exactly when its inclusion schema + "Incl" holds in V(A).
+_SCHEMAS = {
+    "jonsson": ("Jonsson", "max", lambda p, bound, shortest: shortest == p["k"] <= bound),
+    "directed-jonsson": ("DirectedJonsson", "max", lambda p, bound, shortest: shortest == p["n"] <= bound),
+    "majority": ("Majority", None, lambda p, bound, shortest: bound == 0 and shortest is None),
+    "pixley": ("Pixley", None, lambda p, bound, shortest: bound == 0 and shortest is None),
+    "vr": ("VR", "h", lambda p, bound, shortest: bound == shortest == p["h"]),
+    "mal": ("MalF", "h", lambda p, bound, shortest: bound == p["h"] and shortest is None),
 }
 
 
-def _cmd_find_terms(args, alg, caps):
+def _search(args, alg, caps):
+    """Run the search the find-terms arguments name: (schema, result).  A
+    bound flag the schema does not read is a usage error."""
     schema = {"directed": "directed-jonsson"}.get(args.schema, args.schema)
     if schema not in _SEARCHES:
         raise UnsupportedError(f"unknown schema {args.schema!r}; one of {', '.join(_SEARCHES)}")
-    bound = args.h if schema in _CHAIN_INCLUSIONS else args.max
-    if bound is None:
+    flag = _SCHEMAS[schema][1]
+    given = {f: getattr(args, f) for f in ("h", "max") if getattr(args, f) is not None}
+    if given.keys() - {flag}:
+        raise UnsupportedError(f"{schema} reads no --{min(given.keys() - {flag})}")
+    if flag == "h" and not given:
         raise UnsupportedError(f"{schema} needs --h")
-    res = _SEARCHES[schema](alg, bound, caps)
+    return schema, _SEARCHES[schema](alg, given.get(flag, 8), caps)
+
+
+def _cmd_find_terms(args, alg, caps):
+    schema, res = _search(args, alg, caps)
     result = res.report_form()
     lines = [f"schema: {schema}"]
     if res.found:
@@ -289,40 +299,25 @@ def _cmd_free_algebra(args, alg, caps):
 
 
 def _blocks(rel: BinRel) -> list:
-    seen, out = set(), []
+    """The blocks of an equivalence relation, each keyed by its least element."""
+    out = {}
     for a in range(rel.n):
-        if a in seen:
-            continue
-        block = [b for b in range(rel.n) if rel.contains(a, b)]
-        seen.update(block)
-        out.append(block)
-    return out
+        out.setdefault(next(b for b in range(rel.n) if rel.contains(a, b)), []).append(a)
+    return list(out.values())
 
 
 def _hasse(rels: list) -> list:
-    edges = []
-    for i, r in enumerate(rels):
-        for j, s in enumerate(rels):
-            if i == j or (r.mask | s.mask) != s.mask:
-                continue
-            # cover: nothing strictly between r and s
-            if not any(
-                k != i and k != j
-                and (r.mask | rels[k].mask) == rels[k].mask
-                and (rels[k].mask | s.mask) == s.mask
-                for k in range(len(rels))
-            ):
-                edges.append((i, j))
-    return edges
+    """The covers (i, j): rels[i] below rels[j] with no rels[k] strictly between."""
+    below = [[i != j and (r.mask | s.mask) == s.mask for j, s in enumerate(rels)] for i, r in enumerate(rels)]
+    n = len(rels)
+    return [(i, j) for i in range(n) for j in range(n)
+            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))]
 
 
 def _cmd_congruences(args, alg, caps):
     enum = enumerate_relations(alg, "congruence", caps)
     rels = enum.relations
     edges = _hasse(rels)
-    covers = {j: [] for j in range(len(rels))}
-    for i, j in edges:
-        covers[j].append(i)
     result = {
         "count": len(rels),
         "exhaustive": enum.exhaustive,
@@ -337,7 +332,7 @@ def _cmd_congruences(args, alg, caps):
     ]
     for i, r in enumerate(rels):
         blocks = " | ".join(" ".join(map(str, b)) for b in _blocks(r))
-        cov = ", ".join(f"c{k}" for k in covers[i]) or "-"
+        cov = ", ".join(f"c{k}" for k, j in edges if j == i) or "-"
         lines.append(f"  c{i}: {blocks}   covers: {cov}")
     return {}, {"result": result}, lines, 0 if enum.exhaustive else 2
 
@@ -357,7 +352,8 @@ def _cmd_expansions(args, caps):
 
 
 # ---------------------------------------------------------------------------
-# verify: replay counterexamples and certificates from a machine report
+# verify: replay counterexamples and certificates from a machine report, and
+# re-derive what it claims complete
 
 
 class _ReplayError(Exception):
@@ -371,21 +367,66 @@ def _load_value(alg, form: dict):
     return BinRel.from_pairs(alg.size, [tuple(p) for p in form["pairs"]])
 
 
-def _rebuild_spec(block: dict) -> IdentitySpec:
-    if block["kind"] == "builtin":
-        params = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in block["params"].items()
-        }
-        return builtin(block["name"], **params)
-    return relparser.parse_spec(block["source"])
+def _same(stored, derived) -> bool:
+    """Whether a report's block equals a re-derived one as JSON stores it (a
+    tuple as a list); the costly round trip runs only when they differ."""
+    return stored == derived or stored == json.loads(json.dumps(derived))
 
 
-def _replay_check(report: dict, alg) -> None:
+def _rerun_args(report: dict) -> argparse.Namespace:
+    """The arguments of the report's command, parsed again: the command
+    block's algebra, spec, schema and arity, a builtin spec's parameter flags
+    from the spec block, and a search's bound flag from the result."""
+    command = report["command"]
+    argv = [command["subcommand"]] + [str(command[k]) for k in ("algebra", "spec", "schema") if k in command]
+    if "arity" in command:
+        argv += ["--arity", str(command["arity"])]
+    flag = _SCHEMAS.get(command.get("schema"), (None, None))[1]
+    if flag:
+        argv += [f"--{flag}", str(report["result"]["bound"])]
+    for key, value in report.get("spec", {}).get("params", {}).items():
+        argv += [f"--{key}", ",".join(map(str, value)) if key == "f" else str(value)]
+    with contextlib.redirect_stderr(io.StringIO()) as usage:
+        try:
+            return _PARSER.parse_args(argv)
+        except SystemExit:
+            raise _ReplayError(f"the report's command does not parse: {usage.getvalue().strip()}") from None
+
+
+# subcommand -> the list its result block holds, and what the list is of
+_LISTINGS = {"congruences": ("congruences", "algebra"), "free-algebra": ("elements", "clone"),
+             "expansions": ("expansions", "spec")}
+
+
+def _rederive(report: dict, alg, caps) -> None:
+    """Run the report's subcommand again on the algebra the report carries,
+    within verify's caps: every block the run returns must equal the
+    report's block as its JSON file stores it."""
+    args = _rerun_args(report)
+    key, owner = _LISTINGS[args.subcommand]
+    inputs = {"alg": alg, "caps": caps} if "algebra" in args else {"caps": caps}
+    try:
+        _, blocks, _, code = args.compute(args, **inputs)
+    except CapExceeded:
+        code = 2
+    if code == 2:
+        raise _ReplayError(f"cannot re-derive the {key} within the caps")
+    for name, block in blocks.items():
+        if not _same(report.get(name), block):
+            counts = (f": report lists {len(report['result'][key])} {key} (count {report['result']['count']}), "
+                      f"the {owner} has {block['count']}") if name == "result" else ""
+            raise _ReplayError(f"the {name} block is not the one {args.subcommand} gives{counts}")
+
+
+def _replay_check(report: dict, alg, caps) -> None:
+    args = _rerun_args(report)
+    spec, desc = _resolve_spec(args.spec, args)
+    classes = {v: RelClass[c] for v, c in report["spec"]["classes"].items()}
+    if not _same(report["spec"], _spec_block(spec, desc, classes)):
+        raise _ReplayError("the spec block is not the one its command gives")
     result = report["result"]
     if result["holds"] is not False:
-        return  # nothing to replay
-    spec = _rebuild_spec(report["spec"])
-    classes = {v: RelClass[c] for v, c in report["spec"]["classes"].items()}
+        return  # a "holds" or truncated verdict is not re-decided
     cex = result["counterexample"]
     assignment = {v: _load_value(alg, form) for v, form in cex["assignment"].items()}
     for v, val in assignment.items():
@@ -407,112 +448,72 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
     result, schema = report["result"], report["command"]["schema"]
     if not result["found"]:
         if result["conclusive"] is True:
-            _replay_absence(schema, result, alg, caps)
+            _replay_absence(report, alg, caps)
         return  # an inconclusive absence claims nothing
-    system = result["system"]
-    found, agrees = _FOUND[schema]
-    if system["schema"] != found:
-        raise _ReplayError(f"a {schema} search finds no {system['schema']} system")
-    params = {k: tuple(v) if isinstance(v, list) else v for k, v in system["params"].items()}
+    system, (found, _, agrees) = result["system"], _SCHEMAS[schema]
+    params = system["params"]
     terms = {role: parse_term(text) for role, text in system["terms"].items()}
-    stored = [(parse_term(e["lhs"]), parse_term(e["rhs"]), e["pattern"]) for e in system["equations"]]
-    if stored != schema_equations(system["schema"], params, terms):
-        raise _ReplayError(f"the equations are not those of the {system['schema']} terms")
+    rebuilt = TermSystem(found, params, terms, schema_equations(found, params, terms))
+    if not _same(system, rebuilt.report_form()):
+        raise _ReplayError(f"the system block is not the {found} system of its terms")
     if not agrees(params, result["bound"], result["shortest"]):
         raise _ReplayError(f"bound {result['bound']} and shortest {result['shortest']} "
                            f"do not fit a found {found} system {system['params']}")
-    for lhs, rhs, pattern in stored:
+    for lhs, rhs, pattern in rebuilt.equations:
         if not identity_holds(alg, lhs, rhs, pattern):
             raise _ReplayError(f"equation {lhs} = {rhs} [{pattern}] fails")
+    if result["certificate_ok"] is not True:
+        raise _ReplayError("the report says the certificate fails, but its equations hold")
 
 
-def _replay_absence(schema: str, result: dict, alg, caps) -> None:
-    """Run the search again at the report's bound (h or --max); for a chain
-    schema, also require the seed verdict of its inclusion on F(A,3), from
-    the 3-ary clone the search ran on, to say that the inclusion fails."""
-    if schema not in _SEARCHES:
-        raise _ReplayError(f"unknown schema {schema!r}")
-    bound = result["bound"]
-    res = _SEARCHES[schema](alg, bound, caps)
-    if res.found:
-        raise _ReplayError(f"the search finds a {schema} system the report says is absent")
-    if not res.conclusive:
-        raise _ReplayError("cannot re-derive the absence within the caps")
-    if res.shortest != result["shortest"]:
-        raise _ReplayError(f"report gives shortest {result['shortest']}, the search {res.shortest}")
-    if schema in _CHAIN_INCLUSIONS:
-        spec = builtin(_CHAIN_INCLUSIONS[schema], h=bound)
-        try:
+def _replay_absence(report: dict, alg, caps) -> None:
+    """Search again at the report's bound; the result block must come back
+    whole.  A chain absence also needs the seed verdict of its inclusion on
+    F(A,3), read off the search's 3-ary clone, to say the inclusion fails."""
+    result = report["result"]
+    try:
+        schema, res = _search(_rerun_args(report), alg, caps)
+        if res.found:
+            raise _ReplayError(f"the search finds a {schema} system the report says is absent")
+        if not res.conclusive:
+            raise CapExceeded
+        if not _same(result, res.report_form()):
+            raise _ReplayError(f"report gives {result}, the search {res.report_form()}")
+        if _SCHEMAS[schema][1] == "h":
+            spec = builtin(schema + "Incl", h=res.bound)
             clone3 = res.clone3 if res.clone3 is not None else generate_clone(alg, 3, caps=caps)
-            holds = free_seed_verdict(clone_as_algebra(clone3, caps), spec)
-        except CapExceeded:
-            raise _ReplayError("cannot re-derive the absence within the caps") from None
-        if holds:
-            raise _ReplayError(f"{spec.name} holds on F(A,3), so a {schema} system exists")
+            if free_seed_verdict(clone_as_algebra(clone3, caps), spec):
+                raise _ReplayError(f"{spec.name} holds on F(A,3), so a {schema} system exists")
+    except CapExceeded:
+        raise _ReplayError("cannot re-derive the absence within the caps") from None
 
 
-def _replay_congruences(result: dict, alg, caps) -> None:
-    listed = set()
-    for c in result["congruences"]:
+def _replay_congruences(report: dict, alg, caps) -> None:
+    for c in report["result"]["congruences"]:
         rel = BinRel.from_pairs(alg.size, [tuple(p) for p in c["pairs"]])
         if not is_congruence(alg, rel):
             raise _ReplayError(f"entry c{c['id']} is not a congruence")
-        listed.add(rel.mask)
-    if result["exhaustive"] is not True:
-        return  # a truncated listing claims soundness only
-    enum = enumerate_relations(alg, "congruence", caps)
-    if not enum.exhaustive:
-        raise _ReplayError("cannot re-derive the complete listing within the caps")
-    if listed != {r.mask for r in enum.relations} or result["count"] != len(enum.relations):
-        raise _ReplayError(
-            f"report lists {len(listed)} congruences (count {result['count']}), "
-            f"the algebra has {len(enum.relations)}"
-        )
+    if report["result"]["exhaustive"] is True:  # a truncated listing claims soundness only
+        _rederive(report, alg, caps)
 
 
-def _replay_free_algebra(result: dict, alg, caps) -> None:
-    arity = result["arity"]
-    listed = set()
+def _replay_free_algebra(report: dict, alg, caps) -> None:
+    result = report["result"]
     for el in result["elements"]:
-        table = table_of_term(alg, parse_term(el["witness"]), arity)
+        table = table_of_term(alg, parse_term(el["witness"]), result["arity"])
         if table.tolist() != el["table"]:
             raise _ReplayError(f"element #{el['id']} table does not match its witness")
-        listed.add(tuple(el["table"]))
-    if result["complete"] is not True:
-        return  # a truncated listing claims soundness only
-    clone = generate_clone(alg, arity, caps=caps)
-    if not clone.complete:
-        raise _ReplayError("cannot re-derive the complete clone within the caps")
-    tables = set(map(tuple, clone.matrix().tolist()))
-    if listed != tables or result["count"] != len(clone) or len(result["elements"]) != len(clone):
-        raise _ReplayError(
-            f"report lists {len(result['elements'])} elements (count {result['count']}), "
-            f"the clone has {len(clone)}"
-        )
-
-
-def _replay_expansions(report: dict, caps) -> None:
-    """List the expansions of the report's spec again within the caps."""
-    result = report["result"]
-    spec = _rebuild_spec(report["spec"])
-    try:
-        forms = [e.report_form() for e in enumerate_expansions(spec, caps)]
-    except CapExceeded:
-        raise _ReplayError("cannot re-derive the expansions within the caps") from None
-    if result["expansions"] != forms or result["count"] != len(forms):
-        raise _ReplayError(
-            f"report lists {len(result['expansions'])} expansions (count {result['count']}), "
-            f"the spec has {len(forms)}"
-        )
+    if result["complete"] is True:  # a truncated listing claims soundness only
+        _rederive(report, alg, caps)
 
 
 # subcommand -> replay of its report, or None when it has nothing to replay
 _REPLAYS = {
-    "check": lambda report, alg, caps: _replay_check(report, alg),
+    "check": _replay_check,
     "find-terms": _replay_find_terms,
-    "congruences": lambda report, alg, caps: _replay_congruences(report["result"], alg, caps),
-    "free-algebra": lambda report, alg, caps: _replay_free_algebra(report["result"], alg, caps),
-    "expansions": lambda report, alg, caps: _replay_expansions(report, caps),
+    "congruences": _replay_congruences,
+    "free-algebra": _replay_free_algebra,
+    "expansions": _rederive,
     "search-mainp": None,
 }
 
@@ -530,9 +531,7 @@ def _cmd_verify(args) -> int:
     try:
         alg = None
         if "algebra" in report:
-            alg = FiniteAlgebra.from_json(
-                report["algebra"]["data"], name=report["algebra"]["name"]
-            )
+            alg = FiniteAlgebra.from_json(report["algebra"]["data"], name=report["algebra"]["name"])
             if alg.fingerprint() != report["algebra"]["fingerprint"]:
                 raise _ReplayError("stale algebra fingerprint")
         sub = report["command"]["subcommand"]
@@ -636,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-terms", help="search the clone for a term system")
     p.add_argument("algebra")
     p.add_argument("schema", help=" | ".join(_SEARCHES))
-    p.add_argument("--max", type=int, default=8, help="ladder length bound")
+    p.add_argument("--max", type=int, help="ladder length bound (default 8)")
     p.add_argument("--h", type=int, help="chain length for vr/mal")
     _add_common(p, _cmd_find_terms)
 

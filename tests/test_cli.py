@@ -529,6 +529,19 @@ def test_verify_rejects_a_found_report_with_another_schema_or_bound(tmp_path, ca
     assert code == 1 and "verify: ok" not in out and err.startswith("verify: FAIL:"), err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("lattice2", "majority", "--max", "-5"), "--max"),
+        (("lattice2", "jonsson", "--h", "-3"), "--h"),
+        (("lattice2", "vr", "--h", "2", "--max", "-7"), "--max"),
+    ],
+)
+def test_a_bound_flag_the_schema_does_not_read_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, "find-terms", *argv)
+    assert code == 3 and out == "" and f"reads no {flag}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("schema", ["jonsson", "directed"])
 def test_ladder_bound_below_one_is_a_usage_error(capsys, schema):
     for bound in ("0", "-1"):
@@ -612,6 +625,84 @@ def test_verify_builds_the_free_algebra_once_per_chain_absence(tmp_path, capsys,
     assert sorted(arities) == [3, 4]
 
 
+def _every(key, value):
+    """A tamper that sets key to value in every entry of a listing."""
+
+    def tamper(entries):
+        for entry in entries:
+            entry[key] = value
+
+    return tamper
+
+
+# (the command that writes a genuine report, the edit, extra verify flags,
+# the exit code verify must give); exit 0 marks a claim verify does not
+# re-check, with the reason
+REPORT_EDITS = {
+    # congruences: the listing is re-derived and compared whole
+    "congruences covers": (["congruences", "z2cube"], lambda d: d["result"].update(hasse_covers=[[0, 1]]), [], 1),
+    "congruences blocks": (["congruences", "z2cube"], lambda d: d["result"]["congruences"][5].update(blocks=[[0, 1]]), [], 1),
+    "congruences count": (["congruences", "z2cube"], lambda d: d["result"].update(count=17), [], 1),
+    # free-algebra: likewise, and the command's arity is the one re-run
+    "free-algebra depths": (["free-algebra", "lattice2"], lambda d: _every("depth", 7)(d["result"]["elements"]), [], 1),
+    "free-algebra id": (["free-algebra", "lattice2"], lambda d: d["result"]["elements"][0].update(id=99), [], 1),
+    "free-algebra arity 2": (["free-algebra", "lattice2"], lambda d: d["command"].update(arity=2), [], 1),
+    # the 7,579 tables of arity 5 take seconds; within small caps the re-run
+    # is truncated, which fails as well
+    "free-algebra arity 5": (["free-algebra", "lattice2"], lambda d: d["command"].update(arity=5),
+                             ["--caps", '{"clone_cap_4": 50}'], 1),
+    "free-algebra count": (["free-algebra", "lattice2"], lambda d: d["result"].update(count=19), [], 1),
+    # find-terms, a conclusive absence: the search runs again
+    "absence system": (["find-terms", "z2", "majority"],
+                       lambda d: d["result"].update(system={"schema": "Majority"}), [], 1),
+    "absence verdict": (["find-terms", "z2", "majority"], lambda d: d["result"].update(found=True), [], 1),
+    # find-terms, found: the system is rebuilt from its terms, no search runs
+    "found certificate_ok": (["find-terms", "lattice2", "jonsson"],
+                             lambda d: d["result"].update(certificate_ok=False), [], 1),
+    "found verdict": (["find-terms", "lattice2", "jonsson"], lambda d: d["result"].update(found=False), [], 1),
+    # check: the spec block is rebuilt, the counterexample re-checked
+    "check spec": (["check", "z2cube", "cdist3", "--k", "4"],
+                   lambda d: d["spec"].update(identity="alpha <= alpha", mode="equality"), [], 1),
+    "check pair": (["check", "z2cube", "cdist3", "--k", "4"],
+                   lambda d: d["result"]["counterexample"].update(pair=[0, 0]), [], 1),
+    # expansions: the spec block and the listing are re-derived
+    "expansions spec": (["expansions", "malIncl", "--h", "2"],
+                        lambda d: d["spec"].update(identity="s <= s", classes={"s": "UAdmissible"}), [], 1),
+    "expansions count": (["expansions", "malIncl", "--h", "2"], lambda d: d["result"].update(count=5), [], 1),
+    # not re-checked: a holds or truncated verdict is not re-decided (ROADMAP item 4)
+    "check holds": (["check", "z2cube", "cdist3", "--k", "4"],
+                    lambda d: d["result"].update(holds=True, counterexample=None), [], 0),
+    "check truncated": (["check", "z2cube", "cdist3", "--k", "4"],
+                        lambda d: d["result"].update(holds=None, counterexample=None), [], 0),
+    # not re-checked: a found report's conclusive flag; the certificate is what it claims
+    "found conclusive": (["find-terms", "lattice2", "jonsson"], lambda d: d["result"].update(conclusive=False), [], 0),
+    # not re-checked: an inconclusive absence claims nothing
+    "inconclusive absence": (["find-terms", "z2", "majority"], lambda d: d["result"].update(conclusive=False), [], 0),
+    # not re-checked: search-mainp reports observations and replays nothing
+    "search-mainp": (["search-mainp", "--seed", "5", "--count", "2"],
+                     lambda d: _every("holds", False)(d["result"]["observations"]), [], 0),
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_EDITS)
+def test_one_forged_report_per_type(tmp_path, capsys, edit):
+    """A genuine report of each type verifies; each edit of a block verify
+    re-derives or re-checks fails it, and the claims verify leaves alone
+    still print verify: ok."""
+    argv, tamper, flags, expected = REPORT_EDITS[edit]
+    rpt = tmp_path / "report.json"
+    run(capsys, *argv, "--out", str(rpt))
+    assert run(capsys, "verify", str(rpt)) == (0, "verify: ok\n", "")
+    data = json.loads(rpt.read_text())
+    tamper(data)
+    rpt.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(rpt), *flags)
+    if expected == 0:
+        assert (code, out, err) == (0, "verify: ok\n", "")
+    else:
+        assert code == 1 and out == "" and err.startswith("verify: FAIL:") and "Traceback" not in err, err
+
+
 ONE_ELEMENT = {
     "binary": {"size": 1, "ops": [{"name": "f", "arity": 2, "table": [0]}]},
     "no_ops": {"size": 1, "ops": []},
@@ -628,8 +719,10 @@ def test_find_terms_on_one_element_algebras(tmp_path, capsys, name):
     rpt = tmp_path / "report.json"
     expected = {"majority": {}, "pixley": {}, "jonsson": {"k": 1}, "directed": {"n": 1},
                 "vr": {"h": 2}, "mal": {"h": 2, "f": [1, 1]}}
+    flags = {"jonsson": ["--max", "2"], "directed": ["--max", "2"], "vr": ["--h", "2"], "mal": ["--h", "2"]}
     for schema, params in expected.items():
-        code, _, err = run(capsys, "find-terms", str(path), schema, "--h", "2", "--out", str(rpt))
+        argv = ["find-terms", str(path), schema, *flags.get(schema, []), "--out", str(rpt)]
+        code, _, err = run(capsys, *argv)
         assert code == 0 and "Traceback" not in err, schema
         result = json.loads(rpt.read_text())["result"]
         assert result["certificate_ok"] is True and result["system"]["params"] == params, schema
