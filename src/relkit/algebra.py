@@ -60,13 +60,14 @@ class Operation:
 class FiniteAlgebra:
     """Universe {0..size-1} with named finitary operations.
 
-    Three memos live and die with the algebra: _pools, the relation
+    Four memos live and die with the algebra: _pools, the relation
     enumerations of identities.candidate_pool by (kind, caps),
-    _pair_closures, the single-pair closures of relations.pair_closure, and
+    _pair_closures, the single-pair closures of relations.pair_closure,
+    _orbits, the pair orbits of relations.pair_orbits once searched, and
     _translations, the basic translations of relations.congruence_gen.
     """
 
-    __slots__ = ("size", "ops", "name", "_by_name", "_pools", "_pair_closures", "_translations")
+    __slots__ = ("size", "ops", "name", "_by_name", "_pools", "_pair_closures", "_orbits", "_translations")
 
     def __init__(self, size: int, ops, name: str | None = None):
         if size <= 0:
@@ -91,6 +92,7 @@ class FiniteAlgebra:
         self._by_name = {op.name: op for op in ops}
         self._pools = {}
         self._pair_closures = {}
+        self._orbits = None
         self._translations = None
 
     def op(self, name: str) -> Operation:

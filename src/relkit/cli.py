@@ -360,6 +360,13 @@ class _ReplayError(Exception):
     pass
 
 
+class _Fields(dict):
+    """A JSON object of a report: a field it lacks fails the replay by name."""
+
+    def __missing__(self, key):
+        raise _ReplayError(f"the report has no {key!r} field")
+
+
 def _load_value(alg, form: dict):
     if form["kind"] == "family":
         comps = [BinRel.from_pairs(alg.size, [tuple(p) for p in c]) for c in form["components"]]
@@ -428,6 +435,8 @@ def _replay_check(report: dict, alg, caps) -> None:
     if result["holds"] is not False:
         return  # a "holds" or truncated verdict is not re-decided
     cex = result["counterexample"]
+    if cex is None:
+        raise _ReplayError("a refutation needs a 'counterexample' block, not null")
     assignment = {v: _load_value(alg, form) for v, form in cex["assignment"].items()}
     for v, val in assignment.items():
         if not class_member(alg, classes[v], val):
@@ -451,6 +460,8 @@ def _replay_find_terms(report: dict, alg, caps) -> None:
             _replay_absence(report, alg, caps)
         return  # an inconclusive absence claims nothing
     system, (found, _, agrees) = result["system"], _SCHEMAS[schema]
+    if system is None:
+        raise _ReplayError("a found report needs a 'system' block, not null")
     params = system["params"]
     terms = {role: parse_term(text) for role, text in system["terms"].items()}
     rebuilt = TermSystem(found, params, terms, schema_equations(found, params, terms))
@@ -520,7 +531,7 @@ _REPLAYS = {
 
 def _cmd_verify(args) -> int:
     with open(args.report) as fh:
-        report = json.load(fh)
+        report = json.load(fh, object_hook=_Fields)
     caps = _caps(args)
     if not isinstance(report, dict):
         print(f"verify: a report is a JSON object, not {type(report).__name__}", file=sys.stderr)

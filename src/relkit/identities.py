@@ -30,7 +30,9 @@ The exhaustive strategy takes each variable's pool from candidate_pool,
 which enumerates each relation kind once per algebra object (the uadm: pool
 joins principal relations instead), and scans the product of the pools in
 blocks (_scan).  Every single-pair closure, in pools, principal members and
-seed instances, comes from the algebra's memo (relations.pair_closure).
+seed instances, comes from the algebra's memo (relations.pair_closure); the
+principal strategy and seed instances first search its pair orbits
+(relations.pair_orbits), so the memo closes one pair per orbit.
 """
 
 from __future__ import annotations
@@ -39,19 +41,17 @@ import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, automorphisms
+from .algebra import FiniteAlgebra
 from .caps import DEFAULT_CAPS, Caps
 from .freeclone import generator_ids
 from .relations import (
     BinRel,
-    _bits,
-    _mask_of,
     bar_masks,
     compose,  # noqa: F401 -- perfbench's tracer patches and restores this alias
     compose_masks,
@@ -59,6 +59,7 @@ from .relations import (
     enumerate_relations,
     kind_functions,
     pair_closure,
+    pair_orbits,
     pairs_order,
     principal_relations,
     star_masks,
@@ -615,7 +616,8 @@ def _check_sampled(alg, spec, classes, samples, seed):
 # - Transported closures.  The same automorphisms serve the closures of
 #   both phases: only a pair that is its own least image is closed from
 #   itself; any other pair's closure is the closure of its least image,
-#   mapped back by a bit permutation (_OrbitClosures).
+#   mapped back by a bit permutation (relations.pair_closure, once
+#   relations.pair_orbits has run on the algebra).
 #
 # - Rows.  A minimal assignment of (a, c) puts (a, c) in the left side by
 #   construction.  A violation at a pair q, under any assignment, is one
@@ -669,30 +671,25 @@ def _atom_sets(e: RelExpr, a: int, c: int, n: int):
     )
 
 
-def _block_closure(alg, gen, block, close):
-    """gen's closure of a block of pairs (a, c) from the single-pair closures
-    close(gen, a*n + c): its one pair's, or the closure of the join of its
-    pairs'; no pair gives the least relation, the closure of (0, 0)."""
+def _block_closure(alg, gen, block):
+    """gen's closure of a block of pairs (a, c) from their single-pair
+    closures (relations.pair_closure): its one pair's, or the closure of the
+    join of its pairs'; no pair gives the least relation, (0, 0)'s."""
     n = alg.size
-    if len(block) < 2:
-        a, c = block[0] if block else (0, 0)
-        return close(gen, a * n + c)
-    mask = 0
-    for a, c in block:
-        mask |= close(gen, a * n + c).mask
-    return gen(alg, BinRel(n, mask))
+    closures = [pair_closure(alg, gen, a * n + c) for a, c in block or [(0, 0)]]
+    if len(closures) == 1:
+        return closures[0]
+    return gen(alg, BinRel(n, reduce(int.__or__, (g.mask for g in closures))))
 
 
-def _minimal_members(alg, cls, pairs, finest: bool, close=None):
+def _minimal_members(alg, cls, pairs, finest: bool):
     """Minimal members of cls containing the pairs, their blocks closed from
-    the single-pair closures close(gen, p), the algebra's memo
-    (relations.pair_closure) by default.  With finest, a two-component class
-    with two or more distinct pairs yields its two-block splits only."""
-    close = close or partial(pair_closure, alg)
+    single-pair closures.  With finest, a two-component class with two or
+    more distinct pairs yields its two-block splits only."""
     pairs = tuple(dict.fromkeys(pairs))
     gen, most = kind_functions(_SHAPES[cls][0])[0], _SHAPES[cls][1]
     if most is None:
-        return [_block_closure(alg, gen, pairs, close)]
+        return [_block_closure(alg, gen, pairs)]
     if most == 0:
         splits = [[(p,) for p in pairs] or [()]]
     else:  # the one-block member unless finest drops it, then the two-block splits
@@ -700,55 +697,7 @@ def _minimal_members(alg, cls, pairs, finest: bool, close=None):
         for bits in range(1, 2 ** max(len(pairs) - 1, 0)):
             splits.append([[p for i, p in enumerate(pairs) if not bits >> i & 1],
                            [p for i, p in enumerate(pairs) if bits >> i & 1]])
-    return [UAdmRel([_block_closure(alg, gen, b, close) for b in blocks]) for blocks in splits]
-
-
-class _OrbitClosures:
-    """Closures on alg of single pairs, by flat index p = a*n + c.
-
-    One pass over the automorphisms found, auts, gives each pair its least
-    image under one of them, least[p], and the index which[p] of the one, g,
-    that reaches it.  A representative, least[p] == p, is closed directly.
-    Any other pair maps back the closure of q = g(p): closure(p) = {x :
-    g(x) ∈ closure(q)}, as g maps the least relation of a class containing
-    p onto the one containing g(p).  That is exact for any automorphism, so
-    both go into the algebra's memo (relations.pair_closure).  q is closed
-    through the memo too, so the chain p > q > ... ends at a representative
-    or a memo entry even when the automorphisms are not a group.
-    """
-
-    def __init__(self, alg):
-        n = self.n = alg.size
-        self.alg = alg
-        self.auts = automorphisms(alg)
-        least, which = np.arange(n * n), np.full(n * n, -1)
-        for i, g in enumerate(self.auts):
-            image = self._pair_image(g)
-            smaller = image < least
-            least[smaller], which[smaller] = image[smaller], i
-        self.least, self.which = least.tolist(), which.tolist()
-        self.pair_images: dict = {}
-
-    def _pair_image(self, g) -> np.ndarray:
-        """Flat index of g(a, c) at flat index a*n + c."""
-        g = np.asarray(g)
-        return np.add.outer(g * self.n, g).ravel()
-
-    def close(self, gen, p: int) -> BinRel:
-        """gen's closure of the pair with flat index p."""
-        memo = self.alg._pair_closures
-        chain, q = [], p
-        while (gen, q) not in memo and self.least[q] != q:
-            chain.append(q)
-            q = self.least[q]
-        closed = pair_closure(self.alg, gen, q)
-        for q in reversed(chain):
-            i = self.which[q]
-            if i not in self.pair_images:
-                self.pair_images[i] = self._pair_image(self.auts[i])
-            bits = _bits(closed.mask, self.n)
-            closed = memo[gen, q] = BinRel(self.n, _mask_of(bits[self.pair_images[i]]))
-        return closed
+    return [UAdmRel([_block_closure(alg, gen, b) for b in blocks]) for blocks in splits]
 
 
 def _check_principal(alg, spec, classes):
@@ -758,15 +707,15 @@ def _check_principal(alg, spec, classes):
     rhs = _Rows(alg, sides[1])
     n = alg.size
     names = [v for v, _ in spec.variables]
-    orbits = _OrbitClosures(alg)
+    least = pair_orbits(alg)[1]
     plain = {}  # (class, pair set) -> minimal members of a plain class
 
     def members(cls, pairs, finest):
         if cls not in _PLAIN:
-            return _minimal_members(alg, cls, pairs, finest, orbits.close)
+            return _minimal_members(alg, cls, pairs, finest)
         key = (cls, frozenset(pairs))
         if key not in plain:
-            plain[key] = _minimal_members(alg, cls, pairs, finest, orbits.close)
+            plain[key] = _minimal_members(alg, cls, pairs, finest)
         return plain[key]
 
     def first_violation(pairs, finest):
@@ -782,7 +731,7 @@ def _check_principal(alg, spec, classes):
                         return dict(zip(names, values)), (a, c)
         return None
 
-    representatives = (divmod(p, n) for p, q in enumerate(orbits.least) if p == q)
+    representatives = (divmod(p, n) for p in np.flatnonzero(least == np.arange(n * n)).tolist())
     hit = first_violation(representatives, finest=True)
     if hit is None:
         return Verdict(True, "exhaustive")
@@ -808,6 +757,7 @@ def free_seed_assignment(free_alg: FiniteAlgebra, spec: IdentitySpec, narrow: bo
         )
     letters = dict(zip("xyz", generator_ids(free_alg.size, 3)))
     classes = spec.classes(narrow)
+    pair_orbits(free_alg)  # the generator permutations map seed pairs onto each other
     out = {}
     for var, pairs in spec.free_seeds.items():
         pts = tuple((letters[p[0]], letters[p[1]]) for p in pairs)

@@ -58,9 +58,11 @@ arrays through int.to_bytes/np.unpackbits and np.packbits/int.from_bytes.
 Kinds.  KINDS names the three relation kinds; kind_functions gives the
 closure and membership test of one, by name from the module at each call.
 A relation of each kind is the join of its principal relations, the
-closures of its single pairs.  pair_closure closes a pair once per algebra
-object (every diagonal pair reads the closure of (0, 0), the least
-relation), and principal_relations lists a kind's distinct ones.
+closures of its single pairs.  pair_closure, the one path to them, closes a
+pair once per algebra object (every diagonal pair reads the closure of
+(0, 0), the least relation), and principal_relations lists a kind's
+distinct ones.  Once pair_orbits has searched the automorphisms, only a
+pair that none found maps lower is closed; the others are transported.
 
 Pools.  One join loop, joins, builds every relation pool, with or without a
 closure: enumerate_relations runs it over the principal relations with the
@@ -76,7 +78,7 @@ from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, _index_dtype
+from .algebra import FiniteAlgebra, _index_dtype, automorphisms
 from .caps import DEFAULT_CAPS, Caps
 
 
@@ -587,16 +589,55 @@ def kind_functions(kind: str):
     return globals()[close], globals()[member]
 
 
+def _pair_image(g) -> np.ndarray:
+    """Flat index of g(a, c) at flat index a*n + c, for the map g."""
+    return np.add.outer(np.multiply(g, len(g)), g).ravel()
+
+
+def pair_orbits(alg: FiniteAlgebra):
+    """(auts, least, which), searched once per algebra object and kept in
+    alg._orbits: the automorphisms found, and for each flat pair index p its
+    least image least[p] under one of them, auts[which[p]] (both arrays in
+    the narrowest dtype that holds them)."""
+    if alg._orbits is None:
+        n, auts = alg.size, automorphisms(alg)
+        least = np.arange(n * n, dtype=_index_dtype(n * n))
+        which = np.zeros(n * n, dtype=_index_dtype(len(auts)))
+        for i, g in enumerate(auts):
+            image = _pair_image(g)
+            smaller = image < least
+            least[smaller], which[smaller] = image[smaller], i
+        alg._orbits = auts, least, which
+    return alg._orbits
+
+
 def pair_closure(alg: FiniteAlgebra, close, p: int) -> BinRel:
     """close's closure of the pair with flat index p = a*n + b, kept in
     alg._pair_closures under (close, p).  A diagonal pair (a, a) closes to
-    the least relation of its kind, so every one reads the entry of (0, 0)."""
-    if p % (alg.size + 1) == 0:
+    the least relation of its kind, so every one reads the entry of (0, 0).
+    Once pair_orbits(alg) has run, a pair p with least image q = g(p) < p
+    maps back q's closure, {x : g(x) in closure(q)}: exact for any
+    automorphism g, and q is read through the memo, so the chain p > q > ...
+    ends even when the automorphisms found are no group."""
+    n = alg.size
+    if p % (n + 1) == 0:
         p = 0
     memo = alg._pair_closures
+    if (close, p) in memo:
+        return memo[close, p]
+    chain = []
+    if alg._orbits is not None:
+        auts, least, which = alg._orbits
+        while (close, p) not in memo and least[p] != p:
+            chain.append(p)
+            p = int(least[p])
     if (close, p) not in memo:
-        memo[close, p] = close(alg, [divmod(p, alg.size)])
-    return memo[close, p]
+        memo[close, p] = close(alg, [divmod(p, n)])
+    closed = memo[close, p]
+    for q in reversed(chain):  # the image of g = auts[which[q]] is built per transport
+        bits = _bits(closed.mask, n)[_pair_image(auts[which[q]])]
+        closed = memo[close, q] = BinRel(n, _mask_of(bits))
+    return closed
 
 
 def principal_relations(alg: FiniteAlgebra, kind: str) -> list:

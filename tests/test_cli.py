@@ -669,6 +669,15 @@ REPORT_EDITS = {
     "expansions spec": (["expansions", "malIncl", "--h", "2"],
                         lambda d: d["spec"].update(identity="s <= s", classes={"s": "UAdmissible"}), [], 1),
     "expansions count": (["expansions", "malIncl", "--h", "2"], lambda d: d["result"].update(count=5), [], 1),
+    # malformed: a missing field, or a null block the verdict needs
+    "found system null": (["find-terms", "lattice2", "jonsson"], lambda d: d["result"].update(system=None), [], 1),
+    "found no certificate_ok": (["find-terms", "lattice2", "jonsson"],
+                                lambda d: d["result"].pop("certificate_ok"), [], 1),
+    "found no schema": (["find-terms", "lattice2", "jonsson"], lambda d: d["command"].pop("schema"), [], 1),
+    "check no pair": (["check", "z2cube", "cdist3", "--k", "4"],
+                      lambda d: d["result"]["counterexample"].pop("pair"), [], 1),
+    "check counterexample null": (["check", "z2cube", "cdist3", "--k", "4"],
+                                  lambda d: d["result"].update(counterexample=None), [], 1),
     # not re-checked: a holds or truncated verdict is not re-decided (ROADMAP item 4)
     "check holds": (["check", "z2cube", "cdist3", "--k", "4"],
                     lambda d: d["result"].update(holds=True, counterexample=None), [], 0),
@@ -684,11 +693,24 @@ REPORT_EDITS = {
 }
 
 
+# edit -> what verify's message must say: the field a malformed report
+# lacks, or the null block its verdict needs
+NAMED_FIELDS = {
+    "absence verdict": "a found report needs a 'system' block, not null",
+    "found system null": "a found report needs a 'system' block, not null",
+    "found no certificate_ok": "the report has no 'certificate_ok' field",
+    "found no schema": "the report has no 'schema' field",
+    "check no pair": "the report has no 'pair' field",
+    "check counterexample null": "a refutation needs a 'counterexample' block, not null",
+}
+
+
 @pytest.mark.parametrize("edit", REPORT_EDITS)
 def test_one_forged_report_per_type(tmp_path, capsys, edit):
     """A genuine report of each type verifies; each edit of a block verify
     re-derives or re-checks fails it, and the claims verify leaves alone
-    still print verify: ok."""
+    still print verify: ok.  A malformed report's message names the field
+    it lacks or the null block its verdict needs."""
     argv, tamper, flags, expected = REPORT_EDITS[edit]
     rpt = tmp_path / "report.json"
     run(capsys, *argv, "--out", str(rpt))
@@ -701,6 +723,7 @@ def test_one_forged_report_per_type(tmp_path, capsys, edit):
         assert (code, out, err) == (0, "verify: ok\n", "")
     else:
         assert code == 1 and out == "" and err.startswith("verify: FAIL:") and "Traceback" not in err, err
+        assert NAMED_FIELDS.get(edit, "") in err, err
 
 
 ONE_ELEMENT = {

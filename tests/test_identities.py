@@ -12,7 +12,7 @@ import relkit.cli as cli
 from relkit.algebra import FiniteAlgebra, automorphisms, power
 from relkit.caps import DEFAULT_CAPS, Caps
 from relkit.fixtures import FIXTURES, resolve
-from relkit.freeclone import clone_as_algebra, generate_clone
+from relkit.freeclone import clone_as_algebra, generate_clone, generator_ids
 from relkit.identities import (
     AltL,
     AltR,
@@ -317,6 +317,82 @@ def test_single_pair_closures_are_shared_per_algebra(monkeypatch):
     assert calls == []
     enumerate_relations(resolve("baker4"), "congruence")
     assert calls and set(calls) == {"congruence_gen"}
+
+
+def test_enumerations_and_exhaustive_checks_search_no_automorphisms(monkeypatch):
+    """Only principal checks and seed verdicts search an algebra's pair
+    orbits.  With that search made to fail, every kind's enumeration and
+    the exhaustive and sampled cdist2 checks (whose pools include uadm:)
+    run on each fixture, while a principal check stops at the search."""
+
+    def refuse(alg):
+        raise AssertionError(f"automorphism search on {alg.name}")
+
+    monkeypatch.setattr(relations, "automorphisms", refuse)
+    for name in sorted(FIXTURES):
+        alg = resolve(name)
+        for kind in KINDS:
+            assert enumerate_relations(alg, kind).exhaustive, (name, kind)
+        assert check_for_all(alg, builtin("cdist2")).coverage == "exhaustive", name
+        check_for_all(alg, builtin("cdist2"), strategy="sampled", samples=20)
+    with pytest.raises(AssertionError, match="automorphism search"):
+        check_for_all(resolve("lattice2"), builtin("cdist2"), strategy="principal")
+
+
+def test_seed_verdict_closes_one_pair_per_orbit(monkeypatch):
+    """The generator permutations of F(lattice2,3) map (x,y), (x,z) and (y,z)
+    onto one another, so maj3's seed verdict, whose three variables are
+    tolerances, closes one single pair."""
+    calls = []
+
+    def counted(alg, seed, _original=relations.tolerance_gen):
+        if isinstance(seed, list) and len(seed) == 1:
+            calls.append(seed)
+        return _original(alg, seed)
+
+    monkeypatch.setattr(relations, "tolerance_gen", counted)
+    assert free_seed_verdict(free_algebra("lattice2"), builtin("maj3"))
+    assert len(calls) == 1
+
+
+# seed verdicts on F(lattice_n5,3): (builtin, parameter) -> the parameter
+# values at which the verdict is true among 1..4, and the parameterless ones
+N5_SEED_LADDERS = {("cdist2", "h"): {2, 3, 4}, ("vrIncl", "h"): {2, 3, 4}, ("malIncl", "h"): {2, 3, 4},
+                   ("modular2", "k"): {2, 3, 4}, ("cdist3", "k"): {2, 3, 4}}
+N5_SEED_VERDICTS = {"maj3": True, "baker4": True, "gen1": True, "gen2": True, "cor1": True, "arith3": False}
+
+
+def test_free_seed_table_on_lattice_n5():
+    """The seed verdicts on the 99-element F(lattice_n5,3), and every seed
+    assignment's members against the closures of their seed pairs computed
+    directly, without the algebra's memo: the transport along generator
+    permutations on the largest free algebra the benchmark meets."""
+    free = free_algebra("lattice_n5")
+    letters = dict(zip("xyz", generator_ids(free.size, 3)))
+    specs = [builtin(name, **{param: v}) for (name, param) in N5_SEED_LADDERS for v in range(1, 5)]
+    specs += [builtin(name) for name in N5_SEED_VERDICTS]
+    want = {builtin(name, **{param: v}).name: v in true for (name, param), true in N5_SEED_LADDERS.items()
+            for v in range(1, 5)}
+    want.update(N5_SEED_VERDICTS)
+    direct = {}
+
+    def close(gen, pairs):
+        if (gen, pairs) not in direct:
+            direct[gen, pairs] = gen(free, list(pairs))
+        return direct[gen, pairs]
+
+    got = {}
+    for spec in specs:
+        got[spec.name] = free_seed_verdict(free, spec)
+        assignment = free_seed_assignment(free, spec)
+        for var, cls in spec.classes(True).items():
+            gen, most = relations.kind_functions(identities._SHAPES[cls][0])[0], identities._SHAPES[cls][1]
+            pairs = tuple((letters[a], letters[b]) for a, b in spec.free_seeds[var])
+            if most is None:
+                assert assignment[var] == close(gen, pairs), (spec.name, var)
+            else:
+                assert assignment[var] == UAdmRel([close(gen, (p,)) for p in pairs]), (spec.name, var)
+    assert got == want
 
 
 def test_free_seed_with_more_pairs_than_components():
@@ -716,23 +792,26 @@ def test_transported_closures_match_direct(case):
         perm, arities, seed = (*case, 10)[:3]
         alg = equivariant_algebra(random.Random(seed), len(perm), arities, list(perm))
     n = alg.size
-    orbits = identities._OrbitClosures(alg)
-    assert max(map(order, orbits.auts)) >= 3
-    moved = [p for p in range(n * n) if orbits.least[p] != p]
-    assert any(order(orbits.auts[orbits.which[p]]) >= 3 for p in moved)
+    auts, least, which = relations.pair_orbits(alg)
+    least, which = least.tolist(), which.tolist()
+    assert max(map(order, auts)) >= 3
+    moved = [p for p in range(n * n) if least[p] != p]
+    assert any(order(auts[which[p]]) >= 3 for p in moved)
     assert any(
-        gen(alg, [divmod(p, n)]) != gen(alg, [divmod(orbits.least[p], n)])
+        gen(alg, [divmod(p, n)]) != gen(alg, [divmod(least[p], n)])
         for gen in (admissible_closure, tolerance_gen, congruence_gen)
         for p in moved
     )
     for gen in (admissible_closure, tolerance_gen, congruence_gen):
         for p in range(n * n):
-            assert orbits.close(gen, p) == gen(alg, [divmod(p, n)]), (gen.__name__, divmod(p, n))
+            got = relations.pair_closure(alg, gen, p)
+            assert got == gen(alg, [divmod(p, n)]), (gen.__name__, divmod(p, n))
 
 
 def test_principal_matches_plain_scan_with_partial_automorphisms(monkeypatch):
     """A non-closed set of automorphisms, one 3-cycle without its inverse, and
-    then the identity alone, leave every verdict and report unchanged."""
+    then the identity alone, leave every verdict and report unchanged.  The
+    orbits are kept per algebra object, so each set runs on a new copy."""
     rng = random.Random(11)
     cases = [
         (free_algebra("lattice2"), [(builtin("cdist2"), True), (builtin("maj3"), True)]),
@@ -746,8 +825,9 @@ def test_principal_matches_plain_scan_with_partial_automorphisms(monkeypatch):
             want = plain_principal(alg, spec, narrow).report_form()
             refuted += want["holds"] is False
             for subset in ([cycle], [tuple(range(alg.size))]):
-                monkeypatch.setattr(identities, "automorphisms", lambda _alg, s=subset: list(s))
-                got = check_for_all(alg, spec, strategy="principal", narrow=narrow)
+                monkeypatch.setattr(relations, "automorphisms", lambda _alg, s=subset: list(s))
+                copy = FiniteAlgebra(alg.size, alg.ops, name=alg.name)
+                got = check_for_all(copy, spec, strategy="principal", narrow=narrow)
                 assert got.report_form() == want, (alg.name, spec.name, narrow, subset)
     assert refuted
 
@@ -804,9 +884,10 @@ def test_principal_refutations_lie_at_orbit_representatives(monkeypatch):
         runs += [(alg, specs, [cycle]), (alg, specs, [tuple(range(alg.size))])]
     moved = 0
     for alg, specs, auts in runs:
-        if auts is not None:
-            monkeypatch.setattr(identities, "automorphisms", lambda _alg, s=auts: list(s))
-        least = identities._OrbitClosures(alg).least
+        if auts is not None:  # orbits are kept per algebra object: a new copy
+            monkeypatch.setattr(relations, "automorphisms", lambda _alg, s=auts: list(s))
+            alg = FiniteAlgebra(alg.size, alg.ops, name=alg.name)
+        least = relations.pair_orbits(alg)[1].tolist()
         for spec, narrow in specs:
             v = check_for_all(alg, spec, strategy="principal", narrow=narrow)
             if v.holds is False:
@@ -821,8 +902,9 @@ def test_principal_refutations_lie_at_orbit_representatives(monkeypatch):
 @pytest.mark.parametrize("cls", [RelClass.U2Admissible, RelClass.UnionOfTwoCongruences])
 def test_minimal_members_close_each_block_directly(cls):
     """A two-component class with three distinct pairs: each block of every
-    member, one-block or split, is the closure of its pairs, and some
-    two-pair block's closure is more than the union of its pairs'."""
+    member, one-block or split, is the closure of its pairs, with the
+    algebra's pair orbits searched or not, and some two-pair block's
+    closure is more than the union of its pairs'."""
     alg = resolve("lattice_n5")
     gen = congruence_gen if cls is RelClass.UnionOfTwoCongruences else admissible_closure
     pairs = [(0, 1), (2, 3), (1, 4)]
@@ -833,8 +915,9 @@ def test_minimal_members_close_each_block_directly(cls):
     want = [UAdmRel([gen(alg, block) for block in split]) for split in splits]
     assert identities._minimal_members(alg, cls, pairs + [(0, 1)], finest=False) == want
     assert identities._minimal_members(alg, cls, pairs, finest=True) == want[1:]
-    orbits = identities._OrbitClosures(alg)
-    assert identities._minimal_members(alg, cls, pairs, False, orbits.close) == want
+    searched = resolve("lattice_n5")
+    relations.pair_orbits(searched)
+    assert identities._minimal_members(searched, cls, pairs, finest=False) == want
     assert any(
         gen(alg, [p, q]).mask != gen(alg, [p]).mask | gen(alg, [q]).mask
         for p, q in itertools.combinations(pairs, 2)
