@@ -48,7 +48,7 @@ from .algebra import (
     pattern_cells,
 )
 from .caps import DEFAULT_CAPS, Caps
-from .relations import BinRel, congruence_gen, pair_closure, pair_orbits
+from .relations import BinRel, congruence_gen, pair_closure
 
 # Cells per chunk of argument tuples (tuples times restricted table cells),
 # a quarter of the tuple kernel's chunk in relations, so that one chunk's
@@ -454,7 +454,6 @@ def free_relations(clone: Clone, caps: Caps = DEFAULT_CAPS) -> FreeRelations:
         raise ValueError("free relations are defined on the 3-generated clone")
     free = clone_as_algebra(clone, caps)
     x, y, z = generator_ids(free.size, 3)
-    pair_orbits(free)  # the generator permutations map the three pairs onto one another
     cg = [pair_closure(free, congruence_gen, a * free.size + b) for a, b in ((x, z), (x, y), (y, z))]
     return FreeRelations(free, x, y, z, *cg)
 
